@@ -6,8 +6,9 @@ from .geometry import (Gaussian2D, bhattacharyya_distance,
                        covariance_eigenvalues, differential_entropy,
                        gaussian_log_pdf, kl_divergence,
                        mahalanobis_between_means, role_area)
-from .assignment import (Assignment, SinkhornConvergenceError, SinkhornResult,
-                         hungarian, sinkhorn_normalize)
+from .assignment import (Assignment, BatchAssignment,
+                         SinkhornConvergenceError, SinkhornResult,
+                         assign_batch, hungarian, sinkhorn_normalize)
 from .ingest import (Dataset, EmptySelectionError, Frame, ParseError,
                      center_normalize, concat_datasets, filter_key_frames,
                      filter_metadata, flatten, normalize_attack_direction,
@@ -34,8 +35,8 @@ __all__ = [
     "Gaussian2D", "bhattacharyya_distance", "covariance_eigenvalues",
     "differential_entropy", "gaussian_log_pdf", "kl_divergence",
     "mahalanobis_between_means", "role_area",
-    "Assignment", "SinkhornConvergenceError", "SinkhornResult", "hungarian",
-    "sinkhorn_normalize",
+    "Assignment", "BatchAssignment", "SinkhornConvergenceError",
+    "SinkhornResult", "assign_batch", "hungarian", "sinkhorn_normalize",
     "Dataset", "EmptySelectionError", "Frame", "ParseError",
     "center_normalize", "concat_datasets", "filter_key_frames",
     "filter_metadata", "flatten", "normalize_attack_direction",

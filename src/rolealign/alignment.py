@@ -4,8 +4,9 @@ A Formation is an unordered bag of Gaussian roles.  Alignment gives it a
 fixed order by matching its components one-to-one against a parent template
 (minimum total Bhattacharyya distance), after which every frame's agents can
 be assigned to role slots by solving a small linear assignment problem per
-frame.  The aligned output is an S x (2K) matrix whose column blocks are
-role slots, the representation all downstream clustering works on.
+frame (all frames at once, through ``assign_batch``).  The aligned output is
+an S x (2K) matrix whose column blocks are role slots, the representation
+all downstream clustering works on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, hungarian
+from .assignment import Assignment, BatchAssignment, assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance,
                        mahalanobis_between_means)
 from .ingest import Dataset, flatten
@@ -112,12 +113,15 @@ class AlignedDataset:
 
     ``permutations[s].mapping[i]`` is the role slot of agent i in frame s.
     When a frame has fewer agents than roles the unfilled slots are NaN.
+    ``n_certified`` counts the frames whose mapping the row-argmin
+    certificate settled without a Hungarian solve.
     """
 
     matrix: np.ndarray
     permutations: tuple
     frame_ids: tuple
     meta: tuple   # per-frame (team, game, period)
+    n_certified: int = 0
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -126,6 +130,21 @@ class AlignedDataset:
         object.__setattr__(self, "permutations", tuple(self.permutations))
         object.__setattr__(self, "frame_ids", tuple(self.frame_ids))
         object.__setattr__(self, "meta", tuple(self.meta))
+
+    @classmethod
+    def from_batch(cls, ds: Dataset, batch: BatchAssignment,
+                   k: int) -> "AlignedDataset":
+        """Put each frame's agents into the K role slots ``batch`` maps them
+        to."""
+        s = ds.n_frames
+        slots = np.full((s, k, 2), np.nan)
+        slots[np.arange(s)[:, None], batch.mappings] = ds.stacked()
+        perms = tuple(Assignment(mapping=m, total_cost=t) for m, t in
+                      zip(batch.mappings, batch.totals.tolist()))
+        return cls(matrix=slots.reshape(s, 2 * k), permutations=perms,
+                   frame_ids=tuple(f.frame_id for f in ds.frames),
+                   meta=tuple((f.team, f.game, f.period) for f in ds.frames),
+                   n_certified=batch.n_certified)
 
     @property
     def n_frames(self):
@@ -196,20 +215,7 @@ def assign_roles(ds: Dataset, t: Template, include_weights: bool = True,
     if include_weights:
         cost_all = cost_all - np.log(t.weights)
     cost_all = cost_all.reshape(ds.n_frames, n, k)
-
-    rows = np.full((ds.n_frames, 2 * k), np.nan)
-    perms = []
-    fids = []
-    meta = []
-    for s, frame in enumerate(ds.frames):
-        a = hungarian(cost_all[s])
-        for i, j in enumerate(a.mapping):
-            rows[s, 2 * j:2 * j + 2] = frame.positions[i]
-        perms.append(a)
-        fids.append(frame.frame_id)
-        meta.append((frame.team, frame.game, frame.period))
-    return AlignedDataset(matrix=rows, permutations=tuple(perms),
-                          frame_ids=tuple(fids), meta=tuple(meta))
+    return AlignedDataset.from_batch(ds, assign_batch(cost_all), k)
 
 
 def average_log_likelihood(ds: Dataset, f: "_disc.Formation") -> float:

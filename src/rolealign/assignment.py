@@ -1,11 +1,15 @@
 """Exact bipartite assignment and doubly-stochastic matrix normalization.
 
 The Hungarian solver is the shortest-augmenting-path (Jonker-Volgenant style)
-variant, O(n^3) for an n x n matrix, written in plain Python: it runs once per
-frame inside the hard-assignment baseline, so its constant factor is part of
-what the benchmarks measure.  Ties between equal-cost optima are broken
-deterministically in favour of the lexicographically smallest row->column
-mapping.
+variant, O(n^3) for an n x n matrix, written in plain Python.  Ties between
+equal-cost optima are broken deterministically in favour of the
+lexicographically smallest row->column mapping.
+
+Role assignment solves one such problem per frame.  ``assign_batch`` takes
+all frames at once: a frame whose row minima are unique and fall in distinct
+columns is settled by its row argmins, which are then the unique optimum, and
+only the remaining frames go through ``hungarian``.  On well-separated roles
+almost every frame is settled that way.
 """
 
 from __future__ import annotations
@@ -14,6 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# ``_lex_refine`` keeps a refined mapping only if it costs at most this much
+# (relative to the matrix's largest magnitude) more than the solved optimum.
+_LEX_SLACK = 1e-6
+# A frame is certified only if every row's runner-up exceeds its minimum by
+# more than this (relative to 1 + the frame's largest magnitude), ten times
+# the slack above, so the refinement can never prefer another mapping.
+_CERT_MARGIN = 10 * _LEX_SLACK
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -150,7 +162,7 @@ def _lex_refine(cost, mapping, u, v, n_real):
         blocked[row_to_col[i]] = True
     refined_cost = sum(cost[i][row_to_col[i]] for i in range(n))
     original_cost = sum(cost[i][mapping[i]] for i in range(n))
-    if refined_cost > original_cost + 1e-6 * scale:
+    if refined_cost > original_cost + _LEX_SLACK * scale:
         return mapping  # tolerance artifact; keep the provably optimal result
     return row_to_col
 
@@ -182,6 +194,63 @@ def hungarian(cost, lexicographic: bool = True) -> Assignment:
     mapping = np.array(mapping[:n])
     total = float(c[np.arange(n), mapping].sum())
     return Assignment(mapping=mapping, total_cost=total)
+
+
+@dataclass(frozen=True)
+class BatchAssignment:
+    """Per-frame optimal mappings of an (S, N, K) cost tensor.
+
+    ``mappings[s]`` and ``totals[s]`` equal ``hungarian(cost[s])``'s mapping
+    and total cost.  ``certified[s]`` is True when frame s was settled by its
+    row argmins alone, False when it was solved by ``hungarian``.
+    """
+
+    mappings: np.ndarray
+    totals: np.ndarray
+    certified: np.ndarray
+
+    @property
+    def n_certified(self):
+        return int(self.certified.sum())
+
+
+def assign_batch(cost) -> BatchAssignment:
+    """``hungarian`` on every frame of an (S, N, K) cost tensor, N <= K.
+
+    A frame is certified when every row's minimum undercuts the row's
+    runner-up by a margin and the row argmins are pairwise distinct.  Any
+    other injective mapping then pays at least that margin more, so the
+    argmin mapping is the unique optimum and the lexicographic rule has
+    nothing to choose between.  Only uncertified frames (ties, near-ties,
+    two rows wanting one column) are solved one by one.  Mappings and totals
+    are bit-identical to per-frame ``hungarian``, which also sets the errors
+    raised for N > K and non-finite entries.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 3 or c.shape[1] < 1:
+        raise ValueError("cost must be an (S, N, K) tensor with N >= 1")
+    s, n, k = c.shape
+    if n > k:
+        raise ValueError(f"cost matrix must have n <= m, got {n}x{k}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost matrix contains non-finite entries")
+    mappings = c.argmin(axis=2)
+    certified = np.ones(s, dtype=bool)
+    if k > 1:
+        low2 = np.partition(c, 1, axis=2)
+        margin = _CERT_MARGIN * (1.0 + np.abs(c).max(axis=(1, 2)))
+        certified &= (low2[:, :, 1] - low2[:, :, 0]
+                      > margin[:, None]).all(axis=1)
+        cols = np.sort(mappings, axis=1)
+        certified &= (cols[:, 1:] != cols[:, :-1]).all(axis=1)
+    for f in np.flatnonzero(~certified):
+        mappings[f] = hungarian(c[f]).mapping
+    # row-wise sums over the last axis add in the same order as hungarian's
+    # 1-D sum, so the totals match it bit for bit
+    totals = np.take_along_axis(c, mappings[:, :, None], axis=2)[:, :, 0] \
+        .sum(axis=1)
+    return BatchAssignment(mappings=mappings, totals=totals,
+                           certified=certified)
 
 
 @dataclass(frozen=True)

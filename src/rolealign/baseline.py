@@ -1,12 +1,13 @@
 """The prior hard-assignment EM method, kept as an honest comparison target.
 
 Where the soft pipeline lets every point contribute fractionally to every
-role, this baseline commits each agent to exactly one role per frame (a
-Hungarian solve per frame) and refits each role's Gaussian from its assigned
-points only.  The exclusive commitment is what makes it slow (one exact
-assignment per frame per iteration) and what breaks the usual EM guarantee:
-its likelihood sequence may oscillate, which the trace records rather than
-hides.
+role, this baseline commits each agent to exactly one role per frame (an
+exact assignment per frame, by the same ``assign_batch`` rule the soft
+pipeline's role assignment uses) and refits each role's Gaussian from its
+assigned points only.  The exclusive commitment is what makes it slow (one
+exact assignment per frame per iteration) and what breaks the usual EM
+guarantee: its likelihood sequence may oscillate, which the trace records
+rather than hides.
 
 The original method used nonparametric role heat maps; roles here are
 Gaussians so the two pipelines differ only in the assignment rule, which is
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import AlignedDataset, Template
-from .assignment import Assignment, hungarian
+from .assignment import assign_batch
 from .discovery import Formation, _component_log_pdfs, _e_step
 from .geometry import Gaussian2D, differential_entropy
 from .ingest import Dataset, flatten
@@ -28,11 +29,16 @@ from .ingest import Dataset, flatten
 
 @dataclass
 class HardEmTrace:
-    """Per-iteration totals; no monotonicity is promised, that is the point."""
+    """Per-iteration totals; no monotonicity is promised, that is the point.
+
+    ``certified[i]`` counts the frames of pass i + 1 whose assignment the
+    row-argmin certificate settled; it is not part of the CSV.
+    """
 
     rows: list = field(default_factory=list)
     converged: bool = False
     oscillated: bool = False
+    certified: list = field(default_factory=list)
 
     def append(self, iteration, total_cost, avg_loglik, changed_frames):
         self.rows.append((int(iteration), float(total_cost),
@@ -109,16 +115,16 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     prev_maps = None
     seen_states = set()
     passes = max(1, max_iters)
-    mappings = None
     for it in range(1, passes + 1):
         dens = _component_log_pdfs(_as_formation(roles, weights), pts)
-        cost_all = (-dens).reshape(s, n, k)
-        mappings = np.empty((s, n), dtype=int)
+        batch = assign_batch((-dens).reshape(s, n, k))
+        trace.certified.append(batch.n_certified)
+        mappings = batch.mappings
+        # a sequential sum in frame order, not numpy's pairwise one:
+        # hard_trace.csv records its exact bits
         total_cost = 0.0
-        for f in range(s):
-            a = hungarian(cost_all[f])
-            mappings[f] = a.mapping
-            total_cost += a.total_cost
+        for frame_total in batch.totals.tolist():
+            total_cost += frame_total
         changed = s if prev_maps is None else int(
             (mappings != prev_maps).any(axis=1).sum())
 
@@ -154,18 +160,7 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         prev_maps = mappings
 
     formation = _as_formation(roles, weights)
-    rows = np.full((s, 2 * k), np.nan)
-    perms = []
-    for f, frame in enumerate(ds.frames):
-        cost = cost_all[f]
-        total = float(sum(cost[i, j] for i, j in enumerate(mappings[f])))
-        for i, j in enumerate(mappings[f]):
-            rows[f, 2 * j:2 * j + 2] = frame.positions[i]
-        perms.append(Assignment(mapping=mappings[f], total_cost=total))
-    aligned = AlignedDataset(
-        matrix=rows, permutations=tuple(perms),
-        frame_ids=tuple(fr.frame_id for fr in ds.frames),
-        meta=tuple((fr.team, fr.game, fr.period) for fr in ds.frames))
+    aligned = AlignedDataset.from_batch(ds, batch, k)
     return formation, aligned, trace
 
 

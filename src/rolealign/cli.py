@@ -22,17 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (Template, align_template, assign_roles,
-                        average_log_likelihood, run_pipeline)
-from .assignment import hungarian
+from .alignment import (Template, align_template, average_log_likelihood,
+                        run_pipeline)
 from .baseline import hard_assignment_em, player_identity_template
 from .clustering import pca_variance_explained, wce_sweep
-from .discovery import (DiscoveryConfig, Formation, _component_log_pdfs,
-                        discover_formation)
-from .geometry import Gaussian2D, kl_divergence, role_area
-from .ingest import (Dataset, EmptySelectionError, ParseError,
-                     center_normalize, filter_key_frames, filter_metadata,
-                     flatten, normalize_attack_direction, parse_tracking)
+from .discovery import DiscoveryConfig, discover_formation, em_step_full
+from .geometry import kl_divergence, role_area
+from .ingest import (EmptySelectionError, ParseError, center_normalize,
+                     filter_key_frames, filter_metadata, flatten,
+                     normalize_attack_direction, parse_tracking)
 from .synth import generate_formation, sample_dataset
 from .version import __version__
 
@@ -152,6 +150,11 @@ def cmd_discover(args) -> int:
     return 0
 
 
+def _certificate(frames, certified):
+    """Frames settled by the row-argmin certificate vs solved by Hungarian."""
+    return {"certified": certified, "solved": frames - certified}
+
+
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,30 +226,12 @@ def cmd_compare(args) -> int:
         input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
         outputs=["report.json", "wce_sweep.csv", "pca.csv", "emtrace.csv",
                  "hard_trace.csv"],
-        stats={"delta_avg_loglik": report["delta_avg_loglik"]})
+        stats={"delta_avg_loglik": report["delta_avg_loglik"],
+               "soft_assignment": _certificate(s, res.aligned.n_certified),
+               "hard_assignment": [_certificate(s, c)
+                                   for c in hard_trace.certified]})
     manifest.save(out / "manifest.json")
     return 0
-
-
-def _hard_iteration_seconds(roles, weights, pts, s, n):
-    """One hard-EM iteration: per-point densities, a Hungarian solve per
-    frame, then per-role refits.  Mirrors the baseline loop body."""
-    k = len(roles)
-    start = time.perf_counter()
-    helper = Formation(components=tuple(
-        Gaussian2D(mean=r.mean, cov=r.cov, weight=1.0 / k) for r in roles))
-    dens = _component_log_pdfs(helper, pts)
-    cost_all = (-dens).reshape(s, n, k)
-    mappings = np.empty((s, n), dtype=int)
-    for f in range(s):
-        mappings[f] = hungarian(cost_all[f]).mapping
-    flat_roles = mappings.reshape(-1)
-    for j in range(k):
-        member = pts[flat_roles == j]
-        if len(member) > 1:
-            member.mean(axis=0)
-            np.cov(member.T, bias=True)
-    return time.perf_counter() - start
 
 
 def cmd_bench(args) -> int:
@@ -255,7 +240,6 @@ def cmd_bench(args) -> int:
     ns = [int(x) for x in args.n_range.split(",") if x.strip()]
     if not ns:
         raise ValueError(f"empty n range {args.n_range!r}")
-    from .discovery import em_step_full
 
     rows = []
     for n in ns:
@@ -266,9 +250,10 @@ def cmd_bench(args) -> int:
         warm_cfg = DiscoveryConfig(k=n, max_iters=3, seed=args.seed)
         state, _ = discover_formation(ds, warm_cfg)
         init = player_identity_template(ds)
-        # warm both paths once so lazy numpy setup is off the clock
+        # warm both paths once so lazy numpy setup is off the clock;
+        # max_iters=0 is exactly one assign-and-refit pass of the baseline
         em_step_full(state, pts)
-        _hard_iteration_seconds(list(init.roles), None, pts, ds.n_frames, n)
+        hard_assignment_em(ds, init, max_iters=0)
         batch = 3  # soft iterations are sub-ms; time them in small batches
         soft_times = []
         hard_times = []
@@ -277,8 +262,9 @@ def cmd_bench(args) -> int:
             for _ in range(batch):
                 em_step_full(state, pts)
             soft_times.append((time.perf_counter() - t) / batch)
-            hard_times.append(_hard_iteration_seconds(
-                list(init.roles), None, pts, ds.n_frames, n))
+            t = time.perf_counter()
+            hard_assignment_em(ds, init, max_iters=0)
+            hard_times.append(time.perf_counter() - t)
         # min over reps: scheduler noise only ever adds time
         rows.append({"n": n, "soft": float(min(soft_times)),
                      "hard": float(min(hard_times))})
@@ -303,7 +289,6 @@ def cmd_bench(args) -> int:
     manifest = RunManifest(
         command="bench", version=__version__, config=_config_dict(args),
         input=None, input_sha256=None, seed=args.seed,
-        warnings=["thread count pinned to 1 for the complexity fit"],
         outputs=["bench.csv", "summary.json"], stats=summary)
     manifest.save(out / "manifest.json")
     return 0
@@ -375,9 +360,6 @@ def _add_common(sp):
     sp.add_argument("--key-frames-only", action="store_true")
     sp.add_argument("--parent-template", default=None,
                     help="template JSON fixing the role order")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface stability; results are "
-                         "thread-count invariant")
     sp.add_argument("--filter", default=None, metavar="EXPR",
                     help="metadata filter, e.g. team=home;period=1")
 

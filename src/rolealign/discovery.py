@@ -248,19 +248,32 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         raise ValueError(f"k={k} exceeds point count {pts.shape[0]}")
     inertia = []
     labels = None
+    rows = np.arange(len(pts))
     for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        if pts.shape[1] == 2:
+            # column by column: the same two additions as the reduction
+            # below, without its (P, K, 2) temporary
+            d2 = (pts[:, None, 0] - centers[None, :, 0]) ** 2
+            d2 += (pts[:, None, 1] - centers[None, :, 1]) ** 2
+        else:
+            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
         for empty in range(k):
-            if not np.any(labels == empty):
-                mine = d2[np.arange(len(pts)), labels]
-                far = int(np.argmax(mine))
-                centers[empty] = pts[far]
-                labels[far] = empty
-                d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
-        inertia.append(float(d2[np.arange(len(pts)), labels].sum()))
-        new_centers = np.stack([pts[labels == j].mean(axis=0)
-                                for j in range(k)])
+            if counts[empty]:
+                continue
+            far = int(np.argmax(d2[rows, labels]))
+            centers[empty] = pts[far]
+            counts[labels[far]] -= 1
+            counts[empty] = 1
+            labels[far] = empty
+            d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
+        inertia.append(float(d2[rows, labels].sum()))
+        # per-column bincount adds each cluster's points in row order, as
+        # pts[labels == j].sum(axis=0) does, so the means are unchanged
+        sums = np.stack([np.bincount(labels, weights=pts[:, c], minlength=k)
+                         for c in range(pts.shape[1])], axis=1)
+        new_centers = sums / counts[:, None]
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if movement < tol:

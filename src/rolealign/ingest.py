@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,6 +186,8 @@ def _parse_csv(text):
         except ValueError:
             raise ParseError(f"non-numeric position ({x_s!r}, {y_s!r})",
                              line) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"non-finite position ({x_s!r}, {y_s!r})", line)
         if ev_s not in ("0", "1"):
             raise ParseError(f"is_event must be 0 or 1, got {ev_s!r}", line)
         if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
@@ -226,7 +229,10 @@ def _parse_jsonl(text):
         if len(ids) != len(positions):
             raise ParseError(f"{len(ids)} agent_ids for "
                              f"{len(positions)} positions", line)
-        ev = bool(obj.get("is_event", False))
+        ev = obj.get("is_event", False)
+        if not isinstance(ev, bool):
+            raise ParseError(f"is_event must be true or false, got {ev!r}",
+                             line)
         direction = obj.get("attack_direction", LEFT_TO_RIGHT)
         team = str(obj.get("team", ""))
         game = str(obj.get("game", ""))
@@ -236,6 +242,8 @@ def _parse_jsonl(text):
                 x, y = float(pt[0]), float(pt[1])
             except (TypeError, ValueError, IndexError):
                 raise ParseError(f"non-numeric position {pt!r}", line) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite position {pt!r}", line)
             rows.append((line, fid, str(aid), x, y, ev, direction,
                          team, game, period))
     if not rows:

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rolealign import (SinkhornConvergenceError, hungarian,
+from rolealign import (SinkhornConvergenceError, assign_batch, hungarian,
                        sinkhorn_normalize)
 
 
@@ -127,6 +130,127 @@ def test_mapping_is_frozen():
     a = hungarian(np.eye(3))
     with pytest.raises(ValueError):
         a.mapping[0] = 2
+
+
+# ------------------------------------------------------------ batch solver
+
+def per_frame(cost):
+    solved = [hungarian(c) for c in cost]
+    return (np.array([a.mapping for a in solved]),
+            np.array([a.total_cost for a in solved]))
+
+
+def assert_same_as_hungarian(cost):
+    b = assign_batch(cost)
+    mappings, totals = per_frame(cost)
+    assert np.array_equal(b.mappings, mappings)
+    assert np.array_equal(b.totals, totals)   # bit for bit, not approx
+    return b
+
+
+def role_costs(rng, s, n, k, spread):
+    """Costs whose row minima are mostly unique and distinct: agent i sits
+    nearest role i, blurred by ``spread``."""
+    base = np.abs(np.arange(n)[:, None] - np.arange(k)[None, :]) * 2.0
+    return base + rng.normal(0.0, spread, (s, n, k))
+
+
+def test_batch_matches_hungarian_on_random_frames():
+    rng = np.random.default_rng(20)
+    cost = role_costs(rng, 400, 10, 10, 1.5)
+    b = assert_same_as_hungarian(cost)
+    assert 0 < b.n_certified < len(cost)   # both paths are exercised
+    argmin = cost.argmin(axis=2)
+    assert np.array_equal(b.mappings[b.certified], argmin[b.certified])
+
+
+def test_batch_integer_ties_take_the_lexicographic_path():
+    rng = np.random.default_rng(21)
+    cost = rng.integers(0, 3, (300, 5, 5)).astype(float)
+    b = assert_same_as_hungarian(cost)
+    low2 = np.sort(cost, axis=2)[:, :, :2]
+    tied = (low2[:, :, 0] == low2[:, :, 1]).any(axis=1)
+    assert tied.sum() > 100 and not b.certified[tied].any()
+    for c, m in zip(cost[:40], b.mappings[:40]):
+        assert m.tolist() == brute_force(c)[1]
+
+
+def test_batch_near_tie_is_not_certified():
+    # the row argmins [1, 0] undercut [0, 1] by 2e-10, inside the slack
+    # hungarian's lexicographic refinement accepts, so it returns [0, 1]
+    eps = 1e-10
+    cost = np.array([[[1.0 + eps, 1.0], [1.0, 1.0 + eps]]])
+    b = assert_same_as_hungarian(cost)
+    assert b.mappings.tolist() == [[0, 1]] and not b.certified[0]
+    wide = np.array([[[1.5, 1.0], [1.0, 1.5]]])
+    b = assert_same_as_hungarian(wide)
+    assert b.mappings.tolist() == [[1, 0]] and b.certified[0]
+
+
+@pytest.mark.parametrize("n,k", [(3, 7), (1, 4), (6, 9), (1, 1)])
+def test_batch_rectangular_and_single_role(n, k):
+    rng = np.random.default_rng(22 + 10 * n + k)
+    b = assert_same_as_hungarian(role_costs(rng, 200, n, k, 1.0))
+    if k == 1:
+        assert b.certified.all()
+
+
+def test_batch_distinct_argmin_check_applies_to_padded_frames():
+    # both agents want role 2 with unique row minima: not certifiable
+    cost = np.array([[[3.0, 2.0, 0.0, 5.0], [4.0, 1.0, 0.5, 6.0]]])
+    b = assert_same_as_hungarian(cost)
+    assert not b.certified[0]
+    assert b.mappings.tolist() == [[2, 1]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_entry_in_certifiable_frame(bad):
+    cost = role_costs(np.random.default_rng(23), 5, 4, 4, 0.1)
+    assert assign_batch(cost).certified.all()
+    cost[3, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        assign_batch(cost)
+
+
+def test_batch_input_validation():
+    with pytest.raises(ValueError, match="n <= m"):
+        assign_batch(np.ones((2, 3, 2)))
+    with pytest.raises(ValueError):
+        assign_batch(np.ones((3, 3)))
+    b = assign_batch(np.ones((0, 2, 3)))
+    assert b.mappings.shape == (0, 2) and b.n_certified == 0
+
+
+@st.composite
+def cost_tensors(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(n, 6))
+    s = draw(st.integers(1, 4))
+    # small integers force ties; hundredths keep any two distinct totals
+    # far apart next to the brute force's 1e-12 tie tolerance
+    values = st.integers(0, 3).map(float) if draw(st.booleans()) else \
+        st.integers(-5000, 5000).map(lambda v: v / 100.0)
+    return draw(arrays(np.float64, (s, n, k), elements=values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_tensors())
+def test_batch_property_against_brute_force(cost):
+    b = assert_same_as_hungarian(cost)
+    for c, m, t in zip(cost, b.mappings, b.totals):
+        best, lex = brute_force(c)
+        assert t == pytest.approx(best, abs=1e-9)
+        assert m.tolist() == lex
+
+
+def test_batch_against_scipy_oracle():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(24)
+    cost = role_costs(rng, 200, 8, 11, 2.0)
+    b = assign_batch(cost)
+    for c, t in zip(cost, b.totals):
+        rows, cols = optimize.linear_sum_assignment(c)
+        assert t == pytest.approx(c[rows, cols].sum(), abs=1e-9)
 
 
 # ---------------------------------------------------------------- sinkhorn

@@ -174,6 +174,13 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["stats"]["delta_avg_loglik"] == report["delta_avg_loglik"]
+    # per assignment run: frames the argmin certificate settled vs solved
+    soft = manifest["stats"]["soft_assignment"]
+    hard = manifest["stats"]["hard_assignment"]
+    assert soft["certified"] + soft["solved"] == 80 and soft["certified"] > 0
+    assert len(hard) == len(hard_lines) - 1
+    assert all(p["certified"] + p["solved"] == 80 for p in hard)
+    assert "certified" not in json.dumps(report)
 
 
 # bench

@@ -102,6 +102,64 @@ def test_kmeans_reseeds_empty_clusters():
     assert sorted(np.round(km.centers[:, 0], 0).tolist()) == [0.0, 20.0]
 
 
+def reference_lloyd(pts, init, tol=1e-6, max_iters=1000):
+    """The straightforward per-cluster Lloyd loop kmeans must match bit for
+    bit: a broadcast distance reduction, an any() check per cluster, and a
+    boolean-mask mean per cluster."""
+    centers = np.array(init, dtype=float)
+    k = centers.shape[0]
+    inertia = []
+    for _ in range(max_iters):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        for empty in range(k):
+            if not np.any(labels == empty):
+                mine = d2[np.arange(len(pts)), labels]
+                far = int(np.argmax(mine))
+                centers[empty] = pts[far]
+                labels[far] = empty
+                d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
+        inertia.append(float(d2[np.arange(len(pts)), labels].sum()))
+        new_centers = np.stack([pts[labels == j].mean(axis=0)
+                                for j in range(k)])
+        movement = float(np.sqrt(((new_centers - centers) ** 2)
+                                 .sum(axis=1)).max())
+        centers = new_centers
+        if movement < tol:
+            break
+    return centers, labels, tuple(inertia)
+
+
+def _kmeans_case(name):
+    rng = np.random.default_rng(41)
+    if name == "2d":
+        from rolealign import generate_formation, sample_dataset
+
+        ds, _ = sample_dataset(generate_formation(10, separation=2.0, seed=4),
+                               3000, swap_rate=0.05, seed=4)
+        pts = flatten(ds) + np.array([52.5, 34.0])   # pitch-like offsets
+        return pts, player_mean_init(ds) + np.array([52.5, 34.0])
+    if name == "44d":
+        blobs = rng.normal(0.0, 5.0, (20, 44))
+        pts = blobs[rng.integers(0, 20, 1500)] + rng.normal(size=(1500, 44))
+        return pts, pts[rng.choice(1500, 20, replace=False)]
+    # "reseed": duplicated and far-off centers leave clusters empty
+    pts = rng.normal(size=(4000, 2)) * np.array([30.0, 20.0])
+    init = np.concatenate([pts[:4], pts[:2], [[1e4, 1e4], [-1e4, 0.0]]])
+    return pts, init
+
+
+@pytest.mark.parametrize("case", ["2d", "44d", "reseed"])
+def test_kmeans_bit_identical_to_reference_loop(case):
+    pts, init = _kmeans_case(case)
+    km = kmeans(pts, init)
+    centers, labels, inertia = reference_lloyd(pts, init)
+    assert km.n_iterations > 1
+    assert np.array_equal(km.centers, centers)
+    assert np.array_equal(km.labels, labels)
+    assert km.inertia == inertia
+
+
 def test_kmeans_does_not_mutate_init():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 2))

@@ -237,6 +237,36 @@ def test_jsonl_errors(line_text, fragment):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+def test_jsonl_is_event_must_be_a_json_boolean(value):
+    # bool("false") is True: a quoted flag must not be coerced
+    good = '{"frame_id": 0, "positions": [[0.0, 0.0]], "is_event": false}'
+    bad = '{"frame_id": 1, "positions": [[0.0, 0.0]], "is_event": %s}' % value
+    with pytest.raises(ParseError, match="is_event must be true or false") \
+            as exc:
+        parse_tracking(io.StringIO(good + "\n" + bad + "\n"), format="jsonl")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("point", ['["nan", 0.0]', "[0.0, NaN]",
+                                   "[Infinity, 0.0]", '[1.0, "-inf"]'])
+def test_jsonl_non_finite_position_names_its_line(point):
+    good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
+    bad = '{"frame_id": 1, "positions": [%s]}' % point
+    with pytest.raises(ParseError, match="non-finite position") as exc:
+        parse_tracking(io.StringIO(good + "\n" + bad + "\n"), format="jsonl")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("x,y", [("nan", "0.0"), ("1.0", "inf"),
+                                 ("-Infinity", "2.0")])
+def test_csv_non_finite_position_names_its_line(x, y):
+    src = header("1,a,1.0,2.0,0,LR,,,1", f"2,a,{x},{y},0,LR,,,1")
+    with pytest.raises(ParseError, match="non-finite position") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 3
+
+
 def test_jsonl_duplicate_frame_id():
     text = ('{"frame_id": 4, "positions": [[0.0, 0.0]]}\n'
             '{"frame_id": 4, "positions": [[1.0, 1.0]]}\n')
