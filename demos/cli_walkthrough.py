@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from rolealign import (Dataset, concat_datasets, generate_formation,
+from rolealign import (concat_datasets, generate_formation,
                        sample_dataset, write_tracking_csv)
 from rolealign.cli import main
 
@@ -22,8 +22,7 @@ home, _ = sample_dataset(home_t, 150, event_rate=0.3, seed=60,
                          team="home", period=1)
 away, _ = sample_dataset(away_t, 150, event_rate=0.3, seed=61,
                          team="away", period=1)
-away = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + 150)
-                            for f in away.frames))
+away = replace(away, frame_id=away.frame_id + 150)
 csv_path = work / "match.csv"
 write_tracking_csv(concat_datasets([home, away]), csv_path)
 print(f"wrote {csv_path}")

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rolealign import (Dataset, concat_datasets, generate_formation,
+from rolealign import (concat_datasets, generate_formation,
                        pca_variance_explained, run_pipeline, sample_dataset,
                        wce_sweep)
 
@@ -21,8 +21,7 @@ ta = generate_formation(K, separation=3.0, seed=100)
 tb = generate_formation(K, separation=3.0, seed=101)
 da, _ = sample_dataset(ta, S, swap_rate=0.5, swap_run_mean=2.0, seed=100)
 db, _ = sample_dataset(tb, S, swap_rate=0.5, swap_run_mean=2.0, seed=101)
-db = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + S)
-                          for f in db.frames))
+db = replace(db, frame_id=db.frame_id + S)
 
 # shared template from the union, then per-half runs aligned to it
 g = run_pipeline(concat_datasets([da, db])).template

@@ -7,7 +7,7 @@ generator should leave the root as the only node.
 
 from dataclasses import replace
 
-from rolealign import (Dataset, DiscoveryConfig, TreeStop,
+from rolealign import (DiscoveryConfig, TreeStop,
                        bhattacharyya_distance, align_template,
                        concat_datasets, generate_formation, learn_tree,
                        sample_dataset)
@@ -21,8 +21,7 @@ ta = generate_formation(K, separation=3.0, seed=110)
 tb = generate_formation(K, separation=3.0, seed=111)
 da, _ = sample_dataset(ta, 300, seed=110)
 db, _ = sample_dataset(tb, 300, seed=112)
-db = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + 300)
-                          for f in db.frames))
+db = replace(db, frame_id=db.frame_id + 300)
 
 tree = learn_tree(concat_datasets([da, db]), stop=stop, cfg=cfg)
 print(f"mixture: depth {tree.depth}, {len(tree.leaves())} leaves")

@@ -138,12 +138,13 @@ class AlignedDataset:
         to."""
         s = ds.n_frames
         slots = np.full((s, k, 2), np.nan)
-        slots[np.arange(s)[:, None], batch.mappings] = ds.stacked()
+        slots[np.arange(s)[:, None], batch.mappings] = ds.positions
         perms = tuple(Assignment(mapping=m, total_cost=t) for m, t in
                       zip(batch.mappings, batch.totals.tolist()))
         return cls(matrix=slots.reshape(s, 2 * k), permutations=perms,
-                   frame_ids=tuple(f.frame_id for f in ds.frames),
-                   meta=tuple((f.team, f.game, f.period) for f in ds.frames),
+                   frame_ids=ds.frame_id.tolist(),
+                   meta=zip(ds.team.tolist(), ds.game.tolist(),
+                            ds.period.tolist()),
                    n_certified=batch.n_certified)
 
     @property

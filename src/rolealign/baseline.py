@@ -67,19 +67,10 @@ def player_identity_template(ds: Dataset) -> Template:
     Agents are matched by id (sorted order), frames in frame_id order, same
     canonicalization as the player-mean initializer.
     """
-    frames = sorted(ds.frames, key=lambda f: f.frame_id)
-    ids = sorted(frames[0].agent_ids)
-    n = len(ids)
-    tracks = {a: [] for a in ids}
-    for f in frames:
-        index = {a: i for i, a in enumerate(f.agent_ids)}
-        for a in ids:
-            if a not in index:
-                raise ValueError(f"agent {a!r} missing from frame {f.frame_id}")
-            tracks[a].append(f.positions[index[a]])
+    tracks = ds.agent_tracks()
+    n = tracks.shape[1]
     roles = []
-    for a in ids:
-        pts = np.stack(tracks[a])
+    for pts in tracks.transpose(1, 0, 2):
         cov = np.cov(pts.T, bias=True) if len(pts) > 1 else np.eye(2)
         roles.append(Gaussian2D(mean=pts.mean(axis=0), cov=np.atleast_2d(cov),
                                 weight=1.0 / n))

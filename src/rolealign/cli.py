@@ -318,11 +318,9 @@ def cmd_context(args) -> int:
     global_template.save(out / "global.template.json")
     timings["global"] = time.perf_counter() - t1
 
-    contexts = []
-    for f in full.frames:
-        key = (f.team, f.game, f.period)
-        if key not in contexts:
-            contexts.append(key)
+    # distinct (team, game, period) in order of first appearance
+    contexts = list(dict.fromkeys(zip(full.team.tolist(), full.game.tolist(),
+                                      full.period.tolist())))
     outputs = ["global.template.json"]
     t2 = time.perf_counter()
     for team, game, period in contexts:

@@ -309,7 +309,7 @@ def learn_tree(ds: Dataset, g: Template | None = None,
         cfg = DiscoveryConfig(k=ds.n_agents)
 
     def build(indices, parent, depth):
-        sub = Dataset(frames=tuple(ds.frames[i] for i in indices))
+        sub = ds.take(indices)
         formation, trace = discover_formation(sub, cfg)
         template = align_template(formation, parent) if parent is not None \
             else Template.from_formation(formation)

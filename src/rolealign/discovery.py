@@ -162,7 +162,8 @@ def _e_step(formation, pts):
 def _m_step(formation, pts, log_resp, spherical):
     resp = np.exp(log_resp)
     counts = resp.sum(axis=0)
-    counts = np.maximum(counts, 1e-300)  # a dead component keeps its mean
+    dead = counts < 1e-300   # responsibility mass underflowed
+    counts = np.maximum(counts, 1e-300)
     weights = counts / resp.shape[0]
     means = (resp.T @ pts) / counts[:, None]
     dx = pts[:, None, 0] - means[None, :, 0]
@@ -181,6 +182,10 @@ def _m_step(formation, pts, log_resp, spherical):
         covs[:, 0, 1] = cxy
         covs[:, 1, 0] = cxy
         covs[:, 1, 1] = cyy
+    # a dead component keeps its mean and covariance
+    for k in np.flatnonzero(dead):
+        means[k] = formation.components[k].mean
+        covs[k] = formation.components[k].cov
     wsum = weights.sum()
     comps = tuple(Gaussian2D(mean=means[k], cov=covs[k],
                              weight=float(weights[k] / wsum))
@@ -207,19 +212,12 @@ def player_mean_init(ds: Dataset) -> np.ndarray:
     agent.
 
     Agents are matched by id and ordered by sorted id; frames are summed in
-    frame_id order.  Both choices make the result independent of how the
-    caller happened to order frames or rows.
+    frame_id order (see ``Dataset.agent_tracks``).  Both choices make the
+    result independent of how the caller happened to order frames or rows.
     """
-    frames = sorted(ds.frames, key=lambda f: f.frame_id)
-    ids = sorted(frames[0].agent_ids)
-    sums = {a: np.zeros(2) for a in ids}
-    for f in frames:
-        index = {a: i for i, a in enumerate(f.agent_ids)}
-        for a in ids:
-            if a not in index:
-                raise ValueError(f"agent {a!r} missing from frame {f.frame_id}")
-            sums[a] = sums[a] + f.positions[index[a]]
-    return np.stack([sums[a] / len(frames) for a in ids])
+    tracks = ds.agent_tracks()
+    # a sum over the leading axis adds frame after frame, like a running sum
+    return tracks.sum(axis=0) / len(tracks)
 
 
 @dataclass(frozen=True)
@@ -240,6 +238,8 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     An empty cluster is re-seeded at the point currently farthest from its
     assigned center, which keeps the recorded inertia sequence
     non-increasing: the empty center served no points, so moving it is free.
+    The point is never taken from a cluster whose only member it is, which
+    would leave that cluster empty.
     """
     pts = np.asarray(points, dtype=float)
     centers = np.array(init, dtype=float)
@@ -262,7 +262,8 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         for empty in range(k):
             if counts[empty]:
                 continue
-            far = int(np.argmax(d2[rows, labels]))
+            far = int(np.argmax(np.where(counts[labels] > 1, d2[rows, labels],
+                                         -np.inf)))
             centers[empty] = pts[far]
             counts[labels[far]] -= 1
             counts[empty] = 1

@@ -3,13 +3,15 @@
 Frames arrive as raw pitch coordinates with an attacking direction; discovery
 wants a flat (S*N) x 2 matrix of direction-normalized, per-frame-centered
 points.  The pipeline order is fixed: attack direction, then centering, then
-the optional key-frame filter, then flattening.
+the optional key-frame filter, then flattening.  A Dataset is columnar, so
+each of these steps is an array expression.
 
 Two interchange formats are supported and documented byte-for-byte in the
 README: a long-form CSV (one agent per row) and a JSONL stream (one frame
-object per line).  Parsing is canonical: agents within a frame are ordered by
-agent_id, frames by frame_id, so any row order on disk yields the same
-Dataset.
+object per line).  Both parsers check and convert whole columns; only when a
+column check fails does a line-by-line scan run, to name the first bad line.
+Parsing is canonical: agents within a frame are ordered by agent_id, frames
+by frame_id, so any row order on disk yields the same Dataset.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ RIGHT_TO_LEFT = "RL"
 
 CSV_COLUMNS = ("frame_id", "agent_id", "x", "y", "is_event",
                "attack_direction", "team", "game", "period")
+
+# records converted at a time (CSV rows, JSONL lines of about ten agents):
+# the parsers never hold every record's Python objects at once
+CSV_CHUNK_ROWS = 1 << 14
+JSONL_CHUNK_LINES = 1 << 11
 
 
 class ParseError(ValueError):
@@ -80,34 +87,154 @@ class Frame:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable sequence of frames with a uniform agent count."""
+def _codes(values):
+    """Sorted distinct values, and each value's index into them."""
+    table = sorted(set(values))
+    index = dict(zip(table, range(len(table))))
+    return tuple(table), np.fromiter(map(index.__getitem__, values),
+                                     np.intp, len(values))
 
-    frames: tuple
+
+def _merge_codes(pairs):
+    """One sorted table for several (table, codes) pairs; codes remapped."""
+    table = tuple(sorted(set().union(*(t for t, _ in pairs))))
+    index = dict(zip(table, range(len(table))))
+    return table, np.concatenate([
+        np.fromiter(map(index.__getitem__, t), np.intp, len(t))[c]
+        for t, c in pairs])
+
+
+# per-frame label columns: name, dtype, default
+LABELS = (("frame_id", np.int64, None), ("is_event", bool, False),
+          ("right_to_left", bool, False), ("team", object, ""),
+          ("game", object, ""), ("period", np.int64, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """S frames of N agents each, held column by column.
+
+    ``positions[s, i]`` belongs to agent ``agent_table[agent_codes[s, i]]``;
+    the table is sorted, so code order is id order.  Each label holds one
+    value per frame (team and game as object arrays of str, the attack
+    direction as ``right_to_left``); one value, or one agent-code row, is
+    broadcast to every frame.  Arrays are stored read-only, uncopied.
+    """
+
+    positions: np.ndarray      # (S, N, 2)
+    agent_codes: np.ndarray    # (S, N)
+    agent_table: tuple
+    frame_id: np.ndarray
+    is_event: np.ndarray = None
+    right_to_left: np.ndarray = None
+    team: np.ndarray = None
+    game: np.ndarray = None
+    period: np.ndarray = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim != 3 or pos.shape[2] != 2:
+            raise ValueError(f"positions must be (S, N, 2), got {pos.shape}")
+        if len(pos) == 0:
+            raise ValueError("Dataset needs at least one frame")
+        columns = {"positions": pos, "agent_codes": np.broadcast_to(
+            np.asarray(self.agent_codes, dtype=np.intp), pos.shape[:2])}
+        for name, dtype, default in LABELS:
+            value = getattr(self, name)
+            value = default if value is None else value
+            columns[name] = np.broadcast_to(np.asarray(value, dtype=dtype),
+                                            pos.shape[:1])
+        bad = ~np.isfinite(pos).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"frame {columns['frame_id'][bad.argmax()]}: "
+                             f"non-finite position")
+        for name, value in columns.items():
+            value = value.view()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "agent_table", tuple(self.agent_table))
+
+    @classmethod
+    def from_frames(cls, frames) -> "Dataset":
+        """Build the columns from Frame records, keeping their order."""
+        frames = tuple(frames)
         if not frames:
             raise ValueError("Dataset needs at least one frame")
         n = frames[0].n_agents
         for f in frames:
             if f.n_agents != n:
-                raise ValueError(f"frame {f.frame_id} has {f.n_agents} agents, "
-                                 f"expected {n}")
-        object.__setattr__(self, "frames", frames)
+                raise ValueError(f"frame {f.frame_id} has {f.n_agents} "
+                                 f"agents, expected {n}")
+        table, codes = _codes([a for f in frames for a in f.agent_ids])
+        labels = {name: [getattr(f, name) for f in frames]
+                  for name, _, _ in LABELS if name != "right_to_left"}
+        return cls(positions=np.stack([f.positions for f in frames]),
+                   agent_codes=codes.reshape(len(frames), n),
+                   agent_table=table,
+                   right_to_left=[f.attack_direction == RIGHT_TO_LEFT
+                                  for f in frames], **labels)
 
     @property
     def n_frames(self):
-        return len(self.frames)
+        return self.positions.shape[0]
 
     @property
     def n_agents(self):
-        return self.frames[0].n_agents
+        return self.positions.shape[1]
+
+    @property
+    def agent_ids(self) -> np.ndarray:
+        """(S, N) object array: the id of every position's agent."""
+        return np.array(self.agent_table, dtype=object)[self.agent_codes]
+
+    @property
+    def frames(self) -> tuple:
+        """The frames as Frame records, built on each access (for building
+        and inspecting; no hot path reads it)."""
+        return tuple(map(self.frame, range(self.n_frames)))
+
+    def frame(self, s) -> Frame:
+        """Frame s as a Frame record."""
+        return Frame(frame_id=int(self.frame_id[s]),
+                     positions=self.positions[s],
+                     agent_ids=tuple(map(self.agent_table.__getitem__,
+                                         self.agent_codes[s].tolist())),
+                     is_event=bool(self.is_event[s]),
+                     attack_direction=RIGHT_TO_LEFT if self.right_to_left[s]
+                     else LEFT_TO_RIGHT, team=self.team[s],
+                     game=self.game[s], period=int(self.period[s]))
 
     def stacked(self) -> np.ndarray:
-        """All positions as an (S, N, 2) array."""
-        return np.stack([f.positions for f in self.frames])
+        """All positions as an (S, N, 2) array (read-only)."""
+        return self.positions
+
+    def take(self, rows) -> "Dataset":
+        """The frames at ``rows`` (indices or a boolean mask), in order."""
+        return replace(self, positions=self.positions[rows],
+                       agent_codes=self.agent_codes[rows],
+                       **{name: getattr(self, name)[rows]
+                          for name, _, _ in LABELS})
+
+    def agent_tracks(self) -> np.ndarray:
+        """Every agent's positions in all frames, as an (S, N, 2) array.
+
+        Agents are matched by id and ordered by the sorted ids of the
+        first frame; frames are in frame_id order (stable).  Both choices
+        make the result independent of how the caller ordered frames or
+        rows.  Raises ValueError when a frame lacks one of the agents.
+        """
+        by_id = np.argsort(self.frame_id, kind="stable")
+        codes = self.agent_codes[by_id]
+        ids = np.sort(codes[0])
+        by_agent = np.argsort(codes, axis=1)
+        bad = (np.take_along_axis(codes, by_agent, axis=1) != ids).any(axis=1)
+        if bad.any():
+            s = bad.argmax()
+            missing = ids[~np.isin(ids, codes[s])][0]
+            raise ValueError(f"agent {self.agent_table[missing]!r} missing "
+                             f"from frame {self.frame_id[by_id[s]]}")
+        return np.take_along_axis(self.positions[by_id],
+                                  by_agent[:, :, None], axis=1)
 
 
 def _read_text(source):
@@ -120,41 +247,92 @@ def _read_text(source):
         return fh.read().decode("utf-8")
 
 
-def _build_frames(rows):
-    """Group parsed per-agent rows into Frames, canonically ordered.
+def _chunks(records, first_line, keep, size):
+    """(non-blank records, their line numbers) for ``size`` records at a
+    time; ``keep(record)`` is falsy for a blank one, which still counts a
+    line."""
+    from itertools import compress, islice
 
-    rows: list of (line, frame_id, agent_id, x, y, is_event, direction,
-    team, game, period).  Raises on duplicate agents or inconsistent
-    frame-level fields.
-    """
-    by_frame = {}
-    for row in rows:
-        line, fid, aid, x, y, ev, direction, team, game, period = row
-        meta = (ev, direction, team, game, period)
-        if fid not in by_frame:
-            by_frame[fid] = (meta, {})
-        else:
-            if by_frame[fid][0] != meta:
-                raise ParseError(f"frame {fid}: frame-level fields disagree "
-                                 f"with an earlier row", line)
-        agents = by_frame[fid][1]
-        if aid in agents:
-            raise ParseError(f"duplicate agent {aid!r} in frame {fid}", line)
-        agents[aid] = (x, y)
-    frames = []
-    for fid in sorted(by_frame):
-        (ev, direction, team, game, period), agents = by_frame[fid]
-        ids = sorted(agents)
-        pos = np.array([agents[a] for a in ids], dtype=float)
-        frames.append(Frame(frame_id=fid, positions=pos, agent_ids=ids,
-                            is_event=ev, attack_direction=direction,
-                            team=team, game=game, period=period))
-    sizes = {f.n_agents for f in frames}
-    if len(sizes) > 1:
-        bad = min(frames, key=lambda f: f.n_agents)
-        raise ParseError(f"frame {bad.frame_id} has {bad.n_agents} agents; "
-                         f"other frames have {max(sizes)}")
-    return Dataset(frames=tuple(frames))
+    records, line = iter(records), first_line
+    while chunk := list(islice(records, size)):
+        kept = np.fromiter(map(bool, map(keep, chunk)), bool, len(chunk))
+        if kept.any():
+            yield (list(compress(chunk, kept)),
+                   np.arange(line, line + len(chunk))[kept])
+        line += len(chunk)
+
+
+def _merge_chunks(chunks):
+    """One set of row columns from per-chunk ones, agent codes merged."""
+    rows = {k: np.concatenate([c[k] for c in chunks])
+            for k in chunks[0] if k != "agent"}
+    rows["agent"] = _merge_codes([c["agent"] for c in chunks])
+    return rows
+
+
+def _scan(check, items, lines):
+    """The fallback after a failed column check: check row by row and
+    raise the first row's error."""
+    for line, item in zip(lines.tolist(), items):
+        check(line, item)
+    raise RuntimeError("a column check failed but no row is malformed")
+
+
+def _check_int(text, what, line):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"non-integer {what} {text!r}", line) from None
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ParseError(f"{what} {text!r} out of range", line)
+
+
+def _check_csv_row(line, rec):
+    if len(rec) != len(CSV_COLUMNS):
+        raise ParseError(f"expected {len(CSV_COLUMNS)} fields, "
+                         f"got {len(rec)}", line)
+    fid_s, _, x_s, y_s, ev_s, direction, _, _, period_s = rec
+    _check_int(fid_s, "frame_id", line)
+    try:
+        x, y = float(x_s), float(y_s)
+    except ValueError:
+        raise ParseError(f"non-numeric position ({x_s!r}, {y_s!r})",
+                         line) from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParseError(f"non-finite position ({x_s!r}, {y_s!r})", line)
+    if ev_s not in ("0", "1"):
+        raise ParseError(f"is_event must be 0 or 1, got {ev_s!r}", line)
+    if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
+        raise ParseError(f"attack_direction must be "
+                         f"{LEFT_TO_RIGHT} or {RIGHT_TO_LEFT}, "
+                         f"got {direction!r}", line)
+    _check_int(period_s, "period", line)
+
+
+def _csv_rows(recs, lines):
+    """Row columns of one chunk of non-blank CSV records."""
+    if set(map(len, recs)) != {len(CSV_COLUMNS)}:
+        _scan(_check_csv_row, recs, lines)
+    fid_s, aid, x_s, y_s, ev_s, direction, team, game, period_s = zip(*recs)
+    n = len(recs)
+    try:
+        rows = {"line": lines, "frame_id": np.fromiter(map(int, fid_s),
+                                                       np.int64, n),
+                "xy": np.stack([np.fromiter(map(float, x_s), float, n),
+                                np.fromiter(map(float, y_s), float, n)], 1),
+                "period": np.fromiter(map(int, period_s), np.int64, n)}
+    except (ValueError, OverflowError):
+        rows = None
+    if rows is None or not (np.isfinite(rows["xy"]).all()
+                            and set(ev_s) <= {"0", "1"}
+                            and set(direction) <= {LEFT_TO_RIGHT,
+                                                   RIGHT_TO_LEFT}):
+        _scan(_check_csv_row, recs, lines)
+    rows.update(agent=_codes(aid), is_event=np.array(ev_s) == "1",
+                right_to_left=np.array(direction) == RIGHT_TO_LEFT,
+                team=np.array(team, dtype=object),
+                game=np.array(game, dtype=object))
+    return rows
 
 
 def _parse_csv(text):
@@ -169,86 +347,185 @@ def _parse_csv(text):
             f"got {header!r}"
         raise ParseError(f"header must be exactly "
                          f"{','.join(CSV_COLUMNS)}; {detail}", 1)
-    rows = []
-    for line, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(CSV_COLUMNS):
-            raise ParseError(f"expected {len(CSV_COLUMNS)} fields, "
-                             f"got {len(rec)}", line)
-        fid_s, aid, x_s, y_s, ev_s, direction, team, game, period_s = rec
-        try:
-            fid = int(fid_s)
-        except ValueError:
-            raise ParseError(f"non-integer frame_id {fid_s!r}", line) from None
-        try:
-            x, y = float(x_s), float(y_s)
-        except ValueError:
-            raise ParseError(f"non-numeric position ({x_s!r}, {y_s!r})",
-                             line) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"non-finite position ({x_s!r}, {y_s!r})", line)
-        if ev_s not in ("0", "1"):
-            raise ParseError(f"is_event must be 0 or 1, got {ev_s!r}", line)
-        if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
-            raise ParseError(f"attack_direction must be "
-                             f"{LEFT_TO_RIGHT} or {RIGHT_TO_LEFT}, "
-                             f"got {direction!r}", line)
-        try:
-            period = int(period_s)
-        except ValueError:
-            raise ParseError(f"non-integer period {period_s!r}", line) from None
-        rows.append((line, fid, aid, x, y, ev_s == "1", direction,
-                     team, game, period))
-    if not rows:
+    chunks = [_csv_rows(recs, lines)
+              for recs, lines in _chunks(reader, 2, len, CSV_CHUNK_ROWS)]
+    if not chunks:
         raise ParseError("no data rows")
-    return _build_frames(rows)
+    return _group_rows(_merge_chunks(chunks))
+
+
+def _group_rows(rows):
+    """The Dataset of per-agent rows (in file order), canonically ordered.
+
+    The first row that disagrees with its frame's first row on a frame
+    label, or repeats an agent of its frame, raises (the label check goes
+    first on one row); then uneven agent counts do.
+    """
+    fid, line = rows["frame_id"], rows["line"]
+    table, agent = rows["agent"]
+    frame_ids, first, frame_of = np.unique(fid, return_index=True,
+                                           return_inverse=True)
+    labels = {name: rows[name][first] for name, _, _ in LABELS
+              if name != "frame_id"}
+    disagree = np.zeros(len(fid), dtype=bool)
+    for name, value in labels.items():
+        disagree |= rows[name] != value[frame_of]
+    order = np.lexsort((agent, fid))
+    dup = order[1:][(fid[order][1:] == fid[order][:-1])
+                    & (agent[order][1:] == agent[order][:-1])]
+    bad = disagree.argmax() if disagree.any() else len(fid)
+    if dup.size and dup.min() < bad:
+        r = dup.min()
+        raise ParseError(f"duplicate agent {table[agent[r]]!r} in frame "
+                         f"{fid[r]}", int(line[r]))
+    if bad < len(fid):
+        raise ParseError(f"frame {fid[bad]}: frame-level fields disagree "
+                         f"with an earlier row", int(line[bad]))
+    counts = np.bincount(frame_of)
+    if counts.min() != counts.max():
+        i = counts.argmin()
+        raise ParseError(f"frame {frame_ids[i]} has {counts[i]} agents; "
+                         f"other frames have {counts.max()}")
+    shape = (len(frame_ids), counts[0])
+    return Dataset(positions=rows["xy"][order].reshape(shape + (2,)),
+                   agent_codes=agent[order].reshape(shape), agent_table=table,
+                   frame_id=frame_ids, **labels)
+
+
+_ABSENT = object()   # stands for a required JSONL key that is missing
+
+# JSONL keys in check order: JSON type, what the message says it must be,
+# and the value an absent key stands for ("agent_ids": () means "a<i>")
+JSONL_KEYS = {"frame_id": (int, "an integer", _ABSENT),
+              "positions": (list, "a non-empty list", _ABSENT),
+              "agent_ids": (list, "a list", ()),
+              "is_event": (bool, "true or false", False),
+              "attack_direction": (str, f"{LEFT_TO_RIGHT} or {RIGHT_TO_LEFT}",
+                                   LEFT_TO_RIGHT),
+              "team": (str, "a string", ""), "game": (str, "a string", ""),
+              "period": (int, "an integer", 1)}
+
+
+def _check_jsonl_line(line, raw, seen):
+    """Raise the ParseError of one JSONL line, if it has one; ``seen``
+    holds the frame ids of the lines before it."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line) from None
+    if type(obj) is not dict:
+        raise ParseError(f"expected a JSON object, got {raw.strip()!r}", line)
+    for key in ("frame_id", "positions"):
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}", line)
+    for key, (kind, wording, _) in JSONL_KEYS.items():
+        if key in obj and type(obj[key]) is not kind:
+            raise ParseError(f"{key} must be {wording}, got {obj[key]!r}",
+                             line)
+    fid, positions = obj["frame_id"], obj["positions"]
+    _check_int(fid, "frame_id", line)
+    if fid in seen:
+        raise ParseError(f"duplicate frame_id {fid}", line)
+    seen.add(fid)
+    if not positions:
+        raise ParseError("positions must be a non-empty list, got []", line)
+    if len(obj.get("agent_ids", positions)) != len(positions):
+        raise ParseError(f"{len(obj['agent_ids'])} agent_ids for "
+                         f"{len(positions)} positions", line)
+    direction = obj.get("attack_direction", LEFT_TO_RIGHT)
+    if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
+        raise ParseError(f"attack_direction must be {LEFT_TO_RIGHT} or "
+                         f"{RIGHT_TO_LEFT}, got {direction!r}", line)
+    _check_int(obj.get("period", 1), "period", line)
+    for pt in positions:
+        if type(pt) is not list or len(pt) != 2 or \
+                not {type(pt[0]), type(pt[1])} <= {int, float}:
+            raise ParseError(f"non-numeric position {pt!r}", line)
+        try:
+            finite = math.isfinite(pt[0]) and math.isfinite(pt[1])
+        except OverflowError:
+            raise ParseError(f"non-numeric position {pt!r}", line) from None
+        if not finite:
+            raise ParseError(f"non-finite position {pt!r}", line)
+
+
+def _jsonl_rows(objs, lines):
+    """Per-agent row columns of decoded JSONL frames, or None when a value
+    is malformed (the line-by-line check then names it)."""
+    from itertools import chain, compress, repeat
+    from operator import methodcaller
+
+    def typed(values, *types):
+        return set(map(type, values)) <= set(types)
+
+    if not typed(objs, dict):
+        return None
+    col = {}
+    for key, (kind, _, default) in JSONL_KEYS.items():
+        col[key] = list(map(methodcaller("get", key, default), objs))
+        # an absent key reads as its default; a required key has none
+        if not typed(col[key], kind, *(() if default is _ABSENT
+                                        else (type(default),))):
+            return None
+    if not set(col["attack_direction"]) <= {LEFT_TO_RIGHT, RIGHT_TO_LEFT}:
+        return None
+    per_frame = np.fromiter(map(len, col["positions"]), np.intp, len(objs))
+    given = np.fromiter(map(isinstance, col["agent_ids"], repeat(list)),
+                        bool, len(objs))
+    ids = list(compress(col["agent_ids"], given))
+    points = list(chain.from_iterable(col["positions"]))
+    if not (per_frame.all() and typed(points, list)
+            and set(map(len, points)) == {2}
+            and np.array_equal(list(map(len, ids)), per_frame[given])):
+        return None
+    coords = list(chain.from_iterable(points))
+    if not typed(coords, int, float):
+        return None
+    try:
+        xy = np.fromiter(coords, float, len(coords)).reshape(-1, 2)
+        fid = np.array(col["frame_id"], dtype=np.int64)
+        period = np.array(col["period"], dtype=np.int64)
+    except OverflowError:
+        return None
+    if not (np.isfinite(xy).all() and np.unique(fid).size == len(fid)):
+        return None
+    # the given agent ids as str; "a<i>" for agent i of a frame without ids
+    agent = np.empty(len(points), dtype=object)
+    point_given = np.repeat(given, per_frame)
+    agent[point_given] = list(map(str, chain.from_iterable(ids)))
+    if not given.all():
+        within = np.arange(len(points)) - np.repeat(np.cumsum(per_frame)
+                                                   - per_frame, per_frame)
+        names = np.array([f"a{i}" for i in range(per_frame.max())],
+                         dtype=object)
+        agent[~point_given] = names[within[~point_given]]
+    rows = {"line": lines, "frame_id": fid, "period": period,
+            "is_event": np.array(col["is_event"], dtype=bool),
+            "right_to_left": np.array(col["attack_direction"])
+            == RIGHT_TO_LEFT, "team": np.array(col["team"], dtype=object),
+            "game": np.array(col["game"], dtype=object)}
+    rows = {k: np.repeat(v, per_frame) for k, v in rows.items()}
+    rows.update(xy=xy, agent=_codes(agent.tolist()))
+    return rows
 
 
 def _parse_jsonl(text):
-    rows = []
-    seen_ids = set()
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
+    chunks, seen = [], np.empty(0, dtype=np.int64)   # frame ids so far
+    for raw, lines in _chunks(text.splitlines(), 1, str.strip,
+                              JSONL_CHUNK_LINES):
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line) from None
-        for key in ("frame_id", "positions"):
-            if key not in obj:
-                raise ParseError(f"missing key {key!r}", line)
-        fid = obj["frame_id"]
-        if not isinstance(fid, int):
-            raise ParseError(f"frame_id must be an integer, got {fid!r}", line)
-        if fid in seen_ids:
-            raise ParseError(f"duplicate frame_id {fid}", line)
-        seen_ids.add(fid)
-        positions = obj["positions"]
-        ids = obj.get("agent_ids", [f"a{n}" for n in range(len(positions))])
-        if len(ids) != len(positions):
-            raise ParseError(f"{len(ids)} agent_ids for "
-                             f"{len(positions)} positions", line)
-        ev = obj.get("is_event", False)
-        if not isinstance(ev, bool):
-            raise ParseError(f"is_event must be true or false, got {ev!r}",
-                             line)
-        direction = obj.get("attack_direction", LEFT_TO_RIGHT)
-        team = str(obj.get("team", ""))
-        game = str(obj.get("game", ""))
-        period = int(obj.get("period", 1))
-        for aid, pt in zip(ids, positions):
-            try:
-                x, y = float(pt[0]), float(pt[1])
-            except (TypeError, ValueError, IndexError):
-                raise ParseError(f"non-numeric position {pt!r}", line) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"non-finite position {pt!r}", line)
-            rows.append((line, fid, str(aid), x, y, ev, direction,
-                         team, game, period))
-    if not rows:
+            rows = _jsonl_rows(list(map(json.loads, raw)), lines)
+        except json.JSONDecodeError:
+            rows = None
+        if rows is None or np.isin(rows["frame_id"], seen).any():
+            earlier = set(seen.tolist())
+            _scan(lambda line, r: _check_jsonl_line(line, r, earlier), raw,
+                  lines)
+        seen = np.concatenate([seen, np.unique(rows["frame_id"])])
+        chunks.append(rows)
+    if not chunks:
         raise ParseError("no frames")
-    return _build_frames(rows)
+    return _group_rows(_merge_chunks(chunks))
 
 
 def parse_tracking(source, format: str = "csv") -> Dataset:
@@ -265,35 +542,49 @@ def parse_tracking(source, format: str = "csv") -> Dataset:
     raise ValueError(f"unknown format {format!r}")
 
 
+def _label_columns(ds):
+    """The per-frame labels in file order, the direction as LR/RL."""
+    return (ds.is_event, np.where(ds.right_to_left, RIGHT_TO_LEFT,
+                                  LEFT_TO_RIGHT), ds.team, ds.game, ds.period)
+
+
+def _open_output(path, **kwargs):
+    """(file object, whether this call opened it)."""
+    own = isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")
+    return (open(path, "w", **kwargs) if own else path), own
+
+
 def write_tracking_csv(ds: Dataset, path) -> None:
     """Inverse of the CSV parser; floats use repr for exact round-trips."""
-    own = isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")
-    fh = open(path, "w", newline="") if own else path
+    ev, direction, team, game, period = (np.repeat(c, ds.n_agents).tolist()
+                                         for c in _label_columns(ds))
+    xy = flatten(ds)
+    rows = zip(np.repeat(ds.frame_id, ds.n_agents).tolist(),
+               ds.agent_ids.ravel().tolist(), map(repr, xy[:, 0].tolist()),
+               map(repr, xy[:, 1].tolist()), map(int, ev), direction, team,
+               game, period)
+    fh, own = _open_output(path, newline="")
     try:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for f in ds.frames:
-            for aid, (x, y) in zip(f.agent_ids, f.positions):
-                writer.writerow([f.frame_id, aid, repr(float(x)),
-                                 repr(float(y)), int(f.is_event),
-                                 f.attack_direction, f.team, f.game, f.period])
+        writer.writerows(rows)
     finally:
         if own:
             fh.close()
 
 
 def write_tracking_jsonl(ds: Dataset, path) -> None:
-    own = isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")
-    fh = open(path, "w") if own else path
+    from itertools import repeat
+
+    keys = ("frame_id", "positions", "agent_ids", "is_event",
+            "attack_direction", "team", "game", "period")
+    values = zip(ds.frame_id.tolist(), ds.positions.tolist(),
+                 ds.agent_ids.tolist(),
+                 *(c.tolist() for c in _label_columns(ds)))
+    objs = map(dict, map(zip, repeat(keys), values))
+    fh, own = _open_output(path)
     try:
-        for f in ds.frames:
-            obj = {"frame_id": f.frame_id,
-                   "positions": [[float(x), float(y)] for x, y in f.positions],
-                   "agent_ids": list(f.agent_ids),
-                   "is_event": f.is_event,
-                   "attack_direction": f.attack_direction,
-                   "team": f.team, "game": f.game, "period": f.period}
-            fh.write(json.dumps(obj) + "\n")
+        fh.writelines(map("{}\n".format, map(json.dumps, objs)))
     finally:
         if own:
             fh.close()
@@ -307,14 +598,11 @@ def normalize_attack_direction(ds: Dataset) -> Dataset:
     already left-to-right pass through untouched, so a second application is
     the identity.
     """
-    out = []
-    for f in ds.frames:
-        if f.attack_direction == LEFT_TO_RIGHT:
-            out.append(f)
-        else:
-            out.append(replace(f, positions=-f.positions,
-                               attack_direction=LEFT_TO_RIGHT))
-    return Dataset(frames=tuple(out))
+    rl = ds.right_to_left
+    if not rl.any():
+        return ds
+    return replace(ds, positions=np.where(rl[:, None, None], -ds.positions,
+                                          ds.positions), right_to_left=None)
 
 
 def center_normalize(ds: Dataset) -> Dataset:
@@ -323,54 +611,50 @@ def center_normalize(ds: Dataset) -> Dataset:
     Frames whose mean is already within 1e-12 of the origin are passed
     through unchanged, which makes the operation exactly idempotent.
     """
-    out = []
-    for f in ds.frames:
-        mean = f.positions.mean(axis=0)
-        if float(np.hypot(mean[0], mean[1])) <= 1e-12:
-            out.append(f)
-        else:
-            out.append(replace(f, positions=f.positions - mean))
-    return Dataset(frames=tuple(out))
+    mean = ds.positions.mean(axis=1)
+    moved = np.hypot(mean[:, 0], mean[:, 1]) > 1e-12
+    if not moved.any():
+        return ds
+    # x - 0.0 is x, bit for bit, so unmoved frames keep their values
+    shift = np.where(moved[:, None], mean, 0.0)
+    return replace(ds, positions=ds.positions - shift[:, None, :])
 
 
 def filter_key_frames(ds: Dataset) -> Dataset:
     """Keep only event frames, in order."""
-    kept = tuple(f for f in ds.frames if f.is_event)
-    if not kept:
+    if not ds.is_event.any():
         raise EmptySelectionError("no event frames in dataset")
-    return Dataset(frames=kept)
+    return ds.take(ds.is_event)
 
 
 def filter_metadata(ds: Dataset, team=None, game=None, period=None) -> Dataset:
     """Select frames by team/game/period labels; None means no constraint."""
-    kept = tuple(f for f in ds.frames
-                 if (team is None or f.team == team)
-                 and (game is None or f.game == game)
-                 and (period is None or f.period == period))
-    if not kept:
+    keep = np.ones(ds.n_frames, dtype=bool)
+    for column, value in ((ds.team, team), (ds.game, game),
+                          (ds.period, period)):
+        if value is not None:
+            keep &= column == value
+    if not keep.any():
         raise EmptySelectionError("no frames match the metadata filter")
-    return Dataset(frames=kept)
+    return ds.take(keep)
 
 
 def flatten(ds: Dataset) -> np.ndarray:
-    """Stack all frames into an (S*N, 2) matrix, frame-major.
+    """All frames as an (S*N, 2) matrix, frame-major (a read-only view).
 
     Row s*N + n is agent n of frame s; the frame structure is recoverable
     through unflatten given a template Dataset.
     """
-    return ds.stacked().reshape(-1, 2)
+    return ds.positions.reshape(-1, 2)
 
 
 def unflatten(points: np.ndarray, like: Dataset) -> Dataset:
     """Inverse of flatten, borrowing ids and labels from ``like``."""
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float)
     s, n = like.n_frames, like.n_agents
     if pts.shape != (s * n, 2):
         raise ValueError(f"expected shape ({s * n}, 2), got {pts.shape}")
-    cube = pts.reshape(s, n, 2)
-    frames = tuple(replace(f, positions=cube[i])
-                   for i, f in enumerate(like.frames))
-    return Dataset(frames=frames)
+    return replace(like, positions=pts.reshape(s, n, 2))
 
 
 def concat_datasets(parts) -> Dataset:
@@ -378,5 +662,14 @@ def concat_datasets(parts) -> Dataset:
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to concatenate")
-    frames = tuple(f for ds in parts for f in ds.frames)
-    return Dataset(frames=frames)
+    for p in parts:
+        if p.n_agents != parts[0].n_agents:
+            raise ValueError(f"frame {p.frame_id[0]} has {p.n_agents} "
+                             f"agents, expected {parts[0].n_agents}")
+    table, codes = _merge_codes([(p.agent_table, p.agent_codes.ravel())
+                                 for p in parts])
+    labels = {name: np.concatenate([getattr(p, name) for p in parts])
+              for name, _, _ in LABELS}
+    return Dataset(positions=np.concatenate([p.positions for p in parts]),
+                   agent_codes=codes.reshape(-1, parts[0].n_agents),
+                   agent_table=table, **labels)

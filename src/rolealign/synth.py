@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import AlignedDataset, Template
 from .assignment import hungarian
 from .geometry import Gaussian2D
-from .ingest import Dataset, Frame, center_normalize
+from .ingest import Dataset, center_normalize
 
 # Means are placed at 1.45x the promised separation floor so that the
 # closest pair sits comfortably beyond it, not exactly on it.
@@ -156,14 +156,11 @@ def sample_dataset(t: Template, s: int, swap_rate: float = 0.0,
 
     events = rng.random(s) < event_rate
     width = max(2, len(str(k - 1)))
-    ids = [f"p{i:0{width}d}" for i in range(k)]
-    frames = []
-    for frame in range(s):
-        pos = draws[true_maps[frame], frame]
-        frames.append(Frame(frame_id=frame, positions=pos, agent_ids=ids,
-                            is_event=bool(events[frame]), team=team,
-                            game=game, period=period))
-    ds = center_normalize(Dataset(frames=tuple(frames)))
+    frames = np.arange(s)
+    ds = center_normalize(Dataset(
+        positions=draws[true_maps, frames[:, None]], agent_codes=np.arange(k),
+        agent_table=[f"p{i:0{width}d}" for i in range(k)], frame_id=frames,
+        is_event=events, team=team, game=game, period=period))
     truth = GroundTruth(template=t, true_maps=true_maps,
                         swap_rate=swap_rate, event_rate=event_rate, seed=seed)
     return ds, truth

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rolealign import (Dataset, DiscoveryConfig, Gaussian2D, Template,
+from rolealign import (DiscoveryConfig, Gaussian2D, Template,
                        TreeStop, align_template, average_log_likelihood,
                        bhattacharyya_distance, concat_datasets,
                        covariance_eigenvalues, differential_entropy,
@@ -173,8 +173,7 @@ def _two_formation_corpus(seed_a, seed_b):
                            seed=seed_a)
     db, _ = sample_dataset(tb, 400, swap_rate=0.5, swap_run_mean=2.0,
                            seed=seed_b)
-    db = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + 400)
-                              for f in db.frames))
+    db = replace(db, frame_id=db.frame_id + 400)
     g = run_pipeline(concat_datasets([da, db])).template
     ra = run_pipeline(da, parent=g)
     rb = run_pipeline(db, parent=g)
@@ -342,8 +341,7 @@ def test_criterion_10_tree_sanity(capsys):
     tb = generate_formation(6, separation=3.0, seed=111)
     da, _ = sample_dataset(ta, 300, seed=110)
     db, _ = sample_dataset(tb, 300, seed=112)
-    db = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + 300)
-                              for f in db.frames))
+    db = replace(db, frame_id=db.frame_id + 300)
     stop = TreeStop(min_node=60, k_candidates=(2, 3))
     cfg = DiscoveryConfig(k=6)
     tree = learn_tree(concat_datasets([da, db]), stop=stop, cfg=cfg)

@@ -125,7 +125,7 @@ def shuffled_frames(template, s, noise, seed):
         frames.append(Frame(frame_id=i, positions=pos,
                             agent_ids=[f"a{j}" for j in range(k)]))
         perms.append(perm)
-    return Dataset(frames=tuple(frames)), perms
+    return Dataset.from_frames(tuple(frames)), perms
 
 
 def test_assign_roles_recovers_shuffles():
@@ -141,8 +141,8 @@ def test_assign_roles_recovers_shuffles():
 def test_assign_roles_weight_term_flips_a_tie():
     # the point is nearer role 0, but role 0's prior is tiny
     t = Template(roles=(gauss(-1, 0, 0.001), gauss(1, 0, 0.999)))
-    ds = Dataset(frames=(Frame(frame_id=0, positions=[[-0.2, 0.0]],
-                               agent_ids=("a",)),))
+    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[-0.2, 0.0]],
+                                    agent_ids=("a",)),))
     with_w = assign_roles(ds, t, include_weights=True)
     without = assign_roles(ds, t, include_weights=False)
     assert with_w.permutations[0].mapping[0] == 1
@@ -151,8 +151,8 @@ def test_assign_roles_weight_term_flips_a_tie():
 
 def test_assign_roles_nan_for_unfilled_slots():
     t = square_template()
-    ds = Dataset(frames=(Frame(frame_id=0, positions=[[-3.0, -3.0]],
-                               agent_ids=("a",)),))
+    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[-3.0, -3.0]],
+                                    agent_ids=("a",)),))
     out = assign_roles(ds, t)
     assert np.array_equal(out.matrix[0, :2], [-3.0, -3.0])
     assert np.isnan(out.matrix[0, 2:]).all()
@@ -161,9 +161,9 @@ def test_assign_roles_nan_for_unfilled_slots():
 
 def test_assign_roles_too_many_agents():
     t = Template(roles=(gauss(0, 0, 1.0),))
-    ds = Dataset(frames=(Frame(frame_id=0,
-                               positions=[[0.0, 0.0], [1.0, 1.0]],
-                               agent_ids=("a", "b")),))
+    ds = Dataset.from_frames((Frame(frame_id=0,
+                                    positions=[[0.0, 0.0], [1.0, 1.0]],
+                                    agent_ids=("a", "b")),))
     with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
         assign_roles(ds, t)
 
@@ -194,9 +194,9 @@ def test_assign_roles_cache_shape_check():
 
 def test_aligned_csv_format():
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = Dataset(frames=(
-        Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
-              agent_ids=("a", "b")),))
+    ds = Dataset.from_frames((
+             Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
+                   agent_ids=("a", "b")),))
     out = assign_roles(ds, t)
     buf = io.StringIO()
     out.to_csv(buf)
@@ -207,9 +207,9 @@ def test_aligned_csv_format():
 
 def test_aligned_jsonl_format():
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = Dataset(frames=(
-        Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
-              agent_ids=("a", "b")),))
+    ds = Dataset.from_frames((
+             Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
+                   agent_ids=("a", "b")),))
     buf = io.StringIO()
     assign_roles(ds, t).to_jsonl(buf)
     obj = json.loads(buf.getvalue().splitlines()[0])
@@ -230,10 +230,10 @@ def test_aligned_matrix_frozen():
 
 def test_average_log_likelihood_single_gaussian():
     f = Formation(components=(gauss(1.0, 2.0, 1.0),))
-    ds = Dataset(frames=(Frame(frame_id=0, positions=[[1.0, 2.0]],
-                               agent_ids=("a",)),
-                         Frame(frame_id=1, positions=[[2.0, 2.0]],
-                               agent_ids=("a",))))
+    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[1.0, 2.0]],
+                                    agent_ids=("a",)),
+                              Frame(frame_id=1, positions=[[2.0, 2.0]],
+                                    agent_ids=("a",))))
     # log N(0) = -log 2pi, log N at distance 1 adds -1/2; average them
     expect = -LOG_2PI - 0.25
     assert average_log_likelihood(ds, f) == pytest.approx(expect, abs=1e-12)
@@ -241,8 +241,8 @@ def test_average_log_likelihood_single_gaussian():
 
 def test_average_log_likelihood_mixture_logsumexp():
     f = Formation(components=(gauss(-1.0, 0.0, 0.5), gauss(1.0, 0.0, 0.5)))
-    ds = Dataset(frames=(Frame(frame_id=0, positions=[[0.0, 0.0]],
-                               agent_ids=("a",)),))
+    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[0.0, 0.0]],
+                                    agent_ids=("a",)),))
     expect = np.log(2 * 0.5 * np.exp(-LOG_2PI - 0.5))
     assert average_log_likelihood(ds, f) == pytest.approx(expect, abs=1e-12)
 

@@ -33,7 +33,7 @@ def test_player_identity_template_hand_fit():
                agent_ids=("a", "b"))
     f1 = Frame(frame_id=1, positions=[[12.0, 2.0], [2.0, 2.0]],
                agent_ids=("b", "a"))
-    t = player_identity_template(Dataset(frames=(f0, f1)))
+    t = player_identity_template(Dataset.from_frames((f0, f1)))
     assert t.k == 2
     # role 0 is agent "a": (0,0) and (2,2); role 1 is "b": (10,0) and (12,2)
     assert np.array_equal(t.roles[0].mean, [1.0, 1.0])
@@ -44,11 +44,31 @@ def test_player_identity_template_hand_fit():
     assert t.weights.tolist() == [0.5, 0.5]
 
 
+def test_player_identity_template_bit_identical_to_reference_loop():
+    # the per-frame track gathering it replaced, on shuffled frames and ids
+    rng = np.random.default_rng(13)
+    frames = []
+    for fid in rng.permutation(200):
+        order = rng.permutation(5)
+        frames.append(Frame(frame_id=int(fid),
+                            positions=rng.normal(50.0, 30.0, (5, 2)),
+                            agent_ids=[f"p{j}" for j in order]))
+    t = player_identity_template(Dataset.from_frames(frames))
+    ordered = sorted(frames, key=lambda f: f.frame_id)
+    for j, role in enumerate(t.roles):
+        pts = np.stack([f.positions[f.agent_ids.index(f"p{j}")]
+                        for f in ordered])
+        ref = Gaussian2D(mean=pts.mean(axis=0), cov=np.cov(pts.T, bias=True),
+                         weight=0.2)
+        assert np.array_equal(role.mean, ref.mean)
+        assert np.array_equal(role.cov, ref.cov)
+
+
 def test_player_identity_template_missing_agent():
     f0 = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
     f1 = Frame(frame_id=1, positions=[[1.0, 1.0]], agent_ids=("b",))
     with pytest.raises(ValueError, match="agent 'a' missing from frame 1"):
-        player_identity_template(Dataset(frames=(f0, f1)))
+        player_identity_template(Dataset.from_frames((f0, f1)))
 
 
 # hard EM
@@ -91,7 +111,7 @@ def test_hard_em_empty_role_keeps_its_gaussian():
     rng = np.random.default_rng(30)
     frames = tuple(Frame(frame_id=i, positions=rng.normal(0, 0.5, (2, 2)),
                          agent_ids=("a", "b")) for i in range(30))
-    ds = Dataset(frames=frames)
+    ds = Dataset.from_frames(frames)
     init = Template(roles=(gauss(-0.5, 0.0, 1 / 3), gauss(0.5, 0.0, 1 / 3),
                            gauss(100.0, 100.0, 1 / 3)))
     formation, aligned, trace = hard_assignment_em(ds, init)
@@ -101,9 +121,9 @@ def test_hard_em_empty_role_keeps_its_gaussian():
 
 
 def test_hard_em_too_many_agents():
-    ds = Dataset(frames=(Frame(frame_id=0,
-                               positions=[[0.0, 0.0], [1.0, 0.0]],
-                               agent_ids=("a", "b")),))
+    ds = Dataset.from_frames((Frame(frame_id=0,
+                                    positions=[[0.0, 0.0], [1.0, 0.0]],
+                                    agent_ids=("a", "b")),))
     with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
         hard_assignment_em(ds, Template(roles=(gauss(0, 0, 1.0),)))
 

@@ -14,7 +14,7 @@ import pytest
 from rolealign.alignment import Template
 from rolealign.cli import main
 from rolealign.discovery import Formation
-from rolealign.ingest import Dataset, concat_datasets, write_tracking_csv
+from rolealign.ingest import concat_datasets, write_tracking_csv
 from rolealign.synth import generate_formation, sample_dataset
 
 
@@ -35,8 +35,7 @@ def teams_csv(tmp_path_factory):
     home, _ = sample_dataset(tmpl, 60, event_rate=0.3, seed=91, team="home")
     away, _ = sample_dataset(tmpl, 60, event_rate=0.3, seed=92, team="away")
     # frame ids must stay unique across the concatenation
-    shifted = Dataset(frames=tuple(replace(f, frame_id=f.frame_id + 100)
-                                   for f in away.frames))
+    shifted = replace(away, frame_id=away.frame_id + 100)
     ds = concat_datasets([home, shifted])
     path = tmp_path_factory.mktemp("data") / "teams.csv"
     write_tracking_csv(ds, path)
@@ -112,6 +111,20 @@ def test_missing_input_file(tmp_path, capsys):
                 "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ['"frame_id positions"',
+                                 '{"frame_id": 1, "positions": 5}',
+                                 '{"frame_id": 1, "positions": [[0, 0]], '
+                                 '"period": "x"}'])
+def test_malformed_jsonl_is_an_input_error(tmp_path, capsys, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame_id": 0, "positions": [[0.0, 0.0]]}\n' + bad
+                    + "\n")
+    code = run(["discover", "--input", str(path), "--format", "jsonl",
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: line 2:" in capsys.readouterr().err
 
 
 def test_bad_format_is_usage_error(plain_csv, tmp_path, capsys):

@@ -25,7 +25,7 @@ from rolealign.ingest import Dataset, Frame, flatten
 def frames_from_points(pts, per_frame):
     pts = np.asarray(pts)
     ids = tuple(str(i) for i in range(per_frame))
-    return Dataset(frames=tuple(
+    return Dataset.from_frames(tuple(
         Frame(frame_id=i, positions=pts[i * per_frame:(i + 1) * per_frame],
               agent_ids=ids)
         for i in range(len(pts) // per_frame)))
@@ -46,16 +46,41 @@ def test_player_mean_init_hand_values():
                agent_ids=("b", "a"))
     f1 = Frame(frame_id=1, positions=[[4.0, 0.0], [2.0, 0.0]],
                agent_ids=("a", "b"))
-    init = player_mean_init(Dataset(frames=(f0, f1)))
+    init = player_mean_init(Dataset.from_frames((f0, f1)))
     # sorted ids (a, b); a averages (2,2) and (4,0), b averages (0,0) and (2,0)
     assert np.array_equal(init, [[3.0, 1.0], [1.0, 0.0]])
+
+
+def reference_player_mean_init(frames):
+    """The per-frame dict loop player_mean_init replaced."""
+    frames = sorted(frames, key=lambda f: f.frame_id)
+    ids = sorted(frames[0].agent_ids)
+    sums = {a: np.zeros(2) for a in ids}
+    for f in frames:
+        index = {a: i for i, a in enumerate(f.agent_ids)}
+        for a in ids:
+            sums[a] = sums[a] + f.positions[index[a]]
+    return np.stack([sums[a] / len(frames) for a in ids])
+
+
+def test_player_mean_init_bit_identical_to_reference_loop():
+    # frames out of frame_id order, agents listed in a different order each
+    rng = np.random.default_rng(12)
+    frames = []
+    for fid in rng.permutation(300):
+        order = rng.permutation(7)
+        frames.append(Frame(frame_id=int(fid),
+                            positions=rng.normal(50.0, 30.0, (7, 2)),
+                            agent_ids=[f"p{j}" for j in order]))
+    got = player_mean_init(Dataset.from_frames(frames))
+    assert np.array_equal(got, reference_player_mean_init(frames))
 
 
 def test_player_mean_init_missing_agent():
     f0 = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
     f1 = Frame(frame_id=1, positions=[[1.0, 1.0]], agent_ids=("b",))
     with pytest.raises(ValueError, match="agent 'a' missing from frame 1"):
-        player_mean_init(Dataset(frames=(f0, f1)))
+        player_mean_init(Dataset.from_frames((f0, f1)))
 
 
 # K-Means
@@ -100,6 +125,20 @@ def test_kmeans_reseeds_empty_clusters():
     km = kmeans(pts, np.array([[0.0, 0.1], [0.0, -0.1]]))
     assert len(set(km.labels.tolist())) == 2
     assert sorted(np.round(km.centers[:, 0], 0).tolist()) == [0.0, 20.0]
+
+
+def test_kmeans_reseed_never_empties_a_singleton_cluster():
+    # (50, 0) ties between (100, 0) and (0, 0) and alone takes cluster 0;
+    # cluster 2 starts empty.  Reseeding it with the farthest point, (50, 0)
+    # itself, used to empty cluster 0: a NaN center and inertia
+    # 93.2 -> nan -> 2478.7.
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.standard_normal((50, 2)), [[50.0, 0.0]]])
+    km = kmeans(pts, np.array([[100.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    assert np.isfinite(km.centers).all()
+    assert np.isfinite(km.inertia).all()
+    assert np.all(np.diff(km.inertia) <= 0.0)
+    assert sorted(np.bincount(km.labels, minlength=3).tolist())[0] >= 1
 
 
 def reference_lloyd(pts, init, tol=1e-6, max_iters=1000):
@@ -194,6 +233,21 @@ def test_em_full_step_never_decreases_loglik():
         new = em_step_full(state, pts)
         _, after = _e_step(new, pts)
         assert after >= before - 1e-8
+
+
+@pytest.mark.parametrize("step", [em_step_full, em_step_spherical])
+def test_dead_component_keeps_its_mean_and_covariance(step):
+    # no point has a responsibility for the far component that survives
+    # underflow; it used to jump to the origin with a 1e-6 covariance
+    pts = np.random.default_rng(1).standard_normal((500, 2))
+    far = Gaussian2D(mean=np.array([700.0, 0.0]), cov=[[2.0, 0.5], [0.5, 1.0]],
+                     weight=0.5)
+    near = Gaussian2D(mean=np.zeros(2), cov=np.eye(2), weight=0.5)
+    out = step(Formation(components=(near, far)), pts)
+    assert np.array_equal(out.components[1].mean, far.mean)
+    assert np.array_equal(out.components[1].cov, far.cov)
+    assert out.components[1].weight < 1e-300
+    assert np.allclose(out.components[0].mean, pts.mean(axis=0))
 
 
 def test_spherical_step_gives_isotropic_covariances():
@@ -303,8 +357,8 @@ def test_row_permutation_cannot_change_the_result():
         frames_b.append(Frame(frame_id=i, positions=block[perm],
                               agent_ids=tuple(ids[j] for j in perm)))
     cfg = DiscoveryConfig(k=4, max_iters=60)
-    fa, ta = discover_formation(Dataset(frames=tuple(frames_a)), cfg)
-    fb, tb = discover_formation(Dataset(frames=tuple(frames_b)), cfg)
+    fa, ta = discover_formation(Dataset.from_frames(tuple(frames_a)), cfg)
+    fb, tb = discover_formation(Dataset.from_frames(tuple(frames_b)), cfg)
     assert fa.to_dict() == fb.to_dict()   # bit-identical, not just close
     assert ta.logliks == tb.logliks
 

@@ -1,10 +1,14 @@
 """Parsing, canonicalization, normalization, and the flatten round trip."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rolealign import ingest
 from rolealign.ingest import (
     CSV_COLUMNS,
     Dataset,
@@ -31,7 +35,7 @@ def small_dataset():
                attack_direction="RL", team="home", game="g1", period=2)
     f1 = Frame(frame_id=7, positions=[[-4.25, 0.0], [9.5, -9.5]],
                agent_ids=("a", "b"), team="away", game="g1")
-    return Dataset(frames=(f0, f1))
+    return Dataset.from_frames((f0, f1))
 
 
 def roundtrip_csv(ds):
@@ -104,7 +108,7 @@ def test_roundtrips_random_datasets():
                 attack_direction="LR" if rng.integers(0, 2) else "RL",
                 team=str(rng.integers(0, 3)), game="g",
                 period=int(rng.integers(1, 3))))
-        ds = Dataset(frames=tuple(frames))
+        ds = Dataset.from_frames(tuple(frames))
         assert_datasets_equal(ds, roundtrip_csv(ds))
         assert_datasets_equal(ds, roundtrip_jsonl(ds))
 
@@ -125,7 +129,7 @@ def test_csv_row_order_is_irrelevant():
 def test_agents_sorted_by_id_within_frame():
     f = Frame(frame_id=0, positions=[[1.0, 2.0], [3.0, 4.0]],
               agent_ids=("z", "a"))  # Frame keeps the given order
-    ds = Dataset(frames=(f,))
+    ds = Dataset.from_frames((f,))
     rt = roundtrip_csv(ds)
     assert rt.frames[0].agent_ids == ("a", "z")  # parser canonicalizes
     assert np.array_equal(rt.frames[0].positions, [[3.0, 4.0], [1.0, 2.0]])
@@ -228,6 +232,30 @@ def test_uneven_agent_counts():
      "2 agent_ids for 1 positions"),
     ('{"frame_id": 1, "positions": [["a", 0.0]]}', "non-numeric position"),
     ('{bad json', "invalid JSON"),
+    # JSON types are not coerced
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "period": "x"}',
+     "period must be an integer"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "period": 1.7}',
+     "period must be an integer"),
+    ('{"frame_id": true, "positions": [[0.0, 0.0]]}', "frame_id must be"),
+    ('"frame_id positions"', "expected a JSON object"),
+    ('{"frame_id": 1, "positions": 5}', "positions must be a non-empty list"),
+    ('{"frame_id": 1, "positions": []}', "positions must be a non-empty list"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "attack_direction": "XX"}',
+     "attack_direction must be LR or RL"),
+    ('{"frame_id": 1, "positions": [["1.5", true]]}', "non-numeric position"),
+    ('{"frame_id": 1, "positions": [[1.5, true]]}', "non-numeric position"),
+    ('{"frame_id": 1, "positions": [[1.5, 2.0, 3.0]]}',
+     "non-numeric position"),
+    ('{"frame_id": 1, "positions": [[1e999999, 0]]}', "non-finite position"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": null}',
+     "agent_ids must be a list"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "team": 7}',
+     "team must be a string"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0], [1.0, 1.0]], '
+     '"agent_ids": ["a", "a"]}', "duplicate agent 'a' in frame 1"),
+    ('{"frame_id": 99999999999999999999, "positions": [[0.0, 0.0]]}',
+     "frame_id 99999999999999999999 out of range"),
 ])
 def test_jsonl_errors(line_text, fragment):
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
@@ -251,9 +279,11 @@ def test_jsonl_is_event_must_be_a_json_boolean(value):
 @pytest.mark.parametrize("point", ['["nan", 0.0]', "[0.0, NaN]",
                                    "[Infinity, 0.0]", '[1.0, "-inf"]'])
 def test_jsonl_non_finite_position_names_its_line(point):
+    # a quoted coordinate is not a JSON number, whatever it spells
+    fragment = "non-numeric" if '"' in point else "non-finite"
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
     bad = '{"frame_id": 1, "positions": [%s]}' % point
-    with pytest.raises(ParseError, match="non-finite position") as exc:
+    with pytest.raises(ParseError, match=f"{fragment} position") as exc:
         parse_tracking(io.StringIO(good + "\n" + bad + "\n"), format="jsonl")
     assert exc.value.line == 2
 
@@ -287,13 +317,13 @@ def test_attack_direction_reflects_rl_frames():
     out = normalize_attack_direction(ds)
     assert np.array_equal(out.frames[0].positions, -ds.frames[0].positions)
     assert out.frames[0].attack_direction == "LR"
-    assert out.frames[1] is ds.frames[1]  # LR frames pass through untouched
+    # LR frames pass through untouched
+    assert out.positions[1].tobytes() == ds.positions[1].tobytes()
 
 
 def test_attack_direction_idempotent():
     once = normalize_attack_direction(small_dataset())
-    twice = normalize_attack_direction(once)
-    assert all(a is b for a, b in zip(once.frames, twice.frames))
+    assert normalize_attack_direction(once) is once
 
 
 def test_center_normalize_zeroes_means():
@@ -301,7 +331,7 @@ def test_center_normalize_zeroes_means():
     frames = tuple(Frame(frame_id=i, positions=rng.normal(2.0, 5.0, (6, 2)),
                          agent_ids=[str(j) for j in range(6)])
                    for i in range(4))
-    out = center_normalize(Dataset(frames=frames))
+    out = center_normalize(Dataset.from_frames(frames))
     for f in out.frames:
         assert np.abs(f.positions.mean(axis=0)).max() < 1e-12
 
@@ -311,10 +341,26 @@ def test_center_normalize_idempotent():
     frames = tuple(Frame(frame_id=i, positions=rng.normal(size=(5, 2)),
                          agent_ids=[str(j) for j in range(5)])
                    for i in range(3))
-    once = center_normalize(Dataset(frames=frames))
-    twice = center_normalize(once)
+    once = center_normalize(Dataset.from_frames(frames))
     # already-centered frames are passed through, not re-subtracted
-    assert all(a is b for a, b in zip(once.frames, twice.frames))
+    assert center_normalize(once) is once
+
+
+def test_normalization_bit_identical_to_per_frame_loop():
+    rng = np.random.default_rng(15)
+    frames = [Frame(frame_id=i, positions=rng.normal(50.0, 30.0, (7, 2)),
+                    agent_ids=[str(j) for j in range(7)],
+                    attack_direction="RL" if i % 3 else "LR")
+              for i in range(200)]
+    frames.append(Frame(frame_id=200, positions=[[-1.0, 2.0], [1.0, -2.0]] * 3
+                        + [[0.0, -0.0]], agent_ids=[str(j) for j in range(7)]))
+    out = center_normalize(normalize_attack_direction(
+        Dataset.from_frames(frames)))
+    for f, got in zip(frames, out.positions):
+        pos = -f.positions if f.attack_direction == "RL" else f.positions
+        mean = pos.mean(axis=0)
+        ref = pos if np.hypot(mean[0], mean[1]) <= 1e-12 else pos - mean
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_filter_key_frames():
@@ -322,7 +368,7 @@ def test_filter_key_frames():
     kept = filter_key_frames(ds)
     assert [f.frame_id for f in kept.frames] == [0]
     with pytest.raises(EmptySelectionError, match="no event frames"):
-        filter_key_frames(Dataset(frames=(ds.frames[1],)))
+        filter_key_frames(Dataset.from_frames((ds.frames[1],)))
 
 
 def test_filter_metadata():
@@ -394,12 +440,12 @@ def test_frame_positions_frozen():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="at least one frame"):
-        Dataset(frames=())
+        Dataset.from_frames(())
     a = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
     b = Frame(frame_id=1, positions=[[0.0, 0.0], [1.0, 1.0]],
               agent_ids=("a", "b"))
     with pytest.raises(ValueError, match="frame 1 has 2 agents, expected 1"):
-        Dataset(frames=(a, b))
+        Dataset.from_frames((a, b))
 
 
 def test_concat_datasets():
@@ -409,3 +455,148 @@ def test_concat_datasets():
     assert [f.frame_id for f in both.frames] == [0, 7, 0, 7]
     with pytest.raises(ValueError, match="nothing to concatenate"):
         concat_datasets([])
+
+
+def test_concat_merges_agent_tables():
+    a, b = small_dataset(), replace(small_dataset(), frame_id=[1, 2])
+    both = concat_datasets([b.take([1]), a.take([0])])
+    assert both.agent_table == ("a", "b", "p0", "p1")
+    assert both.agent_ids.tolist() == [["a", "b"], ["p0", "p1"]]
+
+
+def test_take_and_agent_tracks():
+    ds = roundtrip_csv(small_dataset()).take([1, 0])
+    assert ds.frame_id.tolist() == [7, 0]
+    with pytest.raises(ValueError, match="agent 'p0' missing from frame 7"):
+        ds.agent_tracks()
+    tracks = ds.take([1]).agent_tracks()
+    assert np.array_equal(tracks, small_dataset().positions[:1])
+
+
+# column conversion in chunks
+
+
+def test_csv_chunks_join_seamlessly(monkeypatch):
+    rng = np.random.default_rng(14)
+    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)),
+                    agent_ids=("c", "a", "b"), team=("x", "y")[i % 2])
+              for i in range(20)]
+    buf = io.StringIO()
+    write_tracking_csv(Dataset.from_frames(frames), buf)
+    lines = buf.getvalue().splitlines()
+    text = "\n".join(lines[:10] + [""] + lines[10:]) + "\n"   # a blank line
+    whole = parse_tracking(io.StringIO(text))
+    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 7)
+    assert_columns_equal(whole, parse_tracking(io.StringIO(text)))
+    bad = lines[:10] + [""] + lines[10:40] + ["9,a,1.0,x,0,LR,,,1"]
+    with pytest.raises(ParseError, match="non-numeric position") as exc:
+        parse_tracking(io.StringIO("\n".join(bad) + "\n"))
+    assert exc.value.line == 42
+    dup = lines[:30] + [lines[3]]
+    with pytest.raises(ParseError, match="duplicate agent") as exc:
+        parse_tracking(io.StringIO("\n".join(dup) + "\n"))
+    assert exc.value.line == 31
+
+
+def test_jsonl_chunks_join_seamlessly(monkeypatch):
+    rng = np.random.default_rng(16)
+    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)),
+                    agent_ids=("c", "a", "b"), period=1 + i % 2)
+              for i in range(20)]
+    buf = io.StringIO()
+    write_tracking_jsonl(Dataset.from_frames(frames), buf)
+    lines = buf.getvalue().splitlines()
+    text = "\n".join(lines[:5] + ["  "] + lines[5:]) + "\n"   # a blank line
+    whole = parse_tracking(io.StringIO(text), format="jsonl")
+    monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 4)
+    assert_columns_equal(whole, parse_tracking(io.StringIO(text),
+                                               format="jsonl"))
+    # a frame id repeated from an earlier chunk is an error on its own, and
+    # the first one, ahead of a malformed line later in the same chunk
+    for tail in ([], ['{"frame_id": 99}']):
+        bad = lines[:9] + [lines[2]] + tail
+        with pytest.raises(ParseError, match="duplicate frame_id 2") as exc:
+            parse_tracking(io.StringIO("\n".join(bad) + "\n"),
+                           format="jsonl")
+        assert exc.value.line == 10
+
+
+# properties
+
+
+def assert_columns_equal(a, b):
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.agent_ids, b.agent_ids)
+    for name in ("frame_id", "is_event", "right_to_left", "team", "game",
+                 "period"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@st.composite
+def datasets(draw, max_coord=1e6):
+    s, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    coord = st.floats(-max_coord, max_coord, allow_nan=False)
+    frames = []
+    for fid in draw(st.lists(st.integers(-99, 99), min_size=s, max_size=s,
+                             unique=True)):
+        ids = draw(st.permutations([f"p{j}" for j in range(n + 1)]))[:n]
+        frames.append(Frame(
+            frame_id=fid, agent_ids=ids,
+            positions=draw(st.lists(st.tuples(coord, coord), min_size=n,
+                                    max_size=n)),
+            is_event=draw(st.booleans()),
+            attack_direction=draw(st.sampled_from(["LR", "RL"])),
+            team=draw(st.sampled_from(["", "home", "away"])),
+            game=draw(st.sampled_from(["g1", "g2"])),
+            period=draw(st.integers(1, 2))))
+    return Dataset.from_frames(frames)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.randoms(use_true_random=False))
+def test_shuffled_rows_parse_to_equal_arrays(ds, rnd):
+    for write, fmt, skip in ((write_tracking_csv, "csv", 1),
+                             (write_tracking_jsonl, "jsonl", 0)):
+        buf = io.StringIO()
+        write(ds, buf)
+        lines = buf.getvalue().splitlines()
+        body = lines[skip:]
+        rnd.shuffle(body)
+        shuffled = "\n".join(lines[:skip] + body) + "\n"
+        assert_columns_equal(
+            parse_tracking(io.StringIO(buf.getvalue()), format=fmt),
+            parse_tracking(io.StringIO(shuffled), format=fmt))
+
+
+# within about a pitch, the residual mean of a centered frame is far below
+# the 1e-12 pass-through threshold
+@settings(max_examples=100, deadline=None)
+@given(datasets(max_coord=200.0))
+def test_normalization_is_idempotent_bit_for_bit(ds):
+    once = center_normalize(normalize_attack_direction(ds))
+    twice = center_normalize(normalize_attack_direction(once))
+    assert twice.positions.tobytes() == once.positions.tobytes()
+    assert not twice.right_to_left.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.sampled_from([None, "", "home", "away"]),
+       st.sampled_from([None, "g1", "g2", "g3"]),
+       st.sampled_from([None, 1, 2]))
+def test_filter_metadata_matches_per_frame_predicate(ds, team, game, period):
+    expect = [f.frame_id for f in ds.frames
+              if (team is None or f.team == team)
+              and (game is None or f.game == game)
+              and (period is None or f.period == period)]
+    if not expect:
+        with pytest.raises(EmptySelectionError):
+            filter_metadata(ds, team=team, game=game, period=period)
+    else:
+        kept = filter_metadata(ds, team=team, game=game, period=period)
+        assert kept.frame_id.tolist() == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_from_frames_round_trips_every_column(ds):
+    assert_columns_equal(ds, Dataset.from_frames(ds.frames))
