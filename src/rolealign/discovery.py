@@ -132,51 +132,90 @@ class EmTrace:
                 fh.close()
 
 
-def _component_log_pdfs(formation: Formation, pts: np.ndarray) -> np.ndarray:
+def _work_arrays(p, k):
+    """Four (P, K) arrays for the E- and M-steps to compute in."""
+    return [np.empty((p, k)) for _ in range(4)]
+
+
+def _component_log_pdfs(formation: Formation, pts: np.ndarray,
+                        work=None) -> np.ndarray:
     """(P, K) matrix of per-component Gaussian log densities.
 
     Broadcast over all components at once; with 2x2 covariances the quadratic
-    form expands into three scalar precision entries per component.
+    form expands into three scalar precision entries per component.  The
+    terms are evaluated in place, in the order of
+    ``c - 0.5 * (p00*dx*dx + 2*p01*dx*dy + p11*dy*dy)``, so the bits are
+    those of that expression.  ``work`` (from ``_work_arrays``) is
+    overwritten and its first array returned; without it four fresh arrays
+    are used.
     """
     means = np.array([c.mean for c in formation.components])
     precs = np.array([c.precision for c in formation.components])
     dets = np.array([c.det for c in formation.components])
-    dx = pts[:, None, 0] - means[None, :, 0]
-    dy = pts[:, None, 1] - means[None, :, 1]
-    quad = (precs[:, 0, 0] * dx * dx
-            + 2.0 * precs[:, 0, 1] * dx * dy
-            + precs[:, 1, 1] * dy * dy)
-    return -LOG_2PI - 0.5 * np.log(dets) - 0.5 * quad
+    quad, dx, dy, term = work or _work_arrays(len(pts), formation.k)
+    np.subtract(pts[:, None, 0], means[None, :, 0], out=dx)
+    np.subtract(pts[:, None, 1], means[None, :, 1], out=dy)
+    np.multiply(precs[:, 0, 0], dx, out=quad)
+    quad *= dx
+    np.multiply(2.0 * precs[:, 0, 1], dx, out=term)
+    term *= dy
+    quad += term
+    np.multiply(precs[:, 1, 1], dy, out=term)
+    term *= dy
+    quad += term
+    quad *= 0.5
+    return np.subtract(-LOG_2PI - 0.5 * np.log(dets), quad, out=quad)
 
 
-def _e_step(formation, pts):
-    """Log responsibilities and the average mixture log-likelihood."""
-    log_pdfs = _component_log_pdfs(formation, pts)
-    joint = log_pdfs + np.log(formation.weights)
+def _e_step(formation, pts, work=None):
+    """Log responsibilities and the average mixture log-likelihood.
+
+    The responsibilities are computed in place in the log densities, so
+    with ``work`` they are its first array.
+    """
+    joint = _component_log_pdfs(formation, pts, work)
+    joint += np.log(formation.weights)
     m = joint.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(joint - m).sum(axis=1, keepdims=True)) + m
-    log_resp = joint - log_norm
-    return log_resp, float(log_norm.mean())
+    shifted = np.subtract(joint, m, out=work[1] if work else None)
+    np.exp(shifted, out=shifted)
+    log_norm = np.log(shifted.sum(axis=1, keepdims=True)) + m
+    joint -= log_norm   # now the log responsibilities
+    return joint, float(log_norm.mean())
 
 
-def _m_step(formation, pts, log_resp, spherical):
-    resp = np.exp(log_resp)
+def _m_step(formation, pts, log_resp, spherical, work=None):
+    """The EM update from log responsibilities.  ``work`` is overwritten,
+    ``log_resp`` too when it is ``work``'s first array."""
+    resp, dx, dy, term = work or [None] * 4
+    resp = np.exp(log_resp, out=resp)
     counts = resp.sum(axis=0)
     dead = counts < 1e-300   # responsibility mass underflowed
     counts = np.maximum(counts, 1e-300)
     weights = counts / resp.shape[0]
     means = (resp.T @ pts) / counts[:, None]
-    dx = pts[:, None, 0] - means[None, :, 0]
-    dy = pts[:, None, 1] - means[None, :, 1]
+    dx = np.subtract(pts[:, None, 0], means[None, :, 0], out=dx)
+    dy = np.subtract(pts[:, None, 1], means[None, :, 1], out=dy)
+    # the weighted squares are formed in place, in the operand order of
+    # resp * (dx*dx + dy*dy) and resp*dx*dx, resp*dx*dy, resp*dy*dy
     if spherical:
-        c = 0.5 * (resp * (dx * dx + dy * dy)).sum(axis=0) / counts
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dx *= resp
+        c = 0.5 * dx.sum(axis=0) / counts
         covs = np.zeros((formation.k, 2, 2))
         covs[:, 0, 0] = c
         covs[:, 1, 1] = c
     else:
-        cxx = (resp * dx * dx).sum(axis=0) / counts
-        cxy = (resp * dx * dy).sum(axis=0) / counts
-        cyy = (resp * dy * dy).sum(axis=0) / counts
+        term = np.multiply(resp, dx, out=term)
+        term *= dx
+        cxx = term.sum(axis=0) / counts
+        np.multiply(resp, dx, out=term)
+        term *= dy
+        cxy = term.sum(axis=0) / counts
+        np.multiply(resp, dy, out=term)
+        term *= dy
+        cyy = term.sum(axis=0) / counts
         covs = np.empty((formation.k, 2, 2))
         covs[:, 0, 0] = cxx
         covs[:, 0, 1] = cxy
@@ -232,14 +271,15 @@ class KMeansResult:
 
 
 def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
-           max_iters: int = 1000) -> KMeansResult:
+           max_iters: int = 1000, work=None) -> KMeansResult:
     """Lloyd's algorithm run to convergence (max center movement < tol).
 
     An empty cluster is re-seeded at the point currently farthest from its
     assigned center, which keeps the recorded inertia sequence
     non-increasing: the empty center served no points, so moving it is free.
     The point is never taken from a cluster whose only member it is, which
-    would leave that cluster empty.
+    would leave that cluster empty.  2-D distances are computed in the
+    first two (P, K) arrays of ``work`` if given, else in two fresh ones.
     """
     pts = np.asarray(points, dtype=float)
     centers = np.array(init, dtype=float)
@@ -249,12 +289,18 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     inertia = []
     labels = None
     rows = np.arange(len(pts))
+    if pts.shape[1] == 2:
+        # (P, K) arrays reused by every iteration
+        d2, dy2 = work or (np.empty((len(pts), k)), np.empty((len(pts), k)))
     for _ in range(max_iters):
         if pts.shape[1] == 2:
             # column by column: the same two additions as the reduction
             # below, without its (P, K, 2) temporary
-            d2 = (pts[:, None, 0] - centers[None, :, 0]) ** 2
-            d2 += (pts[:, None, 1] - centers[None, :, 1]) ** 2
+            np.square(np.subtract(pts[:, None, 0], centers[None, :, 0],
+                                  out=d2), out=d2)
+            np.square(np.subtract(pts[:, None, 1], centers[None, :, 1],
+                                  out=dy2), out=dy2)
+            d2 += dy2
         else:
             d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
@@ -326,11 +372,13 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
         rows = rng.choice(pts.shape[0], size=cfg.k, replace=False)
         init = pts[np.sort(rows)]
 
-    km = kmeans(pts, init, tol=cfg.kmeans_tol)
+    # K-means and every E- and M-step compute in these
+    work = _work_arrays(len(pts), cfg.k)
+    km = kmeans(pts, init, tol=cfg.kmeans_tol, work=work[:2])
     state = _formation_from_clusters(pts, km.centers, km.labels)
 
     trace = EmTrace()
-    log_resp, loglik = _e_step(state, pts)
+    log_resp, loglik = _e_step(state, pts, work)
     trace.append(0, loglik, INIT, state.eigenvalue_ratios())
 
     # Convergence compares full updates against the previous full update:
@@ -344,8 +392,8 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
         ratios = state.eigenvalue_ratios()
         spherical = bool(np.any(ratios >= r) or np.any(ratios <= 1.0 / r))
         kind = SOFT_KMEANS if spherical else FULL_GMM
-        state = _m_step(state, pts, log_resp, spherical=spherical)
-        log_resp, loglik = _e_step(state, pts)
+        state = _m_step(state, pts, log_resp, spherical=spherical, work=work)
+        log_resp, loglik = _e_step(state, pts, work)
         trace.append(it, loglik, kind, state.eigenvalue_ratios())
         if not spherical:
             gain = (loglik - last_full) / max(abs(last_full), 1e-12)
@@ -356,7 +404,7 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
 
     # Final-state per-point log densities, unsorted back to caller order,
     # so role assignment on the training data can skip recomputation.
-    dens_sorted = _component_log_pdfs(state, pts)
+    dens_sorted = _component_log_pdfs(state, pts, work)
     cache = np.empty_like(dens_sorted)
     cache[order] = dens_sorted
     trace.cache = cache

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from rolealign.discovery import (
+    LOG_2PI,
     DiscoveryConfig,
     EmTrace,
     Formation,
     _component_log_pdfs,
     _e_step,
+    _m_step,
+    _work_arrays,
     canonical_order,
     discover_formation,
     em_step_full,
@@ -197,6 +200,13 @@ def test_kmeans_bit_identical_to_reference_loop(case):
     assert np.array_equal(km.centers, centers)
     assert np.array_equal(km.labels, labels)
     assert km.inertia == inertia
+    if pts.shape[1] == 2:   # again in caller-owned arrays holding garbage
+        work = [np.full(a.shape, np.nan)
+                for a in _work_arrays(len(pts), len(init))[:2]]
+        kw = kmeans(pts, init, work=work)
+        assert np.array_equal(kw.centers, centers)
+        assert np.array_equal(kw.labels, labels)
+        assert kw.inertia == inertia
 
 
 def test_kmeans_does_not_mutate_init():
@@ -265,6 +275,61 @@ def test_spherical_step_gives_isotropic_covariances():
         d = pts - means[j]
         expect = 0.5 * (resp[:, j] * (d * d).sum(axis=1)).sum() / counts[j]
         assert c.cov[0, 0] == pytest.approx(expect, rel=1e-12)
+
+
+def reference_em_step(f, pts, spherical):
+    """The broadcast expressions that the in-place E- and M-steps must
+    match bit for bit: log densities, log responsibilities, and the
+    weighted means and second moments."""
+    means = np.array([c.mean for c in f.components])
+    precs = np.array([c.precision for c in f.components])
+    dets = np.array([c.det for c in f.components])
+    dx = pts[:, None, 0] - means[None, :, 0]
+    dy = pts[:, None, 1] - means[None, :, 1]
+    quad = (precs[:, 0, 0] * dx * dx + 2.0 * precs[:, 0, 1] * dx * dy
+            + precs[:, 1, 1] * dy * dy)
+    dens = -LOG_2PI - 0.5 * np.log(dets) - 0.5 * quad
+    joint = dens + np.log(f.weights)
+    m = joint.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(joint - m).sum(axis=1, keepdims=True)) + m
+    resp = np.exp(joint - log_norm)
+    counts = resp.sum(axis=0)
+    new_means = (resp.T @ pts) / counts[:, None]
+    dx = pts[:, None, 0] - new_means[None, :, 0]
+    dy = pts[:, None, 1] - new_means[None, :, 1]
+    if spherical:
+        c = 0.5 * (resp * (dx * dx + dy * dy)).sum(axis=0) / counts
+        moments = (c, c)
+    else:
+        moments = tuple((resp * a * b).sum(axis=0) / counts
+                        for a, b in ((dx, dx), (dx, dy), (dy, dy)))
+    return dens, joint - log_norm, float(log_norm.mean()), new_means, moments
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_em_steps_bit_identical_to_reference_in_fresh_and_work_arrays(
+        spherical):
+    rng = np.random.default_rng(12)
+    comps = []
+    for w in (0.2, 0.3, 0.5):
+        a = rng.normal(size=(2, 2))
+        comps.append(Gaussian2D(mean=rng.normal(size=2) * 3,
+                                cov=a @ a.T + 0.3 * np.eye(2), weight=w))
+    f = Formation(components=tuple(comps))
+    pts = rng.normal(size=(500, 2)) * 3
+    dens, log_resp, ll, means, moments = reference_em_step(f, pts, spherical)
+    work = [np.full(a.shape, np.nan) for a in _work_arrays(500, 3)]
+    assert np.array_equal(_component_log_pdfs(f, pts), dens)
+    for arrays in (None, work):
+        got, got_ll = _e_step(f, pts, arrays)
+        assert np.array_equal(got, log_resp) and got_ll == ll
+        new = _m_step(f, pts, got, spherical, arrays)
+        assert np.array_equal(new.means, means)
+        covs = np.array([c.cov for c in new.components])
+        picks = (covs[:, 0, 0], covs[:, 1, 1]) if spherical else \
+            (covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1])
+        assert all(np.array_equal(a, b) for a, b in zip(picks, moments))
+    assert got is work[0]
 
 
 def test_component_log_pdfs_matches_single_gaussian():
