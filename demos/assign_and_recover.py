@@ -37,7 +37,7 @@ print(f"recovery score: {recovery_score(res.aligned, gt):.4f}")
 
 # one concrete frame with a swap in progress: agent order vs role order
 s = int(np.argmax((gt.true_maps != base).any(axis=1)))
-perm = res.aligned.permutations[s]
-print(f"frame {res.aligned.frame_ids[s]} assignment: {perm.mapping.tolist()}")
-print(f"frame {res.aligned.frame_ids[s]} truth:      "
+fid = res.aligned.frame_id[s]
+print(f"frame {fid} assignment: {res.aligned.mappings[s].tolist()}")
+print(f"frame {fid} truth:      "
       f"{gt.true_maps[s].tolist()}")

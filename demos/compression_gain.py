@@ -29,8 +29,8 @@ ra = run_pipeline(da, parent=g)
 rb = run_pipeline(db, parent=g)
 
 aligned = np.vstack([ra.aligned.matrix, rb.aligned.matrix])
-identity = np.vstack([ra.dataset.stacked().reshape(S, -1),
-                      rb.dataset.stacked().reshape(S, -1)])
+identity = np.vstack([ra.dataset.positions.reshape(S, -1),
+                      rb.dataset.positions.reshape(S, -1)])
 
 print("k    wce aligned   wce identity")
 for row_a, row_i in zip(wce_sweep(aligned, range(2, 11)),

@@ -3,9 +3,10 @@ multi-agent tracking data."""
 
 from .version import __version__
 from .geometry import (Gaussian2D, bhattacharyya_distance,
-                       covariance_eigenvalues, differential_entropy,
-                       gaussian_log_pdf, kl_divergence,
-                       mahalanobis_between_means, role_area)
+                       component_log_pdfs, covariance_eigenvalues,
+                       differential_entropy, gaussian_log_pdf, kl_divergence,
+                       log_responsibilities, mahalanobis_between_means,
+                       role_area, sample_covariance)
 from .assignment import (Assignment, BatchAssignment,
                          SinkhornConvergenceError, SinkhornResult,
                          assign_batch, hungarian, sinkhorn_normalize)
@@ -15,8 +16,8 @@ from .ingest import (Dataset, EmptySelectionError, Frame, ParseError,
                      parse_tracking, unflatten, write_tracking_csv,
                      write_tracking_jsonl)
 from .discovery import (DiscoveryConfig, EmTrace, Formation, KMeansResult,
-                        discover_formation, em_step_full, em_step_spherical,
-                        kmeans, player_mean_init)
+                        discover_formation, em_step_full, kmeans,
+                        player_mean_init)
 from .alignment import (AlignedDataset, PipelineResult, Template,
                         align_template, assign_roles, average_log_likelihood,
                         run_pipeline)
@@ -32,9 +33,10 @@ from .synth import (GroundTruth, generate_formation, read_truth_maps,
 
 __all__ = [
     "__version__",
-    "Gaussian2D", "bhattacharyya_distance", "covariance_eigenvalues",
-    "differential_entropy", "gaussian_log_pdf", "kl_divergence",
-    "mahalanobis_between_means", "role_area",
+    "Gaussian2D", "bhattacharyya_distance", "component_log_pdfs",
+    "covariance_eigenvalues", "differential_entropy", "gaussian_log_pdf",
+    "kl_divergence", "log_responsibilities", "mahalanobis_between_means",
+    "role_area", "sample_covariance",
     "Assignment", "BatchAssignment", "SinkhornConvergenceError",
     "SinkhornResult", "assign_batch", "hungarian", "sinkhorn_normalize",
     "Dataset", "EmptySelectionError", "Frame", "ParseError",
@@ -43,8 +45,7 @@ __all__ = [
     "parse_tracking", "unflatten", "write_tracking_csv",
     "write_tracking_jsonl",
     "DiscoveryConfig", "EmTrace", "Formation", "KMeansResult",
-    "discover_formation", "em_step_full", "em_step_spherical", "kmeans",
-    "player_mean_init",
+    "discover_formation", "em_step_full", "kmeans", "player_mean_init",
     "AlignedDataset", "PipelineResult", "Template", "align_template",
     "assign_roles", "average_log_likelihood", "run_pipeline",
     "HardEmTrace", "OverlapPenalty", "hard_assignment_em", "overlap_penalty",

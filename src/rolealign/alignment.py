@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, BatchAssignment, assign_batch, hungarian
-from .geometry import (Gaussian2D, bhattacharyya_distance,
-                       mahalanobis_between_means)
+from .assignment import BatchAssignment, assign_batch, hungarian
+from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
+                       log_responsibilities, mahalanobis_between_means)
 from .ingest import Dataset, flatten
 from . import discovery as _disc
 
@@ -111,25 +111,24 @@ class AlignedDataset:
     """Role-ordered positions: row s holds frame s's agents rearranged into
     role slots (x then y per role).
 
-    ``permutations[s].mapping[i]`` is the role slot of agent i in frame s.
-    When a frame has fewer agents than roles the unfilled slots are NaN.
-    ``n_certified`` counts the frames whose mapping the row-argmin
-    certificate settled without a Hungarian solve.
+    ``mappings[s, i]`` is the role slot of agent i in frame s, and
+    ``frame_id[s]`` the frame's id.  When a frame has fewer agents than
+    roles the unfilled slots are NaN.  ``n_certified`` counts the frames
+    whose mapping the row-argmin certificate settled without a Hungarian
+    solve.
     """
 
     matrix: np.ndarray
-    permutations: tuple
-    frame_ids: tuple
-    meta: tuple   # per-frame (team, game, period)
+    mappings: np.ndarray
+    frame_id: np.ndarray
     n_certified: int = 0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "permutations", tuple(self.permutations))
-        object.__setattr__(self, "frame_ids", tuple(self.frame_ids))
-        object.__setattr__(self, "meta", tuple(self.meta))
+        for name, dtype in (("matrix", float), ("mappings", int),
+                            ("frame_id", np.int64)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_batch(cls, ds: Dataset, batch: BatchAssignment,
@@ -139,13 +138,8 @@ class AlignedDataset:
         s = ds.n_frames
         slots = np.full((s, k, 2), np.nan)
         slots[np.arange(s)[:, None], batch.mappings] = ds.positions
-        perms = tuple(Assignment(mapping=m, total_cost=t) for m, t in
-                      zip(batch.mappings, batch.totals.tolist()))
-        return cls(matrix=slots.reshape(s, 2 * k), permutations=perms,
-                   frame_ids=ds.frame_id.tolist(),
-                   meta=zip(ds.team.tolist(), ds.game.tolist(),
-                            ds.period.tolist()),
-                   n_certified=batch.n_certified)
+        return cls(matrix=slots.reshape(s, 2 * k), mappings=batch.mappings,
+                   frame_id=ds.frame_id, n_certified=batch.n_certified)
 
     @property
     def n_frames(self):
@@ -165,7 +159,7 @@ class AlignedDataset:
         try:
             cols = ",".join(f"role_{j}_x,role_{j}_y" for j in range(self.k))
             fh.write(f"frame_id,{cols}\n")
-            for fid, row in zip(self.frame_ids, self.matrix):
+            for fid, row in zip(self.frame_id.tolist(), self.matrix):
                 fh.write(str(fid) + "," +
                          ",".join(repr(float(v)) for v in row) + "\n")
         finally:
@@ -176,10 +170,9 @@ class AlignedDataset:
         own = not hasattr(path, "write")
         fh = open(path, "w") if own else path
         try:
-            for fid, row, perm in zip(self.frame_ids, self.matrix,
-                                      self.permutations):
-                obj = {"frame_id": fid,
-                       "permutation": [int(j) for j in perm.mapping],
+            for fid, row, mapping in zip(self.frame_id.tolist(), self.matrix,
+                                         self.mappings.tolist()):
+                obj = {"frame_id": fid, "permutation": mapping,
                        "positions": [[float(x), float(y)]
                                      for x, y in row.reshape(-1, 2)]}
                 fh.write(json.dumps(obj) + "\n")
@@ -208,10 +201,7 @@ def assign_roles(ds: Dataset, t: Template, include_weights: bool = True,
         if dens.shape != (ds.n_frames * n, k):
             raise ValueError("cache shape does not match dataset/template")
     else:
-        helper = _disc.Formation(
-            components=tuple(Gaussian2D(mean=r.mean, cov=r.cov, weight=1.0 / k)
-                             for r in t.roles))
-        dens = _disc._component_log_pdfs(helper, flatten(ds))
+        dens = component_log_pdfs(t.roles, flatten(ds))
     cost_all = -dens
     if include_weights:
         cost_all = cost_all - np.log(t.weights)
@@ -221,8 +211,8 @@ def assign_roles(ds: Dataset, t: Template, include_weights: bool = True,
 
 def average_log_likelihood(ds: Dataset, f: "_disc.Formation") -> float:
     """Mean over all points of the log mixture density under f."""
-    _, loglik = _disc._e_step(f, flatten(ds))
-    return loglik
+    _, log_mix = log_responsibilities(f.components, f.weights, flatten(ds))
+    return float(log_mix.mean())
 
 
 @dataclass(frozen=True)

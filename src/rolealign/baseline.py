@@ -22,8 +22,9 @@ import numpy as np
 
 from .alignment import AlignedDataset, Template
 from .assignment import assign_batch
-from .discovery import Formation, _component_log_pdfs, _e_step
-from .geometry import Gaussian2D, differential_entropy
+from .discovery import Formation
+from .geometry import (Gaussian2D, component_log_pdfs, differential_entropy,
+                       log_responsibilities, sample_covariance)
 from .ingest import Dataset, flatten
 
 
@@ -71,9 +72,8 @@ def player_identity_template(ds: Dataset) -> Template:
     n = tracks.shape[1]
     roles = []
     for pts in tracks.transpose(1, 0, 2):
-        cov = np.cov(pts.T, bias=True) if len(pts) > 1 else np.eye(2)
-        roles.append(Gaussian2D(mean=pts.mean(axis=0), cov=np.atleast_2d(cov),
-                                weight=1.0 / n))
+        roles.append(Gaussian2D(mean=pts.mean(axis=0),
+                                cov=sample_covariance(pts), weight=1.0 / n))
     return Template(roles=tuple(roles))
 
 
@@ -99,16 +99,14 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     if n > k:
         raise ValueError(f"{n} agents cannot fill {k} roles")
     pts = flatten(ds)
-    roles = list(init.roles)
-    weights = np.full(k, 1.0 / k)
+    roles = init.roles
 
     trace = HardEmTrace()
     prev_maps = None
     seen_states = set()
     passes = max(1, max_iters)
     for it in range(1, passes + 1):
-        dens = _component_log_pdfs(_as_formation(roles, weights), pts)
-        batch = assign_batch((-dens).reshape(s, n, k))
+        batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
         trace.certified.append(batch.n_certified)
         mappings = batch.mappings
         # a sequential sum in frame order, not numpy's pairwise one:
@@ -128,17 +126,14 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
             if len(member) == 0:
                 new_roles.append(roles[j])   # re-seed from previous state
             else:
-                cov = np.cov(member.T, bias=True) if len(member) > 1 \
-                    else np.eye(2)
                 new_roles.append(Gaussian2D(mean=member.mean(axis=0),
-                                            cov=np.atleast_2d(cov),
+                                            cov=sample_covariance(member),
                                             weight=1.0 / k))
-        roles = new_roles
         weights = np.where(counts > 0, counts, 1.0)
-        weights = weights / weights.sum()
-
-        _, avg_ll = _e_step(_as_formation(roles, weights), pts)
-        trace.append(it, total_cost, avg_ll, changed)
+        formation = _as_formation(new_roles, weights / weights.sum())
+        roles = formation.components
+        _, log_mix = log_responsibilities(roles, formation.weights, pts)
+        trace.append(it, total_cost, float(log_mix.mean()), changed)
 
         if changed == 0:
             trace.converged = True
@@ -150,7 +145,6 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         seen_states.add(key)
         prev_maps = mappings
 
-    formation = _as_formation(roles, weights)
     aligned = AlignedDataset.from_batch(ds, batch, k)
     return formation, aligned, trace
 
@@ -187,10 +181,7 @@ def overlap_penalty(f: Formation, n_samples: int = 100_000,
     z = rng.standard_normal((n_samples, 2))
     x = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
 
-    uniform = _as_formation(f.components, np.ones(k))
-    dens = _component_log_pdfs(uniform, x)
-    m = dens.max(axis=1, keepdims=True)
-    log_mix = (np.log(np.exp(dens - m).sum(axis=1)) + m[:, 0]) - np.log(k)
+    _, log_mix = log_responsibilities(f.components, np.full(k, 1.0 / k), x)
     h_mix = -float(log_mix.mean())
     se = float(log_mix.std(ddof=1) / np.sqrt(n_samples))
     h_cond = float(np.mean([differential_entropy(c) for c in f.components]))

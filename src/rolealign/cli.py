@@ -208,7 +208,7 @@ def cmd_compare(args) -> int:
                      zip(res.template.roles, hard_as_template.roles)]
 
     s = res.dataset.n_frames
-    identity = res.dataset.stacked().reshape(s, -1)
+    identity = res.dataset.positions.reshape(s, -1)
     ks = list(range(2, min(21, s)))
     sweep_aligned = wce_sweep(res.aligned.matrix, ks)
     sweep_identity = wce_sweep(identity, ks)

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Gaussian2D, covariance_eigenvalues
+from .geometry import (Gaussian2D, component_log_pdfs, covariance_eigenvalues,
+                       log_responsibilities, sample_covariance)
 from .ingest import Dataset, flatten
-
-LOG_2PI = 1.8378770664093453
 
 FULL_GMM = "FullGMM"
 SOFT_KMEANS = "SoftKMeans"
@@ -137,52 +136,6 @@ def _work_arrays(p, k):
     return [np.empty((p, k)) for _ in range(4)]
 
 
-def _component_log_pdfs(formation: Formation, pts: np.ndarray,
-                        work=None) -> np.ndarray:
-    """(P, K) matrix of per-component Gaussian log densities.
-
-    Broadcast over all components at once; with 2x2 covariances the quadratic
-    form expands into three scalar precision entries per component.  The
-    terms are evaluated in place, in the order of
-    ``c - 0.5 * (p00*dx*dx + 2*p01*dx*dy + p11*dy*dy)``, so the bits are
-    those of that expression.  ``work`` (from ``_work_arrays``) is
-    overwritten and its first array returned; without it four fresh arrays
-    are used.
-    """
-    means = np.array([c.mean for c in formation.components])
-    precs = np.array([c.precision for c in formation.components])
-    dets = np.array([c.det for c in formation.components])
-    quad, dx, dy, term = work or _work_arrays(len(pts), formation.k)
-    np.subtract(pts[:, None, 0], means[None, :, 0], out=dx)
-    np.subtract(pts[:, None, 1], means[None, :, 1], out=dy)
-    np.multiply(precs[:, 0, 0], dx, out=quad)
-    quad *= dx
-    np.multiply(2.0 * precs[:, 0, 1], dx, out=term)
-    term *= dy
-    quad += term
-    np.multiply(precs[:, 1, 1], dy, out=term)
-    term *= dy
-    quad += term
-    quad *= 0.5
-    return np.subtract(-LOG_2PI - 0.5 * np.log(dets), quad, out=quad)
-
-
-def _e_step(formation, pts, work=None):
-    """Log responsibilities and the average mixture log-likelihood.
-
-    The responsibilities are computed in place in the log densities, so
-    with ``work`` they are its first array.
-    """
-    joint = _component_log_pdfs(formation, pts, work)
-    joint += np.log(formation.weights)
-    m = joint.max(axis=1, keepdims=True)
-    shifted = np.subtract(joint, m, out=work[1] if work else None)
-    np.exp(shifted, out=shifted)
-    log_norm = np.log(shifted.sum(axis=1, keepdims=True)) + m
-    joint -= log_norm   # now the log responsibilities
-    return joint, float(log_norm.mean())
-
-
 def _m_step(formation, pts, log_resp, spherical, work=None):
     """The EM update from log responsibilities.  ``work`` is overwritten,
     ``log_resp`` too when it is ``work``'s first array."""
@@ -235,15 +188,8 @@ def _m_step(formation, pts, log_resp, spherical, work=None):
 def em_step_full(state: Formation, points: np.ndarray) -> Formation:
     """One full-covariance EM update over all points."""
     pts = np.asarray(points, dtype=float)
-    log_resp, _ = _e_step(state, pts)
+    log_resp, _ = log_responsibilities(state.components, state.weights, pts)
     return _m_step(state, pts, log_resp, spherical=False)
-
-
-def em_step_spherical(state: Formation, points: np.ndarray) -> Formation:
-    """One EM update with covariances constrained to c*I per component."""
-    pts = np.asarray(points, dtype=float)
-    log_resp, _ = _e_step(state, pts)
-    return _m_step(state, pts, log_resp, spherical=True)
 
 
 def player_mean_init(ds: Dataset) -> np.ndarray:
@@ -328,14 +274,13 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     return KMeansResult(centers=centers, labels=labels, inertia=tuple(inertia))
 
 
-def _formation_from_clusters(pts, centers, labels, eig_floor=None):
+def _formation_from_clusters(pts, centers, labels):
     comps = []
     total = len(pts)
     k = centers.shape[0]
     for j in range(k):
         members = pts[labels == j]
-        cov = np.cov(members.T, bias=True) if len(members) > 1 else np.eye(2)
-        comps.append(Gaussian2D(mean=centers[j], cov=np.atleast_2d(cov),
+        comps.append(Gaussian2D(mean=centers[j], cov=sample_covariance(members),
                                 weight=len(members) / total))
     return Formation(components=tuple(comps))
 
@@ -378,7 +323,9 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
     state = _formation_from_clusters(pts, km.centers, km.labels)
 
     trace = EmTrace()
-    log_resp, loglik = _e_step(state, pts, work)
+    log_resp, log_mix = log_responsibilities(state.components, state.weights,
+                                             pts, work)
+    loglik = float(log_mix.mean())
     trace.append(0, loglik, INIT, state.eigenvalue_ratios())
 
     # Convergence compares full updates against the previous full update:
@@ -393,7 +340,9 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
         spherical = bool(np.any(ratios >= r) or np.any(ratios <= 1.0 / r))
         kind = SOFT_KMEANS if spherical else FULL_GMM
         state = _m_step(state, pts, log_resp, spherical=spherical, work=work)
-        log_resp, loglik = _e_step(state, pts, work)
+        log_resp, log_mix = log_responsibilities(state.components,
+                                                 state.weights, pts, work)
+        loglik = float(log_mix.mean())
         trace.append(it, loglik, kind, state.eigenvalue_ratios())
         if not spherical:
             gain = (loglik - last_full) / max(abs(last_full), 1e-12)
@@ -404,7 +353,7 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
 
     # Final-state per-point log densities, unsorted back to caller order,
     # so role assignment on the training data can skip recomputation.
-    dens_sorted = _component_log_pdfs(state, pts, work)
+    dens_sorted = component_log_pdfs(state.components, pts, work)
     cache = np.empty_like(dens_sorted)
     cache[order] = dens_sorted
     trace.cache = cache

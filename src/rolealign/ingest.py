@@ -205,7 +205,8 @@ class Dataset:
                      game=self.game[s], period=int(self.period[s]))
 
     def stacked(self) -> np.ndarray:
-        """All positions as an (S, N, 2) array (read-only)."""
+        """``positions``, under the name the benchmark's workload builder
+        (``perfbench/workloads.py``) still calls; read ``positions``."""
         return self.positions
 
     def take(self, rows) -> "Dataset":
@@ -432,6 +433,10 @@ def _check_jsonl_line(line, raw, seen):
     if len(obj.get("agent_ids", positions)) != len(positions):
         raise ParseError(f"{len(obj['agent_ids'])} agent_ids for "
                          f"{len(positions)} positions", line)
+    for agent in obj.get("agent_ids", ()):
+        if type(agent) is not str:
+            raise ParseError(f"agent_ids entries must be strings, got "
+                             f"{agent!r}", line)
     direction = obj.get("attack_direction", LEFT_TO_RIGHT)
     if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
         raise ParseError(f"attack_direction must be {LEFT_TO_RIGHT} or "
@@ -476,7 +481,8 @@ def _jsonl_rows(objs, lines):
     points = list(chain.from_iterable(col["positions"]))
     if not (per_frame.all() and typed(points, list)
             and set(map(len, points)) == {2}
-            and np.array_equal(list(map(len, ids)), per_frame[given])):
+            and np.array_equal(list(map(len, ids)), per_frame[given])
+            and typed(chain.from_iterable(ids), str)):
         return None
     coords = list(chain.from_iterable(points))
     if not typed(coords, int, float):
@@ -489,10 +495,10 @@ def _jsonl_rows(objs, lines):
         return None
     if not (np.isfinite(xy).all() and np.unique(fid).size == len(fid)):
         return None
-    # the given agent ids as str; "a<i>" for agent i of a frame without ids
+    # the given agent ids; "a<i>" for agent i of a frame without ids
     agent = np.empty(len(points), dtype=object)
     point_given = np.repeat(given, per_frame)
-    agent[point_given] = list(map(str, chain.from_iterable(ids)))
+    agent[point_given] = list(chain.from_iterable(ids))
     if not given.all():
         within = np.arange(len(points)) - np.repeat(np.cumsum(per_frame)
                                                    - per_frame, per_frame)

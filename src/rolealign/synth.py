@@ -197,13 +197,7 @@ def recovery_score(predicted: AlignedDataset, truth: GroundTruth) -> float:
                          f"truth has {s}")
     k = predicted.k
     counts = np.zeros((k, k))
-    for f in range(s):
-        for agent, pred_role in enumerate(predicted.permutations[f].mapping):
-            counts[pred_role, truth.true_maps[f, agent]] += 1
+    np.add.at(counts, (predicted.mappings, truth.true_maps), 1)
     relabel = hungarian(counts.max() - counts).mapping
-    exact = 0
-    for f in range(s):
-        pred = relabel[np.asarray(predicted.permutations[f].mapping)]
-        if np.array_equal(pred, truth.true_maps[f]):
-            exact += 1
-    return exact / s
+    exact = (relabel[predicted.mappings] == truth.true_maps).all(axis=1)
+    return int(exact.sum()) / s

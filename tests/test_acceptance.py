@@ -178,8 +178,8 @@ def _two_formation_corpus(seed_a, seed_b):
     ra = run_pipeline(da, parent=g)
     rb = run_pipeline(db, parent=g)
     aligned = np.vstack([ra.aligned.matrix, rb.aligned.matrix])
-    identity = np.vstack([ra.dataset.stacked().reshape(400, -1),
-                          rb.dataset.stacked().reshape(400, -1)])
+    identity = np.vstack([ra.dataset.positions.reshape(400, -1),
+                          rb.dataset.positions.reshape(400, -1)])
     return aligned, identity
 
 

@@ -15,12 +15,10 @@ from rolealign.alignment import (
     average_log_likelihood,
     run_pipeline,
 )
-from rolealign.discovery import DiscoveryConfig, Formation, _component_log_pdfs
-from rolealign.geometry import Gaussian2D
+from rolealign.discovery import DiscoveryConfig, Formation
+from rolealign.geometry import LOG_2PI, Gaussian2D, component_log_pdfs
 from rolealign.ingest import Dataset, Frame, flatten
 from rolealign.synth import recovery_score, sample_dataset, generate_formation
-
-LOG_2PI = 1.8378770664093453
 
 
 def gauss(mx, my, weight, cov=None):
@@ -134,7 +132,7 @@ def test_assign_roles_recovers_shuffles():
     out = assign_roles(ds, t)
     assert out.matrix.shape == (40, 8)
     for s, perm in enumerate(perms):
-        assert np.array_equal(out.permutations[s].mapping, perm)
+        assert np.array_equal(out.mappings[s], perm)
         assert np.abs(out.role_positions(s) - t.means).max() < 2.0
 
 
@@ -145,8 +143,8 @@ def test_assign_roles_weight_term_flips_a_tie():
                                     agent_ids=("a",)),))
     with_w = assign_roles(ds, t, include_weights=True)
     without = assign_roles(ds, t, include_weights=False)
-    assert with_w.permutations[0].mapping[0] == 1
-    assert without.permutations[0].mapping[0] == 0
+    assert with_w.mappings[0, 0] == 1
+    assert without.mappings[0, 0] == 0
 
 
 def test_assign_roles_nan_for_unfilled_slots():
@@ -171,15 +169,11 @@ def test_assign_roles_too_many_agents():
 def test_assign_roles_cache_matches_direct():
     t = square_template()
     ds, _ = shuffled_frames(t, 12, noise=0.4, seed=22)
-    helper = Formation(
-        components=tuple(Gaussian2D(mean=r.mean, cov=r.cov, weight=0.25)
-                         for r in t.roles))
-    cache = _component_log_pdfs(helper, flatten(ds))
+    cache = component_log_pdfs(t.roles, flatten(ds))
     direct = assign_roles(ds, t)
     cached = assign_roles(ds, t, cache=cache)
     assert np.array_equal(direct.matrix, cached.matrix)
-    assert all(np.array_equal(a.mapping, b.mapping)
-               for a, b in zip(direct.permutations, cached.permutations))
+    assert np.array_equal(direct.mappings, cached.mappings)
 
 
 def test_assign_roles_cache_shape_check():
@@ -223,6 +217,8 @@ def test_aligned_matrix_frozen():
     ds, _ = shuffled_frames(t, 3, noise=0.1, seed=24)
     out = assign_roles(ds, t)
     assert not out.matrix.flags.writeable
+    assert not out.mappings.flags.writeable
+    assert not out.frame_id.flags.writeable
 
 
 # likelihood helper

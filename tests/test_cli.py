@@ -116,7 +116,9 @@ def test_missing_input_file(tmp_path, capsys):
 @pytest.mark.parametrize("bad", ['"frame_id positions"',
                                  '{"frame_id": 1, "positions": 5}',
                                  '{"frame_id": 1, "positions": [[0, 0]], '
-                                 '"period": "x"}'])
+                                 '"period": "x"}',
+                                 '{"frame_id": 1, "positions": [[0, 0]], '
+                                 '"agent_ids": [1]}'])
 def test_malformed_jsonl_is_an_input_error(tmp_path, capsys, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame_id": 0, "positions": [[0.0, 0.0]]}\n' + bad

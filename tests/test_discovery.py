@@ -4,24 +4,28 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolealign.discovery import (
-    LOG_2PI,
     DiscoveryConfig,
     EmTrace,
     Formation,
-    _component_log_pdfs,
-    _e_step,
     _m_step,
     _work_arrays,
     canonical_order,
     discover_formation,
     em_step_full,
-    em_step_spherical,
     kmeans,
     player_mean_init,
 )
-from rolealign.geometry import Gaussian2D, gaussian_log_pdf
+from rolealign.geometry import (
+    LOG_2PI,
+    Gaussian2D,
+    component_log_pdfs,
+    gaussian_log_pdf,
+    log_responsibilities,
+)
 from rolealign.ingest import Dataset, Frame, flatten
 
 
@@ -233,27 +237,36 @@ def test_canonical_order_lexicographic():
 # EM updates
 
 
+def e_step(f, pts, work=None):
+    """Log responsibilities and the average log-likelihood under f."""
+    log_resp, log_mix = log_responsibilities(f.components, f.weights, pts,
+                                             work)
+    return log_resp, float(log_mix.mean())
+
+
 def test_em_full_step_never_decreases_loglik():
     rng = np.random.default_rng(4)
     for _ in range(10):
         k = int(rng.integers(2, 6))
         state = random_formation(rng, k)
         pts = rng.normal(size=(150, 2)) * 3
-        _, before = _e_step(state, pts)
+        _, before = e_step(state, pts)
         new = em_step_full(state, pts)
-        _, after = _e_step(new, pts)
+        _, after = e_step(new, pts)
         assert after >= before - 1e-8
 
 
-@pytest.mark.parametrize("step", [em_step_full, em_step_spherical])
-def test_dead_component_keeps_its_mean_and_covariance(step):
+@pytest.mark.parametrize("spherical", [False, True],
+                         ids=["em_step_full", "em_step_spherical"])
+def test_dead_component_keeps_its_mean_and_covariance(spherical):
     # no point has a responsibility for the far component that survives
     # underflow; it used to jump to the origin with a 1e-6 covariance
     pts = np.random.default_rng(1).standard_normal((500, 2))
     far = Gaussian2D(mean=np.array([700.0, 0.0]), cov=[[2.0, 0.5], [0.5, 1.0]],
                      weight=0.5)
     near = Gaussian2D(mean=np.zeros(2), cov=np.eye(2), weight=0.5)
-    out = step(Formation(components=(near, far)), pts)
+    state = Formation(components=(near, far))
+    out = _m_step(state, pts, e_step(state, pts)[0], spherical=spherical)
     assert np.array_equal(out.components[1].mean, far.mean)
     assert np.array_equal(out.components[1].cov, far.cov)
     assert out.components[1].weight < 1e-300
@@ -264,8 +277,8 @@ def test_spherical_step_gives_isotropic_covariances():
     rng = np.random.default_rng(5)
     state = random_formation(rng, 3)
     pts = rng.normal(size=(120, 2)) * 2
-    new = em_step_spherical(state, pts)
-    log_resp, _ = _e_step(state, pts)
+    log_resp, _ = e_step(state, pts)
+    new = _m_step(state, pts, log_resp, spherical=True)
     resp = np.exp(log_resp)
     counts = resp.sum(axis=0)
     means = (resp.T @ pts) / counts[:, None]
@@ -319,9 +332,9 @@ def test_em_steps_bit_identical_to_reference_in_fresh_and_work_arrays(
     pts = rng.normal(size=(500, 2)) * 3
     dens, log_resp, ll, means, moments = reference_em_step(f, pts, spherical)
     work = [np.full(a.shape, np.nan) for a in _work_arrays(500, 3)]
-    assert np.array_equal(_component_log_pdfs(f, pts), dens)
+    assert np.array_equal(component_log_pdfs(f.components, pts), dens)
     for arrays in (None, work):
-        got, got_ll = _e_step(f, pts, arrays)
+        got, got_ll = e_step(f, pts, arrays)
         assert np.array_equal(got, log_resp) and got_ll == ll
         new = _m_step(f, pts, got, spherical, arrays)
         assert np.array_equal(new.means, means)
@@ -341,10 +354,10 @@ def test_component_log_pdfs_matches_single_gaussian():
                                 cov=a @ a.T + 0.5 * np.eye(2), weight=0.25))
     f = Formation(components=tuple(comps))
     pts = rng.normal(size=(30, 2)) * 3
-    dens = _component_log_pdfs(f, pts)
+    dens = component_log_pdfs(f.components, pts)
     assert dens.shape == (30, 4)
     for j, c in enumerate(comps):
-        assert np.allclose(dens[:, j], gaussian_log_pdf(c, pts), atol=1e-12)
+        assert np.array_equal(dens[:, j], gaussian_log_pdf(c, pts))
 
 
 # the discovery loop
@@ -406,7 +419,8 @@ def test_cache_equals_direct_densities_in_caller_order():
     ds = frames_from_points(pts, per_frame=3)
     f, trace = discover_formation(ds, DiscoveryConfig(k=3, init_mode="random"))
     assert trace.cache.shape == (90, 3)
-    assert np.allclose(trace.cache, _component_log_pdfs(f, flatten(ds)),
+    assert np.allclose(trace.cache, component_log_pdfs(f.components,
+                                                       flatten(ds)),
                        atol=0, rtol=0)
 
 
@@ -426,6 +440,30 @@ def test_row_permutation_cannot_change_the_result():
     fb, tb = discover_formation(Dataset.from_frames(tuple(frames_b)), cfg)
     assert fa.to_dict() == fb.to_dict()   # bit-identical, not just close
     assert ta.logliks == tb.logliks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(3, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["player-means", "random"]),
+       st.randoms(use_true_random=False))
+def test_shuffled_frames_and_agents_give_the_same_fit(n, s, seed, init_mode,
+                                                      rnd):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(s, n, 2)) + 4 * rng.normal(size=(n, 2))
+    ids = [f"p{j}" for j in range(n)]
+    frames = [Frame(frame_id=i, positions=pts[i], agent_ids=ids)
+              for i in range(s)]
+    shuffled = []
+    for f in rnd.sample(frames, s):
+        perm = rnd.sample(range(n), n)
+        shuffled.append(Frame(frame_id=f.frame_id, positions=f.positions[perm],
+                              agent_ids=[ids[j] for j in perm]))
+    cfg = DiscoveryConfig(k=n, max_iters=30, init_mode=init_mode,
+                          seed=seed % 7)
+    fa, ta = discover_formation(Dataset.from_frames(frames), cfg)
+    fb, tb = discover_formation(Dataset.from_frames(shuffled), cfg)
+    assert fa.to_dict() == fb.to_dict()   # bit-identical, not just close
+    assert ta.rows == tb.rows
 
 
 def test_discovery_reproducible():

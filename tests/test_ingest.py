@@ -256,6 +256,19 @@ def test_uneven_agent_counts():
      '"agent_ids": ["a", "a"]}', "duplicate agent 'a' in frame 1"),
     ('{"frame_id": 99999999999999999999, "positions": [[0.0, 0.0]]}',
      "frame_id 99999999999999999999 out of range"),
+    # agent ids are JSON strings, not values printed as strings
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": [7]}',
+     "agent_ids entries must be strings, got 7"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": [null]}',
+     "agent_ids entries must be strings, got None"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": [{"k": 2}]}',
+     "agent_ids entries must be strings, got {'k': 2}"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": [true]}',
+     "agent_ids entries must be strings, got True"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "agent_ids": [["a"]]}',
+     r"agent_ids entries must be strings, got \['a'\]"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0], [1.0, 1.0]], '
+     '"agent_ids": ["a", 2.5]}', "agent_ids entries must be strings, got 2.5"),
 ])
 def test_jsonl_errors(line_text, fragment):
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
@@ -263,6 +276,16 @@ def test_jsonl_errors(line_text, fragment):
         parse_tracking(io.StringIO(good + "\n" + line_text + "\n"),
                        format="jsonl")
     assert exc.value.line == 2
+
+
+def test_jsonl_agent_ids_are_never_printed_into_strings():
+    # these used to parse to the ids '1', 'None' and "{'k': 2}"
+    line = ('{"frame_id": 0, "positions": [[0, 0], [1, 1], [2, 2]], '
+            '"agent_ids": [1, null, {"k": 2}]}')
+    with pytest.raises(ParseError, match="agent_ids entries must be "
+                       "strings, got 1") as exc:
+        parse_tracking(io.StringIO(line + "\n"), format="jsonl")
+    assert exc.value.line == 1
 
 
 @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
@@ -387,7 +410,7 @@ def test_flatten_row_order():
     ds = small_dataset()
     flat = flatten(ds)
     assert flat.shape == (4, 2)
-    s = ds.stacked()
+    s = ds.positions
     for i in range(ds.n_frames):
         for j in range(ds.n_agents):
             assert np.array_equal(flat[i * ds.n_agents + j], s[i, j])

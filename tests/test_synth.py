@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from rolealign.assignment import Assignment
 from rolealign.alignment import AlignedDataset
 from rolealign.geometry import covariance_eigenvalues
 from rolealign.synth import (
@@ -130,9 +129,9 @@ def test_sampler_deterministic():
     t = generate_formation(5, seed=73)
     a, _ = sample_dataset(t, 30, swap_rate=0.1, event_rate=0.2, seed=73)
     b, _ = sample_dataset(t, 30, swap_rate=0.1, event_rate=0.2, seed=73)
-    assert np.array_equal(a.stacked(), b.stacked())
+    assert np.array_equal(a.positions, b.positions)
     c, _ = sample_dataset(t, 30, swap_rate=0.1, event_rate=0.2, seed=74)
-    assert not np.array_equal(a.stacked(), c.stacked())
+    assert not np.array_equal(a.positions, c.positions)
 
 
 def test_sampler_metadata_passthrough():
@@ -170,12 +169,9 @@ def test_truth_validation():
 
 def predicted_from_maps(maps, k):
     """Wrap explicit per-frame role maps as an aligned result."""
-    perms = tuple(Assignment(mapping=np.asarray(m), total_cost=0.0)
-                  for m in maps)
     s = len(maps)
-    return AlignedDataset(matrix=np.zeros((s, 2 * k)), permutations=perms,
-                          frame_ids=tuple(range(s)),
-                          meta=tuple(("", "", 1) for _ in range(s)))
+    return AlignedDataset(matrix=np.zeros((s, 2 * k)), mappings=maps,
+                          frame_id=np.arange(s))
 
 
 def test_recovery_score_absorbs_global_relabel():
