@@ -2,11 +2,12 @@
 multi-agent tracking data."""
 
 from .version import __version__
-from .geometry import (Gaussian2D, bhattacharyya_distance,
+from .geometry import (Gaussian2D, NearestCenters, bhattacharyya_distance,
                        component_log_pdfs, covariance_eigenvalues,
                        differential_entropy, gaussian_log_pdf, kl_divergence,
                        log_responsibilities, mahalanobis_between_means,
-                       role_area, sample_covariance)
+                       nearest_centers, role_area, sample_covariance,
+                       sq_dist_to)
 from .assignment import (Assignment, BatchAssignment,
                          SinkhornConvergenceError, SinkhornResult,
                          assign_batch, hungarian, sinkhorn_normalize)
@@ -36,7 +37,8 @@ __all__ = [
     "Gaussian2D", "bhattacharyya_distance", "component_log_pdfs",
     "covariance_eigenvalues", "differential_entropy", "gaussian_log_pdf",
     "kl_divergence", "log_responsibilities", "mahalanobis_between_means",
-    "role_area", "sample_covariance",
+    "NearestCenters", "nearest_centers", "role_area", "sample_covariance",
+    "sq_dist_to",
     "Assignment", "BatchAssignment", "SinkhornConvergenceError",
     "SinkhornResult", "assign_batch", "hungarian", "sinkhorn_normalize",
     "Dataset", "EmptySelectionError", "Frame", "ParseError",

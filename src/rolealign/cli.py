@@ -178,6 +178,13 @@ def _certificate(frames, certified):
     return {"certified": certified, "solved": frames - certified}
 
 
+def _search_totals(sweep):
+    """Rows of a WCE sweep's nearest-center searches, and how many of them
+    the certificate left to the exact search."""
+    return {"rows": sum(r["searched"] for r in sweep),
+            "fallback": sum(r["fallback"] for r in sweep)}
+
+
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +259,10 @@ def cmd_compare(args) -> int:
         stats={"delta_avg_loglik": report["delta_avg_loglik"],
                "soft_assignment": _certificate(s, res.aligned.n_certified),
                "hard_assignment": [_certificate(s, c)
-                                   for c in hard_trace.certified]})
+                                   for c in hard_trace.certified],
+               "nearest_centers": {"aligned": _search_totals(sweep_aligned),
+                                   "identity": _search_totals(
+                                       sweep_identity)}})
     manifest.save(out / "manifest.json")
     return 0
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .alignment import Template, align_template, assign_roles
 from .discovery import DiscoveryConfig, discover_formation, kmeans
+from .geometry import NearestCenters, nearest_centers, sq_dist_to
 from .ingest import Dataset
 
 
@@ -57,18 +58,20 @@ def discriminative_score_E(r, c: ClusterSet) -> float:
     to the nearest other centroid (computed per row).  Rows equidistant from
     both contribute 0; a row sitting exactly on its centroid contributes 1.
     """
+    return _score_E(_matrix(r), c)[0]
+
+
+def _score_E(x, c: ClusterSet) -> tuple[float, NearestCenters]:
+    """The E score and the neighbor search it made."""
     if c.k < 2:
         raise ValueError("score undefined for a single cluster")
-    x = _matrix(r)
-    d = np.sqrt(((x[:, None, :] - c.centroids[None, :, :]) ** 2).sum(axis=2))
-    m = x.shape[0]
-    own = d[np.arange(m), c.labels]
-    others = d.copy()
-    others[np.arange(m), c.labels] = np.inf
-    neighbor = others.min(axis=1)
+    own = np.sqrt(sq_dist_to(x, c.centroids, c.labels))
+    near = nearest_centers(x, c.centroids, exclude=c.labels)
+    # sqrt is monotone, so this is the least distance to another centroid
+    neighbor = np.sqrt(near.sq_dist)
     safe = np.where(neighbor > 0, neighbor, 1.0)
     terms = np.where(neighbor > 0, (neighbor - own) / safe, 0.0)
-    return float(terms.mean())
+    return float(terms.mean()), near
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,7 @@ class WceResult:
 
 def within_cluster_error(r, c: ClusterSet) -> WceResult:
     x = _matrix(r)
-    own = x - c.centroids[c.labels]
-    dist = np.sqrt((own * own).sum(axis=1))
-    value = float(dist.mean())
+    value = float(np.sqrt(sq_dist_to(x, c.centroids, c.labels)).mean())
     return WceResult(value=value, per_player=value / (x.shape[1] // 2))
 
 
@@ -168,16 +169,20 @@ def flat_cluster(r, k_candidates, template: Template | None,
 
 
 def _extend_centers(x, centers, extra):
-    """Add ``extra`` centers at the points farthest from any current one."""
+    """Add ``extra`` centers at the points farthest from any current one,
+    with the nearest-center search that found the first of them (None when
+    ``extra`` is 0)."""
+    if not extra:
+        return centers, None
     centers = list(centers)
-    d = np.sqrt(((x[:, None, :] - np.stack(centers)[None]) ** 2).sum(axis=2))
-    nearest = d.min(axis=1)
+    near = nearest_centers(x, np.stack(centers))
+    nearest = np.sqrt(near.sq_dist)
     for _ in range(extra):
         far = int(np.argmax(nearest))
         centers.append(x[far])
         newd = np.sqrt(((x - x[far]) ** 2).sum(axis=1))
         nearest = np.minimum(nearest, newd)
-    return np.stack(centers)
+    return np.stack(centers), near
 
 
 def wce_sweep(r, ks) -> list:
@@ -187,7 +192,10 @@ def wce_sweep(r, ks) -> list:
     additions as its init.  If a Lloyd run lands above the plain
     init-assignment solution in (unsquared) WCE, the latter is kept, which
     guarantees the reported sequence is non-increasing in k.  Returns a list
-    of dicts with k, wce, per_player and score (E, 0.0 for k=1).
+    of dicts with k, wce, per_player and score (E, 0.0 for k=1), and the
+    ``searched`` rows of every nearest-center search made for that k
+    (``nearest_centers`` and K-means) with the ``fallback`` rows among them
+    that its certificate left to the exact search.
     """
     x = _matrix(r)
     out = []
@@ -196,30 +204,30 @@ def wce_sweep(r, ks) -> list:
         if k < 1 or k > x.shape[0]:
             continue
         if centers is None:
-            init = x.mean(axis=0, keepdims=True)
-            if k > 1:
-                init = _extend_centers(x, init, k - 1)
-        else:
-            init = _extend_centers(x, centers, k - len(centers))
-        candidates = []
-        nearest = np.sqrt(((x[:, None, :] - init[None]) ** 2).sum(axis=2))
-        labels0 = nearest.argmin(axis=1)
-        candidates.append((init, labels0))
+            centers = x.mean(axis=0, keepdims=True)
+        init, near_init = _extend_centers(x, centers, k - len(centers))
+        near = nearest_centers(x, init)
         km = kmeans(x, init, tol=1e-6)
-        candidates.append((km.centers, km.labels))
+        # the argmin of the squared distances can differ from that of the
+        # distances only where two of them share a square root, which
+        # leaves the row's distance, and so the WCE, unchanged
+        candidates = [(init, near.labels), (km.centers, km.labels)]
 
         def unsquared(cent, lab):
-            diff = x - cent[lab]
-            return float(np.sqrt((diff * diff).sum(axis=1)).mean())
+            return float(np.sqrt(sq_dist_to(x, cent, lab)).mean())
 
         cent, lab = min(candidates, key=lambda cl: unsquared(*cl))
         wce = unsquared(cent, lab)
-        score = 0.0
+        score, near_score = 0.0, None
         if k >= 2 and len(np.unique(lab)) == k:
             helper = ClusterSet(k=k, centroids=cent, labels=lab)
-            score = discriminative_score_E(x, helper)
+            score, near_score = _score_E(x, helper)
+        searches = [s for s in (near_init, near, near_score) if s is not None]
         out.append({"k": k, "wce": wce, "per_player": wce / (x.shape[1] // 2),
-                    "score": score})
+                    "score": score,
+                    "searched": km.searched + len(x) * len(searches),
+                    "fallback": km.fallback + sum(s.fallback
+                                                  for s in searches)})
         centers = cent
     return out
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Gaussian2D, component_log_pdfs, covariance_eigenvalues,
-                       log_responsibilities, sample_covariance)
+                       log_responsibilities, nearest_centers,
+                       sample_covariance)
 from .ingest import Dataset, flatten
 
 FULL_GMM = "FullGMM"
@@ -210,6 +211,8 @@ class KMeansResult:
     centers: np.ndarray
     labels: np.ndarray
     inertia: tuple   # per-iteration sum of squared distances
+    searched: int = 0   # rows given to ``nearest_centers`` (D > 2 only)
+    fallback: int = 0   # of those, rows its certificate left to exact search
 
     @property
     def n_iterations(self):
@@ -225,7 +228,8 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     non-increasing: the empty center served no points, so moving it is free.
     The point is never taken from a cluster whose only member it is, which
     would leave that cluster empty.  2-D distances are computed in the
-    first two (P, K) arrays of ``work`` if given, else in two fresh ones.
+    first two (P, K) arrays of ``work`` if given, else in two fresh ones;
+    higher-dimensional points go through ``nearest_centers``.
     """
     pts = np.asarray(points, dtype=float)
     centers = np.array(init, dtype=float)
@@ -234,6 +238,7 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         raise ValueError(f"k={k} exceeds point count {pts.shape[0]}")
     inertia = []
     labels = None
+    searched = fallback = 0
     rows = np.arange(len(pts))
     if pts.shape[1] == 2:
         # (P, K) arrays reused by every iteration
@@ -241,27 +246,30 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     for _ in range(max_iters):
         if pts.shape[1] == 2:
             # column by column: the same two additions as the reduction
-            # below, without its (P, K, 2) temporary
+            # ((pts[:, None] - centers) ** 2).sum(axis=2), without its
+            # (P, K, 2) temporary
             np.square(np.subtract(pts[:, None, 0], centers[None, :, 0],
                                   out=d2), out=d2)
             np.square(np.subtract(pts[:, None, 1], centers[None, :, 1],
                                   out=dy2), out=dy2)
             d2 += dy2
+            labels = d2.argmin(axis=1)
+            own = d2[rows, labels]
         else:
-            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
+            labels, own, missed = nearest_centers(pts, centers)
+            searched += len(pts)
+            fallback += missed
         counts = np.bincount(labels, minlength=k)
         for empty in range(k):
             if counts[empty]:
                 continue
-            far = int(np.argmax(np.where(counts[labels] > 1, d2[rows, labels],
-                                         -np.inf)))
+            far = int(np.argmax(np.where(counts[labels] > 1, own, -np.inf)))
             centers[empty] = pts[far]
             counts[labels[far]] -= 1
             counts[empty] = 1
             labels[far] = empty
-            d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
-        inertia.append(float(d2[rows, labels].sum()))
+            own[far] = 0.0   # it now sits on its center
+        inertia.append(float(own.sum()))
         # per-column bincount adds each cluster's points in row order, as
         # pts[labels == j].sum(axis=0) does, so the means are unchanged
         sums = np.stack([np.bincount(labels, weights=pts[:, c], minlength=k)
@@ -271,7 +279,8 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         centers = new_centers
         if movement < tol:
             break
-    return KMeansResult(centers=centers, labels=labels, inertia=tuple(inertia))
+    return KMeansResult(centers=centers, labels=labels, inertia=tuple(inertia),
+                        searched=searched, fallback=fallback)
 
 
 def _formation_from_clusters(pts, centers, labels):

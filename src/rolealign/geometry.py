@@ -8,12 +8,21 @@ This module is the only place that evaluates a Gaussian density:
 ``component_log_pdfs`` is the one kernel behind EM, role assignment, the
 hard baseline and ``gaussian_log_pdf``, and ``log_responsibilities`` the
 one mixture log-sum-exp.
+
+It also holds the one nearest-center search of the clustering layer,
+``nearest_centers``: labels from the Gram form |x|^2 + |c|^2 - 2 x.c (one
+matrix product), accepted for a row only when its runner-up is farther by
+more than a rounding-error bound derived from Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 3.1.  Rows that miss the bound
+fall back to the exact difference-of-squares search, so the labels and
+distances are those of the (P, k, D) broadcast, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,3 +234,88 @@ def role_area(g: Gaussian2D, convention: str = "inverse") -> float:
     if convention == "ellipse":
         return math.pi * root
     raise ValueError(f"unknown area convention: {convention!r}")
+
+
+def sq_dist_to(x: np.ndarray, centers: np.ndarray, labels) -> np.ndarray:
+    """Squared distance of each row of ``x`` to ``centers[labels]``.
+
+    The bits of ``((x - centers[labels]) ** 2).sum(axis=1)``, evaluated in
+    one (P, D) temporary instead of three fresh ones.
+    """
+    diff = np.asarray(centers, dtype=float)[labels]
+    np.subtract(x, diff, out=diff)
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
+
+
+class NearestCenters(NamedTuple):
+    labels: np.ndarray    # (P,) index of each row's nearest center
+    sq_dist: np.ndarray   # (P,) squared distance to that center
+    fallback: int         # rows that needed the exact search
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff 2^-53."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1.0 - nu)
+
+
+def nearest_centers(x: np.ndarray, centers: np.ndarray,
+                    exclude=None) -> NearestCenters:
+    """Nearest of ``centers`` (k, D) to every row of ``x`` (P, D).
+
+    The labels and squared distances are bit for bit those of the exact
+    search ``d2 = ((x[:, None] - centers) ** 2).sum(axis=2)``: the first
+    argmin of each row and ``d2`` at it.  ``exclude``, a (P,) index array,
+    masks one center per row (its own cluster, for a neighbor distance).
+    ``fallback`` counts the rows the certificate below could not settle.
+    """
+    x = np.asarray(x, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    if len(centers) - (exclude is not None) < 1:
+        raise ValueError("no candidate center")
+    # Gram form without the row constant, g_j = |c_j|^2 - 2 x.c_j, laid out
+    # (k, P) so that the reductions over centers run along whole rows
+    gram = centers @ x.T
+    gram *= -2.0
+    sq_centers = (centers * centers).sum(axis=1)
+    gram += sq_centers[:, None]
+    if exclude is not None:
+        gram[exclude, np.arange(len(x))] = np.inf
+    best = gram.min(axis=0)
+    is_best = gram == best
+    labels = is_best.argmax(axis=0)      # the first of the best
+    unique = is_best.sum(axis=0) == 1
+    gram[is_best] = np.inf
+    gap = gram.min(axis=0) - best        # inf without a runner-up
+    # Certificate.  By Higham section 3.1 a D-term dot product computed in
+    # any order (with or without fused multiply-adds) is within
+    # gamma_D |x|.|c| of the exact one.  Let d_j = |x - c_j|^2 = |x|^2 + h_j
+    # with h_j = |c_j|^2 - 2 x.c_j, and S = (|x| + max_j |c_j|)^2, which
+    # bounds every d_j and every |c_j|^2 + 2 |x| |c_j|.
+    # - Gram form: g_j above is within gamma_{D+1} S of h_j (gamma_D from
+    #   the two dot products, one more rounding from the subtraction).
+    # - Difference-of-squares form: each term fl(fl(x_i - c_i)^2) carries
+    #   three roundings and numpy's sum of D terms D - 1 more, in any order,
+    #   so the computed d2_j is within gamma_{D+2} d_j <= gamma_{D+2} S.
+    # Hence, with a the unique best and b the runner-up of g, g_b - g_a >
+    # 4 gamma_{D+2} S (so for every b != a) gives d2_b > d2_a: the exact
+    # search's argmin is a, uniquely.
+    # Since S <= 2 (|x|^2 + max |c_j|^2), the test below uses
+    # 8 gamma_{D+3} (|x|^2 + max |c_j|^2): the ratio gamma_{D+3} / gamma_{D+2}
+    # > 1 + 1 / (D + 2) covers the few roundings of evaluating the bound and
+    # the gap themselves.  ``tiny`` (2^-1022) covers gradual underflow,
+    # which adds an absolute error of at most 2^-1075 per product or square.
+    # Overflow makes the bound inf and NaN fails every comparison, so rows
+    # with non-finite values, or beside non-finite centers, take the exact
+    # search.
+    dim = x.shape[1]
+    scale = np.einsum("ij,ij->i", x, x) + sq_centers.max()
+    bound = 8.0 * _gamma(dim + 3) * scale + np.finfo(float).tiny
+    bad = np.flatnonzero(~((gap > bound) & unique))
+    if len(bad):
+        exact = ((x[bad, None] - centers) ** 2).sum(axis=2)
+        if exclude is not None:
+            exact[np.arange(len(bad)), exclude[bad]] = np.inf
+        labels[bad] = exact.argmin(axis=1)
+    return NearestCenters(labels, sq_dist_to(x, centers, labels), len(bad))

@@ -69,7 +69,11 @@ class Frame:
             raise ValueError(f"positions must be (N, 2), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError(f"frame {self.frame_id}: non-finite position")
-        ids = tuple(str(a) for a in self.agent_ids)
+        for agent in self.agent_ids:
+            if not isinstance(agent, str):
+                raise ValueError(f"frame {self.frame_id}: agent ids must be "
+                                 f"strings, got {agent!r}")
+        ids = tuple(map(str, self.agent_ids))   # plain str, not np.str_
         if len(ids) != pos.shape[0]:
             raise ValueError(f"frame {self.frame_id}: {len(ids)} agent ids "
                              f"for {pos.shape[0]} positions")

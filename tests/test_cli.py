@@ -196,6 +196,12 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     assert len(hard) == len(hard_lines) - 1
     assert all(p["certified"] + p["solved"] == 80 for p in hard)
     assert "certified" not in json.dumps(report)
+    # per WCE sweep: rows of its nearest-center searches, and those the
+    # Gram-form certificate left to the exact search
+    for side in ("aligned", "identity"):
+        near = manifest["stats"]["nearest_centers"][side]
+        assert near["rows"] > 0 and 0 <= near["fallback"] <= near["rows"]
+    assert "fallback" not in json.dumps(report)
 
 
 # bench

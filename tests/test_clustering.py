@@ -17,8 +17,8 @@ from rolealign.clustering import (
     within_cluster_error,
 )
 from rolealign.alignment import Template
-from rolealign.discovery import DiscoveryConfig
-from rolealign.geometry import Gaussian2D
+from rolealign.discovery import DiscoveryConfig, kmeans
+from rolealign.geometry import Gaussian2D, nearest_centers
 from rolealign.ingest import center_normalize, concat_datasets
 from rolealign.synth import generate_formation, sample_dataset
 
@@ -290,3 +290,177 @@ def test_tree_min_node_blocks_splits(mixed_formations):
                                          k_candidates=(2, 3)),
                       cfg=DiscoveryConfig(k=4))
     assert tree.depth == 1
+
+
+# nearest-center searches, against the (P, k, D) broadcasts they replaced
+
+
+def reference_kmeans(pts, init, tol=1e-6, max_iters=1000):
+    """kmeans as it was with one broadcast distance tensor per iteration."""
+    centers = np.array(init, dtype=float)
+    k = centers.shape[0]
+    rows = np.arange(len(pts))
+    inertia = []
+    for _ in range(max_iters):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        for empty in range(k):
+            if counts[empty]:
+                continue
+            far = int(np.argmax(np.where(counts[labels] > 1, d2[rows, labels],
+                                         -np.inf)))
+            centers[empty] = pts[far]
+            counts[labels[far]] -= 1
+            counts[empty] = 1
+            labels[far] = empty
+            d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
+        inertia.append(float(d2[rows, labels].sum()))
+        sums = np.stack([np.bincount(labels, weights=pts[:, c], minlength=k)
+                         for c in range(pts.shape[1])], axis=1)
+        new_centers = sums / counts[:, None]
+        movement = float(np.sqrt(((new_centers - centers) ** 2)
+                                 .sum(axis=1)).max())
+        centers = new_centers
+        if movement < tol:
+            break
+    return centers, labels, tuple(inertia)
+
+
+def reference_score_E(x, c):
+    d = np.sqrt(((x[:, None, :] - c.centroids[None, :, :]) ** 2).sum(axis=2))
+    m = x.shape[0]
+    own = d[np.arange(m), c.labels]
+    others = d.copy()
+    others[np.arange(m), c.labels] = np.inf
+    neighbor = others.min(axis=1)
+    safe = np.where(neighbor > 0, neighbor, 1.0)
+    terms = np.where(neighbor > 0, (neighbor - own) / safe, 0.0)
+    return float(terms.mean())
+
+
+def reference_wce_sweep(x, ks):
+    def extend(centers, extra):
+        centers = list(centers)
+        d = np.sqrt(((x[:, None, :] - np.stack(centers)[None]) ** 2)
+                    .sum(axis=2))
+        nearest = d.min(axis=1)
+        for _ in range(extra):
+            far = int(np.argmax(nearest))
+            centers.append(x[far])
+            newd = np.sqrt(((x - x[far]) ** 2).sum(axis=1))
+            nearest = np.minimum(nearest, newd)
+        return np.stack(centers)
+
+    def unsquared(cent, lab):
+        diff = x - cent[lab]
+        return float(np.sqrt((diff * diff).sum(axis=1)).mean())
+
+    out, centers = [], None
+    for k in sorted(set(int(k) for k in ks)):
+        if k < 1 or k > x.shape[0]:
+            continue
+        if centers is None:
+            init = x.mean(axis=0, keepdims=True)
+            if k > 1:
+                init = extend(init, k - 1)
+        else:
+            init = extend(centers, k - len(centers))
+        nearest = np.sqrt(((x[:, None, :] - init[None]) ** 2).sum(axis=2))
+        cands = [(init, nearest.argmin(axis=1))]
+        cent, lab, _ = reference_kmeans(x, init)
+        cands.append((cent, lab))
+        cent, lab = min(cands, key=lambda cl: unsquared(*cl))
+        wce = unsquared(cent, lab)
+        score = 0.0
+        if k >= 2 and len(np.unique(lab)) == k:
+            score = reference_score_E(
+                x, ClusterSet(k=k, centroids=cent, labels=lab))
+        out.append({"k": k, "wce": wce, "per_player": wce / (x.shape[1] // 2),
+                    "score": score})
+        centers = cent
+    return out
+
+
+def _rows(case):
+    rng = np.random.default_rng(71)
+    blobs = rng.normal(0.0, 5.0, (12, 44))
+    x = blobs[rng.integers(0, 12, 900)] + rng.normal(size=(900, 44))
+    if case == "offset":       # every search falls back at 1e6
+        return 1e6 + 1e-2 * x
+    if case == "duplicates":   # repeated rows make exact ties
+        return np.repeat(x[:150], 6, axis=0)
+    return x
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "offset"])
+def test_kmeans_44d_bit_identical_to_broadcast(case):
+    x = _rows(case)
+    rng = np.random.default_rng(72)
+    init = x[rng.choice(len(x), 10, replace=False)]
+    km = kmeans(x, init)
+    centers, labels, inertia = reference_kmeans(x, init)
+    assert km.n_iterations > 1
+    assert np.array_equal(km.centers, centers)
+    assert np.array_equal(km.labels, labels)
+    assert km.inertia == inertia
+    assert km.searched == len(x) * km.n_iterations
+    assert (km.fallback == km.searched) if case == "offset" else \
+        (km.fallback < km.searched)
+
+
+def test_kmeans_44d_empty_cluster_reseed_bit_identical():
+    x = _rows("random")
+    init = np.concatenate([x[:4], x[:2], np.full((1, 44), 1e4),
+                           np.full((1, 44), -1e4)])
+    km = kmeans(x, init)
+    centers, labels, inertia = reference_kmeans(x, init)
+    # the duplicated and far-off centers start empty and are reseeded
+    assert np.bincount(nearest_centers(x, init).labels, minlength=8)[4:].sum() \
+        == 0
+    assert np.array_equal(km.centers, centers)
+    assert np.array_equal(km.labels, labels)
+    assert km.inertia == inertia
+    assert np.all(np.diff(km.inertia) <= 0.0)
+    assert km.fallback > 0     # the duplicated centers tie exactly
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "offset"])
+def test_score_E_bit_identical_to_broadcast(case):
+    x = _rows(case)
+    km = kmeans(x, x[:: len(x) // 6][:6])
+    cs = ClusterSet(k=6, centroids=km.centers, labels=km.labels)
+    assert discriminative_score_E(x, cs) == reference_score_E(x, cs)
+    # labels that are not the nearest centroid, and duplicated centroids
+    lab = np.arange(len(x)) % 6
+    cents = np.stack([x[lab == j].mean(axis=0) for j in range(6)])
+    cents[4] = cents[2]
+    cs = ClusterSet(k=6, centroids=cents, labels=lab)
+    assert discriminative_score_E(x, cs) == reference_score_E(x, cs)
+
+
+def test_score_E_near_ties_bit_identical_to_broadcast():
+    # each row one ulp off the bisector of its two nearest other centroids
+    from test_geometry import _one_ulp_ties
+    x, pair = _one_ulp_ties()
+    cents = np.concatenate([pair, [x.mean(axis=0)]])
+    lab = np.full(len(x), 2)
+    lab[:2] = [0, 1]
+    cs = ClusterSet(k=3, centroids=cents, labels=lab)
+    assert discriminative_score_E(x, cs) == reference_score_E(x, cs)
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "offset"])
+def test_wce_sweep_bit_identical_to_broadcast(case):
+    x = _rows(case)
+    out = wce_sweep(x, range(1, 13))
+    ref = reference_wce_sweep(x, range(1, 13))
+    assert [{key: o[key] for key in ref[0]} for o in out] == ref
+    for o in out:
+        assert 0 <= o["fallback"] <= o["searched"]
+    fallback = sum(o["fallback"] for o in out)
+    searched = sum(o["searched"] for o in out)
+    if case == "offset":   # all but the searches with no runner-up
+        assert fallback > 0.9 * searched
+    elif case == "random":
+        assert fallback == 0

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolealign import (Gaussian2D, bhattacharyya_distance,
                        covariance_eigenvalues, differential_entropy,
                        gaussian_log_pdf, kl_divergence,
-                       mahalanobis_between_means, role_area)
+                       mahalanobis_between_means, nearest_centers,
+                       role_area, sq_dist_to)
 
 LOG_2PI = 1.8378770664093453
 
@@ -238,3 +241,145 @@ def test_serialization_round_trip_exact():
         assert np.array_equal(back.mean, g.mean)
         assert np.array_equal(back.cov, g.cov)
         assert back.weight == g.weight
+
+
+# ---------------------------------------------------------- nearest centers
+
+
+def reference_nearest(x, centers, exclude=None):
+    """The (P, k, D) broadcast search nearest_centers must match bit for
+    bit: the first argmin per row and the broadcast's entry there."""
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    rows = np.arange(len(x))
+    if exclude is not None:
+        d2[rows, exclude] = np.inf
+    labels = d2.argmin(axis=1)
+    return labels, d2[rows, labels]
+
+
+def assert_matches_reference(x, centers, exclude=None):
+    near = nearest_centers(x, centers, exclude)
+    labels, d2 = reference_nearest(x, centers, exclude)
+    assert np.array_equal(near.labels, labels)
+    assert np.array_equal(near.sq_dist, d2, equal_nan=True)
+    return near
+
+
+def test_nearest_centers_random_rows_are_certified():
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 5.0, (600, 44))
+    centers = x[rng.choice(600, 12, replace=False)] + rng.normal(size=(12, 44))
+    near = assert_matches_reference(x, centers)
+    assert near.fallback == 0
+    own = np.array([1, 3] * 300)
+    assert assert_matches_reference(x, centers, exclude=own).fallback == 0
+
+
+def test_nearest_centers_duplicate_centers_first_index_wins():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(300, 44))
+    centers = rng.normal(size=(5, 44))
+    centers[3] = centers[1]          # exact ties between 1 and 3
+    near = assert_matches_reference(x, centers)
+    assert not np.any(near.labels == 3)
+    tied = np.sum(near.labels == 1)
+    assert tied > 0 and near.fallback == tied
+
+
+def _one_ulp_ties(dim=44, n=4000, seed=7):
+    """Two random centers and rows on (a few ulp off) their bisecting
+    hyperplane, kept where the two squared distances are computed exactly
+    one ulp apart.  In general position the Gram form is off by far more
+    than an ulp, so only the exact search can order such rows."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(2, dim))
+    normal = centers[1] - centers[0]
+    v = rng.normal(size=(n, dim))
+    v -= np.outer(v @ normal, normal) / (normal @ normal)
+    x = 0.5 * (centers[0] + centers[1]) + v
+    x += np.outer(rng.integers(-8, 9, n) * 2.0 ** -50, normal)
+    d2 = ((x[:, None, :] - centers[None]) ** 2).sum(axis=2)
+    one_ulp = np.abs(d2[:, 0] - d2[:, 1]) == np.spacing(d2.min(axis=1))
+    return x[one_ulp], centers
+
+
+def test_nearest_centers_one_ulp_near_ties_take_the_exact_search():
+    x, centers = _one_ulp_ties()
+    assert len(x) > 100
+    labels, _ = reference_nearest(x, centers)
+    assert 0 < labels.sum() < len(x)    # both sides of the tie occur
+    near = assert_matches_reference(x, centers)
+    assert near.fallback == len(x)
+
+
+def test_nearest_centers_large_offsets_fall_back_and_count():
+    # at 1e6 the Gram form's cancellation error dwarfs the gaps between
+    # distances of size 1e-4, so no row is certified
+    rng = np.random.default_rng(8)
+    x = 1e6 + rng.normal(0.0, 0.01, (400, 44))
+    centers = 1e6 + rng.normal(0.0, 0.01, (6, 44))
+    near = assert_matches_reference(x, centers)
+    assert near.fallback == len(x)
+    assert assert_matches_reference(x, centers,
+                                    exclude=near.labels).fallback == len(x)
+
+
+def test_nearest_centers_without_a_runner_up_accepts_every_row():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(50, 44))
+    one = assert_matches_reference(x, rng.normal(size=(1, 44)))
+    assert one.fallback == 0 and not one.labels.any()
+    two = rng.normal(size=(2, 44))
+    own = rng.integers(0, 2, 50)
+    other = assert_matches_reference(x, two, exclude=own)
+    assert other.fallback == 0
+    assert np.array_equal(other.labels, 1 - own)
+    with pytest.raises(ValueError, match="no candidate center"):
+        nearest_centers(x, two[:1], exclude=np.zeros(50, dtype=int))
+
+
+def test_nearest_centers_non_finite_rows_take_the_exact_search():
+    x = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                  [1e200, 0.0, 0.0]])
+    centers = np.array([[1.0, 0.0, 0.0], [-1.0, 0.5, 0.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = assert_matches_reference(x, centers)
+        assert near.fallback == 3
+        centers[1, 2] = np.inf     # every row beside an infinite center
+        assert assert_matches_reference(x, centers).fallback == 4
+
+
+def test_sq_dist_to_matches_the_broadcast_entry():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(200, 44))
+    centers = rng.normal(size=(7, 44))
+    labels = rng.integers(0, 7, 200)
+    assert np.array_equal(sq_dist_to(x, centers, labels),
+                          ((x - centers[labels]) ** 2).sum(axis=1))
+
+
+@st.composite
+def _search_case(draw):
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 8))
+    grid = draw(st.booleans())       # small integers make exact ties
+    values = (st.integers(-3, 3).map(float) if grid else
+              st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    x = np.array(draw(st.lists(values, min_size=p * dim, max_size=p * dim))
+                 ).reshape(p, dim)
+    centers = np.array(draw(st.lists(values, min_size=k * dim,
+                                     max_size=k * dim))).reshape(k, dim)
+    exclude = None
+    if k > 1 and draw(st.booleans()):
+        exclude = np.array(draw(st.lists(st.integers(0, k - 1), min_size=p,
+                                         max_size=p)))
+    return x, centers, exclude
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_case())
+def test_nearest_centers_equals_broadcast_search_property(case):
+    x, centers, exclude = case
+    near = assert_matches_reference(x, centers, exclude)
+    assert 0 <= near.fallback <= len(x)

@@ -456,9 +456,25 @@ def test_frame_validation():
 
 
 def test_frame_positions_frozen():
-    f = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=(1,))
+    f = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("1",))
     assert not f.positions.flags.writeable
-    assert f.agent_ids == ("1",)  # ids coerced to strings
+    assert f.agent_ids == ("1",)
+
+
+@pytest.mark.parametrize("bad", [1, None, 2.5, b"a", ("a",)])
+def test_frame_rejects_non_string_agent_ids(bad):
+    with pytest.raises(ValueError, match="frame 0: agent ids must be strings"):
+        Frame(frame_id=0, positions=[[0.0, 0.0], [1.0, 1.0]],
+              agent_ids=["a", bad])
+
+
+def test_frame_agent_ids_are_never_printed_into_strings():
+    # the mixed ids that used to become the table ('1', 'None')
+    with pytest.raises(ValueError, match="got 1"):
+        Dataset.from_frames([Frame(frame_id=0, positions=[[0, 0], [1, 1]],
+                                   agent_ids=[1, None])])
+    f = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=np.array(["a"]))
+    assert type(f.agent_ids[0]) is str
 
 
 def test_dataset_validation():
