@@ -12,6 +12,17 @@ object per line).  Both parsers check and convert whole columns; only when a
 column check fails does a line-by-line scan run, to name the first bad line.
 Parsing is canonical: agents within a frame are ordered by agent_id, frames
 by frame_id, so any row order on disk yields the same Dataset.
+
+CSV text is tokenized one of two ways, chosen from the text alone.  Text
+without a double quote or a CR is split with ``str.split``: every
+"\n"-separated line is one record, and its fields are the line split at
+commas, which is exactly what csv.reader reads there.  Text with a quote or
+a CR goes through csv.reader, the one tokenizer for quoted fields.  Both
+hand the same per-chunk columns to the same conversions and checks, so
+values and messages do not depend on the tokenizer.  Line numbers count
+physical lines (a record's first one).  A field longer than
+``csv.field_size_limit()`` and a CR that does not end a line raise a
+ParseError naming the line, as does a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ RIGHT_TO_LEFT = "RL"
 CSV_COLUMNS = ("frame_id", "agent_id", "x", "y", "is_event",
                "attack_direction", "team", "game", "period")
 
-# records converted at a time (CSV rows, JSONL lines of about ten agents):
-# the parsers never hold every record's Python objects at once
+# records converted at a time (CSV lines or records, JSONL lines of about
+# ten agents): the parsers never hold every record's Python objects at once
 CSV_CHUNK_ROWS = 1 << 14
 JSONL_CHUNK_LINES = 1 << 11
 
@@ -243,13 +254,21 @@ class Dataset:
 
 
 def _read_text(source):
+    """The text of a path or file-like source; bytes are decoded as UTF-8,
+    and a byte that does not decode raises a ParseError naming its line."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, str):
         return data
-    with open(source, "rb") as fh:
-        return fh.read().decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})",
+                         data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _chunks(records, first_line, keep, size):
@@ -314,46 +333,169 @@ def _check_csv_row(line, rec):
     _check_int(period_s, "period", line)
 
 
-def _csv_rows(recs, lines):
-    """Row columns of one chunk of non-blank CSV records."""
-    if set(map(len, recs)) != {len(CSV_COLUMNS)}:
-        _scan(_check_csv_row, recs, lines)
-    fid_s, aid, x_s, y_s, ev_s, direction, team, game, period_s = zip(*recs)
-    n = len(recs)
+def _per_string(values, convert, dtype):
+    """``convert`` of every value, called once per distinct string (for the
+    frame-level columns, which repeat one string on every agent's row)."""
+    table, codes = _codes(values)
+    return np.fromiter(map(convert, table), dtype, len(table))[codes]
+
+
+def _csv_rows(cols, lines):
+    """Row columns of one chunk of non-blank CSV records, given as its nine
+    columns of field strings (either tokenizer's) and physical lines."""
+    fid_s, aid, x_s, y_s, ev_s, direction, team, game, period_s = cols
+    n = len(lines)
     try:
-        rows = {"line": lines, "frame_id": np.fromiter(map(int, fid_s),
-                                                       np.int64, n),
+        rows = {"line": lines, "frame_id": _per_string(fid_s, int, np.int64),
                 "xy": np.stack([np.fromiter(map(float, x_s), float, n),
                                 np.fromiter(map(float, y_s), float, n)], 1),
-                "period": np.fromiter(map(int, period_s), np.int64, n)}
-    except (ValueError, OverflowError):
+                "is_event": _per_string(
+                    ev_s, {"0": False, "1": True}.__getitem__, bool),
+                "right_to_left": _per_string(
+                    direction, {LEFT_TO_RIGHT: False,
+                                RIGHT_TO_LEFT: True}.__getitem__, bool),
+                "period": _per_string(period_s, int, np.int64)}
+    except (ValueError, OverflowError, KeyError):
         rows = None
-    if rows is None or not (np.isfinite(rows["xy"]).all()
-                            and set(ev_s) <= {"0", "1"}
-                            and set(direction) <= {LEFT_TO_RIGHT,
-                                                   RIGHT_TO_LEFT}):
-        _scan(_check_csv_row, recs, lines)
-    rows.update(agent=_codes(aid), is_event=np.array(ev_s) == "1",
-                right_to_left=np.array(direction) == RIGHT_TO_LEFT,
-                team=np.array(team, dtype=object),
+    if rows is None or not np.isfinite(rows["xy"]).all():
+        _scan(_check_csv_row, zip(*cols), lines)
+    rows.update(agent=_codes(aid), team=np.array(team, dtype=object),
                 game=np.array(game, dtype=object))
     return rows
 
 
-def _parse_csv(text):
+def _long_field(line):
+    return ParseError(f"a field is longer than the CSV field limit of "
+                      f"{csv.field_size_limit()} characters", line)
+
+
+def _text_lines(text, start, size):
+    """Lists of ``size`` lines (the last may be shorter) of ``text[start:]``,
+    without their "\\n".  The text is split one block of about 64 * size
+    characters at a time, so no list of every line is built."""
+    pending = []
+    while start < len(text):
+        end = text.find("\n", start + 64 * size) + 1 or len(text)
+        block = text[start:end]
+        pending += block.split("\n")
+        if block.endswith("\n"):
+            pending.pop()
+        start = end
+        while len(pending) >= size or (pending and start == len(text)):
+            yield pending[:size]
+            del pending[:size]
+
+
+def _drop_blank(recs, lines):
+    """The non-blank records of a chunk and their lines; a blank line (read
+    as "" or []) counts a line but holds no record."""
+    from itertools import compress
+
+    if all(recs):
+        return recs, lines
+    kept = np.fromiter(map(bool, recs), bool, len(recs))
+    return list(compress(recs, kept)), lines[kept]
+
+
+def _split_tokens(text, size):
+    """The CSV tokenizer for text without a quote or CR: each "\\n"-separated
+    line is one record and its fields are ``line.split(",")``, as csv.reader
+    would read them.  Yields the header record, then the (columns, lines)
+    of each chunk of up to ``size`` lines; a field over the csv module's
+    field limit raises once the lines before it have been yielded."""
+    from itertools import repeat
+
+    limit = csv.field_size_limit()
+
+    def too_long(rec):   # only a line over the limit can hold such a field
+        return len(rec) > limit and max(map(len, rec.split(","))) > limit
+
+    end = text.find("\n")
+    header = text if end < 0 else text[:end]
+    if too_long(header):
+        raise _long_field(1)
+    yield header.split(",") if header else []
+    line = 2
+    for chunk in _text_lines(text, len(header) + 1, size):
+        first, fault = line, None
+        line += len(chunk)
+        if max(map(len, chunk)) > limit:
+            bad = next((j for j, rec in enumerate(chunk) if too_long(rec)),
+                       None)
+            if bad is not None:
+                chunk, fault = chunk[:bad], _long_field(first + bad)
+        chunk, lines = _drop_blank(chunk,
+                                   np.arange(first, first + len(chunk)))
+        if chunk:
+            if set(map(str.count, chunk, repeat(","))) != \
+                    {len(CSV_COLUMNS) - 1}:
+                _scan(_check_csv_row, [r.split(",") for r in chunk], lines)
+            fields = ",".join(chunk).split(",")
+            yield [fields[i::len(CSV_COLUMNS)]
+                   for i in range(len(CSV_COLUMNS))], lines
+        if fault:
+            raise fault
+
+
+def _reader_tokens(text, size):
+    """The CSV tokenizer for text with a quote or CR: csv.reader, whose
+    quoted fields may hold commas, doubled quotes and newlines.  Yields
+    what ``_split_tokens`` yields, for up to ``size`` records at a time; a
+    record's line is its first physical line.  A csv.reader error raises
+    a ParseError once the records before it have been yielded."""
+    from itertools import islice, repeat
+
+    def fault(exc):
+        # with the default dialect, the only other error is a CR that is
+        # not followed by LF outside quotes
+        if "field limit" in str(exc):
+            return _long_field(reader.line_num)
+        return ParseError("carriage return inside an unquoted field; lines "
+                          "must end in LF or CRLF", reader.line_num)
+
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input", 1) from None
+        yield next(reader, [])   # the header
+    except csv.Error as exc:
+        raise fault(exc) from None
+    error = None
+    while error is None:
+        first, recs = reader.line_num + 1, []
+        try:
+            recs.extend(islice(reader, size))
+        except csv.Error as exc:   # the records read before it stay
+            error = fault(exc)
+        if not recs:
+            break
+        lines = np.arange(first, first + len(recs))
+        if lines[-1] != reader.line_num:
+            # a record spans one more line per newline in its quoted fields
+            spans = np.fromiter(map(str.count, map("".join, recs),
+                                    repeat("\n")), np.intp, len(recs))
+            lines[1:] += np.cumsum(spans[:-1])
+        recs, lines = _drop_blank(recs, lines)
+        if recs:
+            if set(map(len, recs)) != {len(CSV_COLUMNS)}:
+                _scan(_check_csv_row, recs, lines)
+            yield list(zip(*recs)), lines
+    if error:
+        raise error
+
+
+def _parse_csv(text):
+    if not text:
+        raise ParseError("empty input", 1)
+    tokenize = _reader_tokens if '"' in text or "\r" in text \
+        else _split_tokens
+    tokens = tokenize(text, CSV_CHUNK_ROWS)
+    header = next(tokens)
     if tuple(header) != CSV_COLUMNS:
         missing = set(CSV_COLUMNS) - set(header)
         detail = f"missing columns {sorted(missing)}" if missing else \
             f"got {header!r}"
         raise ParseError(f"header must be exactly "
                          f"{','.join(CSV_COLUMNS)}; {detail}", 1)
-    chunks = [_csv_rows(recs, lines)
-              for recs, lines in _chunks(reader, 2, len, CSV_CHUNK_ROWS)]
+    chunks = [_csv_rows(cols, lines) for cols, lines in tokens]
     if not chunks:
         raise ParseError("no data rows")
     return _group_rows(_merge_chunks(chunks))

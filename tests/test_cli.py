@@ -129,6 +129,28 @@ def test_malformed_jsonl_is_an_input_error(tmp_path, capsys, bad):
     assert "error: line 2:" in capsys.readouterr().err
 
 
+CSV_HEADER = b"frame_id,agent_id,x,y,is_event,attack_direction,team,game,period"
+CSV_ROW = b"0,a,1.0,2.0,0,LR,,,1"
+
+
+# a CR-only file, a field over the csv field limit, a Latin-1 byte: each
+# used to escape as a csv.Error or a bare decode error
+@pytest.mark.parametrize("data,where", [
+    (b"\r".join([CSV_HEADER, CSV_ROW, CSV_ROW]) + b"\r", "line 1:"),
+    (b"\n".join([CSV_HEADER, CSV_ROW, b"0,b,1.0,2.0,0,LR,"
+                 + b"t" * 131073 + b",,1"]) + b"\n", "line 3:"),
+    (b"\n".join([CSV_HEADER, CSV_ROW, b"0,b,1.0,2.0,0,LR,M\xfcnchen,,1"]),
+     "line 3: byte 0xfc is not UTF-8"),
+])
+def test_malformed_csv_is_an_input_error(tmp_path, capsys, data, where):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code = run(["discover", "--input", str(path), "--k", "2",
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {where}" in capsys.readouterr().err
+
+
 def test_bad_format_is_usage_error(plain_csv, tmp_path, capsys):
     path, _ = plain_csv
     code = run(["discover", "--input", path, "--out", str(tmp_path / "o"),

@@ -58,9 +58,9 @@ def _pitch_frames(truth, s, seed, flip_every):
     """(stored positions, event flags, right-to-left flags) for S frames."""
     ds, _ = sample_dataset(truth, s, swap_rate=0.05, event_rate=0.2,
                            seed=seed)
-    events = np.array([f.is_event for f in ds.frames])
+    events = ds.is_event
     drift = np.stack([0.01 * np.arange(s), -0.02 * np.arange(s)], axis=1)
-    stored = ds.stacked() + (PITCH / 2 + drift)[:, None, :]
+    stored = ds.positions + (PITCH / 2 + drift)[:, None, :]
     rl = (np.arange(s) // flip_every) % 2 == 1
     stored[rl] = PITCH - stored[rl]
     return stored, events, rl

@@ -1,5 +1,6 @@
 """Parsing, canonicalization, normalization, and the flatten round trip."""
 
+import csv
 import io
 from dataclasses import replace
 
@@ -535,6 +536,192 @@ def test_csv_chunks_join_seamlessly(monkeypatch):
     with pytest.raises(ParseError, match="duplicate agent") as exc:
         parse_tracking(io.StringIO("\n".join(dup) + "\n"))
     assert exc.value.line == 31
+
+
+# the two CSV tokenizers: str.split for text without a quote or CR,
+# csv.reader otherwise
+
+
+def reader_path(text):
+    """The same CSV text with its header's first name quoted: csv.reader
+    then tokenizes it, and every record and line number is unchanged."""
+    assert text.startswith("frame_id,")
+    return '"frame_id"' + text[len("frame_id"):]
+
+
+def parse_or_error(text):
+    try:
+        return parse_tracking(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+# odd field values by column: some are malformed, some are valid spellings
+# that Python's int/float accept (" 3", "+2", "1_0", "1e-400")
+ODD_FIELDS = [
+    ["x", "1.5", "", " 3", "+2", "1_0", "99999999999999999999",
+     "-9223372036854775809", "9223372036854775807"],
+    ["", "p0", " p0", "q", "t" * 17],
+    ["nope", "nan", "inf", "-inf", "1e999", "", " 2.5", "1_0.5", "1e-400",
+     "12.500000000000001"],
+    ["nan", "Infinity", "x", "0x1", "-0.0"],
+    ["0", "1", "2", "yes", " 1", ""],
+    ["LR", "RL", "lr", "UP", ""],
+    ["", "home", "away", " x", "a;b", "t" * 17],
+    ["", "g1", "g2", "t" * 17],
+    ["1", "2", "x", "", "99999999999999999999", "1.0"],
+]
+
+
+@st.composite
+def quote_free_csv(draw):
+    """CSV text without a quote or CR: valid rows, then a few mutations."""
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for fid in range(draw(st.integers(1, 4))):
+        labels = [rnd.choice("01"), rnd.choice(["LR", "RL"]),
+                  rnd.choice(["", "home"]), "g1", rnd.choice("12")]
+        for a in range(draw(st.integers(1, 3))):
+            x, y = (repr(rnd.randint(-400, 400) / 4) for _ in range(2))
+            rows.append([str(fid), f"p{a}", x, y] + labels)
+    rnd.shuffle(rows)
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = rnd.randrange(len(lines))
+        fields = lines[i].split(",")
+        kind = draw(st.sampled_from(["field"] * 4 + [
+            "drop", "extra", "blank", "copy", "delete"]))
+        if kind == "field":   # includes frame labels that now disagree
+            c = rnd.randrange(min(len(fields), len(ODD_FIELDS)))
+            fields[c] = rnd.choice(ODD_FIELDS[c])
+        elif kind == "drop":
+            del fields[rnd.randrange(len(fields))]
+        elif kind == "extra":
+            fields.insert(rnd.randrange(len(fields) + 1), "x")
+        elif kind == "blank":
+            lines.insert(i, rnd.choice(["", "", " ", "\t", "  "]))
+        elif kind == "copy":   # a duplicate agent
+            lines.insert(rnd.randrange(len(lines) + 1), lines[i])
+        elif len(lines) > 1:   # delete: uneven agent counts
+            del lines[i]
+        if kind in ("field", "drop", "extra"):
+            lines[i] = ",".join(fields)
+    text = "\n".join([",".join(CSV_COLUMNS)] + lines)
+    return text + "\n" * draw(st.integers(0, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(quote_free_csv(), st.sampled_from([1, 2, 3, 5, 1 << 14]),
+       st.sampled_from([None, None, 16]))
+def test_split_and_reader_tokenizers_agree(text, chunk_rows, limit):
+    from unittest import mock
+
+    assert '"' not in text and "\r" not in text
+    old_limit = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with mock.patch.object(ingest, "CSV_CHUNK_ROWS", chunk_rows):
+            split, reader = (parse_or_error(t)
+                             for t in (text, reader_path(text)))
+    finally:
+        csv.field_size_limit(old_limit)
+    if isinstance(split, Dataset) and isinstance(reader, Dataset):
+        assert split.agent_table == reader.agent_table
+        assert_columns_equal(split, reader)
+    else:
+        assert split == reader
+
+
+def test_tokenizers_agree_on_a_valid_file():
+    ds = small_dataset()
+    buf = io.StringIO()
+    write_tracking_csv(ds, buf)
+    text = buf.getvalue().replace("\r\n", "\n")
+    assert_datasets_equal(parse_tracking(io.StringIO(text)), ds)
+    assert_datasets_equal(parse_tracking(io.StringIO(reader_path(text))), ds)
+
+
+def test_quoted_fields_still_parse():
+    ds = parse_tracking(header('1,a,1.0,2.0,0,LR,"a,b","say ""hi""",1',
+                               '1,b,3.0,4.0,0,LR,"a,b","say ""hi""",1'))
+    assert ds.team.tolist() == ["a,b"] and ds.game.tolist() == ['say "hi"']
+    assert ds.agent_table == ("a", "b")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 14])
+def test_csv_error_lines_are_physical_after_a_quoted_newline(monkeypatch,
+                                                             chunk_rows):
+    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", chunk_rows)
+    # records on lines 2-3 and 4-5 each hold a team with a newline
+    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                 '1,b,1.0,2.0,0,LR,"home\nteam",,1',
+                 '2,a,bad,2.0,0,LR,"home",,1')
+    with pytest.raises(ParseError, match="non-numeric position") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 6
+    # records on lines 2-4 and 6-8 around a blank line 5
+    src = header('1,a,1.0,2.0,0,LR,"home\n\nteam",,1', "",
+                 '1,a,1.0,2.0,0,LR,"home\n\nteam",,1')
+    with pytest.raises(ParseError, match="duplicate agent") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 6
+    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                 "1,b,1.0,2.0\r,0,LR,,,1")
+    with pytest.raises(ParseError, match="carriage return") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 4
+
+
+def test_crlf_and_cr_only_line_ends():
+    rows = ("1,a,1.0,2.0,0,LR,,,1", "1,b,3.0,4.0,0,LR,,,1")
+    lf = header(*rows).getvalue()
+    assert_columns_equal(parse_tracking(io.StringIO(lf)),
+                         parse_tracking(io.StringIO(lf.replace("\n",
+                                                               "\r\n"))))
+    with pytest.raises(ParseError, match="carriage return") as exc:
+        parse_tracking(io.StringIO(lf.replace("\n", "\r")))
+    assert exc.value.line == 1
+    with pytest.raises(ParseError, match="carriage return") as exc:
+        parse_tracking(io.StringIO(lf.replace("1,b,3.0", "1,b\r,3.0")))
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_field_limit_is_the_same_on_both_tokenizers(quote):
+    limit = csv.field_size_limit()
+    team = f'"{"t" * (limit + 1)}"' if quote else "t" * (limit + 1)
+    src = header("1,a,1.0,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
+    with pytest.raises(ParseError, match="longer than the CSV field "
+                                         f"limit of {limit}") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 3
+    # an earlier bad line in the same chunk is still reported first
+    src = header("1,a,bad,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
+    with pytest.raises(ParseError, match="non-numeric position") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 2
+    # a line longer than the limit whose fields are all within it is fine
+    half = "t" * (limit // 2 + 1)
+    ds = parse_tracking(header(f"1,a,1.0,2.0,0,LR,{half},{half},1"))
+    assert ds.team.tolist() == [half] and ds.game.tolist() == [half]
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("csv", ",".join(CSV_COLUMNS) + "\n1,a,1.0,2.0,0,LR,,,1\n"
+     "1,b,3.0,4.0,0,LR,M\xfcnchen,,1\n"),
+    ("jsonl", '{"frame_id": 1, "positions": [[0, 0]]}\n\n'
+     '{"frame_id": 2, "positions": [[0, 0]], "team": "M\xfcnchen"}\n'),
+])
+def test_undecodable_byte_names_its_line(tmp_path, fmt, text):
+    data = text.encode("latin-1")
+    path = tmp_path / f"in.{fmt}"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(ParseError, match=r"byte 0xfc is not UTF-8") as \
+                exc:
+            parse_tracking(source, format=fmt)
+        assert exc.value.line == 3
 
 
 def test_jsonl_chunks_join_seamlessly(monkeypatch):
