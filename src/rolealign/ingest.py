@@ -14,15 +14,16 @@ Parsing is canonical: agents within a frame are ordered by agent_id, frames
 by frame_id, so any row order on disk yields the same Dataset.
 
 CSV text is tokenized one of two ways, chosen from the text alone.  Text
-without a double quote or a CR is split with ``str.split``: every
-"\n"-separated line is one record, and its fields are the line split at
-commas, which is exactly what csv.reader reads there.  Text with a quote or
-a CR goes through csv.reader, the one tokenizer for quoted fields.  Both
-hand the same per-chunk columns to the same conversions and checks, so
-values and messages do not depend on the tokenizer.  Line numbers count
-physical lines (a record's first one).  A field longer than
-``csv.field_size_limit()`` and a CR that does not end a line raise a
-ParseError naming the line, as does a byte that is not UTF-8.
+without a double quote whose lines end in LF or CRLF is split with
+``str.split``: every line is one record, and its fields are the line, its
+end dropped, split at commas, which is exactly what csv.reader reads
+there.  Any other text goes through csv.reader, the one tokenizer for
+quoted fields.  Both hand the same per-chunk columns to the same
+conversions and checks, so values and messages do not depend on the
+tokenizer.  Line numbers count physical lines (a record's first one).  A
+field longer than ``csv.field_size_limit()``, a CR that does not end a
+line and any other csv.reader error (before Python 3.11, a NUL character)
+raise a ParseError naming the line, as does a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -271,19 +272,31 @@ def _read_text(source):
                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _chunks(records, first_line, keep, size):
+def _chunks(records, keep, size):
     """(non-blank records, their line numbers) for ``size`` records at a
-    time; ``keep(record)`` is falsy for a blank one, which still counts a
-    line."""
-    from itertools import compress, islice
+    time, the first on line 1; see ``_drop_blank`` for ``keep``."""
+    from itertools import islice
 
-    records, line = iter(records), first_line
+    records, line = iter(records), 1
     while chunk := list(islice(records, size)):
-        kept = np.fromiter(map(bool, map(keep, chunk)), bool, len(chunk))
-        if kept.any():
-            yield (list(compress(chunk, kept)),
-                   np.arange(line, line + len(chunk))[kept])
+        kept, lines = _drop_blank(chunk, np.arange(line, line + len(chunk)),
+                                  keep)
+        if kept:
+            yield kept, lines
         line += len(chunk)
+
+
+def _drop_blank(recs, lines, keep=None):
+    """The non-blank records of a chunk and their lines.  ``keep(record)``
+    (the record itself when None) is falsy for a blank one, which counts a
+    line but holds no record."""
+    from itertools import compress
+
+    flags = recs if keep is None else list(map(keep, recs))
+    if all(flags):
+        return recs, lines
+    kept = np.fromiter(map(bool, flags), bool, len(recs))
+    return list(compress(recs, kept)), lines[kept]
 
 
 def _merge_chunks(chunks):
@@ -371,12 +384,14 @@ def _long_field(line):
 
 def _text_lines(text, start, size):
     """Lists of ``size`` lines (the last may be shorter) of ``text[start:]``,
-    without their "\\n".  The text is split one block of about 64 * size
-    characters at a time, so no list of every line is built."""
+    without their "\\n" or "\\r\\n".  The text is split one block of about
+    64 * size characters at a time, so no list of every line is built."""
     pending = []
     while start < len(text):
         end = text.find("\n", start + 64 * size) + 1 or len(text)
         block = text[start:end]
+        if "\r" in block:
+            block = block.replace("\r\n", "\n")
         pending += block.split("\n")
         if block.endswith("\n"):
             pending.pop()
@@ -386,23 +401,13 @@ def _text_lines(text, start, size):
             del pending[:size]
 
 
-def _drop_blank(recs, lines):
-    """The non-blank records of a chunk and their lines; a blank line (read
-    as "" or []) counts a line but holds no record."""
-    from itertools import compress
-
-    if all(recs):
-        return recs, lines
-    kept = np.fromiter(map(bool, recs), bool, len(recs))
-    return list(compress(recs, kept)), lines[kept]
-
-
 def _split_tokens(text, size):
-    """The CSV tokenizer for text without a quote or CR: each "\\n"-separated
-    line is one record and its fields are ``line.split(",")``, as csv.reader
-    would read them.  Yields the header record, then the (columns, lines)
-    of each chunk of up to ``size`` lines; a field over the csv module's
-    field limit raises once the lines before it have been yielded."""
+    """The CSV tokenizer for text without a quote whose every CR ends a line
+    (CRLF): each line is one record and its fields are ``line.split(",")``
+    once the line end is gone, as csv.reader would read them.  Yields the
+    header record, then the (columns, lines) of each chunk of up to ``size``
+    lines; a field over the csv module's field limit raises once the lines
+    before it have been yielded."""
     from itertools import repeat
 
     limit = csv.field_size_limit()
@@ -411,12 +416,14 @@ def _split_tokens(text, size):
         return len(rec) > limit and max(map(len, rec.split(","))) > limit
 
     end = text.find("\n")
-    header = text if end < 0 else text[:end]
+    if end < 0:
+        end = len(text)
+    header = text[:end].removesuffix("\r")
     if too_long(header):
         raise _long_field(1)
     yield header.split(",") if header else []
     line = 2
-    for chunk in _text_lines(text, len(header) + 1, size):
+    for chunk in _text_lines(text, end + 1, size):
         first, fault = line, None
         line += len(chunk)
         if max(map(len, chunk)) > limit:
@@ -438,56 +445,59 @@ def _split_tokens(text, size):
 
 
 def _reader_tokens(text, size):
-    """The CSV tokenizer for text with a quote or CR: csv.reader, whose
-    quoted fields may hold commas, doubled quotes and newlines.  Yields
-    what ``_split_tokens`` yields, for up to ``size`` records at a time; a
-    record's line is its first physical line.  A csv.reader error raises
-    a ParseError once the records before it have been yielded."""
+    """The CSV tokenizer for any other text: csv.reader, whose quoted fields
+    may hold commas, doubled quotes and newlines.  Yields what
+    ``_split_tokens`` yields, for up to ``size`` records at a time; a
+    record's line is its first physical line.  A csv.reader error raises a
+    ParseError at the first line of the record it stopped in, once the
+    records before it have been yielded."""
     from itertools import islice, repeat
 
-    def fault(exc):
-        # with the default dialect, the only other error is a CR that is
-        # not followed by LF outside quotes
+    def fault(exc, line):
         if "field limit" in str(exc):
-            return _long_field(reader.line_num)
-        return ParseError("carriage return inside an unquoted field; lines "
-                          "must end in LF or CRLF", reader.line_num)
+            return _long_field(line)
+        if "new-line character" in str(exc):
+            return ParseError("carriage return inside an unquoted field; "
+                              "lines must end in LF or CRLF", line)
+        # e.g. "line contains NUL", which csv.reader raises before 3.11
+        return ParseError(f"malformed CSV: {exc}", line)
 
     reader = csv.reader(io.StringIO(text))
     try:
         yield next(reader, [])   # the header
     except csv.Error as exc:
-        raise fault(exc) from None
-    error = None
-    while error is None:
-        first, recs = reader.line_num + 1, []
+        raise fault(exc, 1) from None
+    while True:
+        first, recs, error = reader.line_num + 1, [], None
         try:
             recs.extend(islice(reader, size))
         except csv.Error as exc:   # the records read before it stay
-            error = fault(exc)
-        if not recs:
-            break
-        lines = np.arange(first, first + len(recs))
-        if lines[-1] != reader.line_num:
+            error = exc
+        if not (recs or error):
+            return
+        # each record's first line, then the line after the last record
+        lines = np.arange(first, first + len(recs) + 1)
+        if error or lines[-1] != reader.line_num + 1:
             # a record spans one more line per newline in its quoted fields
             spans = np.fromiter(map(str.count, map("".join, recs),
                                     repeat("\n")), np.intp, len(recs))
-            lines[1:] += np.cumsum(spans[:-1])
-        recs, lines = _drop_blank(recs, lines)
-        if recs:
-            if set(map(len, recs)) != {len(CSV_COLUMNS)}:
-                _scan(_check_csv_row, recs, lines)
-            yield list(zip(*recs)), lines
-    if error:
-        raise error
+            lines[1:] += np.cumsum(spans)
+        kept, kept_lines = _drop_blank(recs, lines[:-1])
+        if kept:
+            if set(map(len, kept)) != {len(CSV_COLUMNS)}:
+                _scan(_check_csv_row, kept, kept_lines)
+            yield list(zip(*kept)), kept_lines
+        if error:
+            raise fault(error, int(lines[-1]))
 
 
 def _parse_csv(text):
     if not text:
         raise ParseError("empty input", 1)
-    tokenize = _reader_tokens if '"' in text or "\r" in text \
-        else _split_tokens
-    tokens = tokenize(text, CSV_CHUNK_ROWS)
+    split = '"' not in text and ("\r" not in text or
+                                 text.count("\r") == text.count("\r\n"))
+    tokens = (_split_tokens if split else _reader_tokens)(text,
+                                                           CSV_CHUNK_ROWS)
     header = next(tokens)
     if tuple(header) != CSV_COLUMNS:
         missing = set(CSV_COLUMNS) - set(header)
@@ -663,7 +673,7 @@ def _jsonl_rows(objs, lines):
 
 def _parse_jsonl(text):
     chunks, seen = [], np.empty(0, dtype=np.int64)   # frame ids so far
-    for raw, lines in _chunks(text.splitlines(), 1, str.strip,
+    for raw, lines in _chunks(text.splitlines(), str.strip,
                               JSONL_CHUNK_LINES):
         try:
             rows = _jsonl_rows(list(map(json.loads, raw)), lines)

@@ -575,7 +575,8 @@ ODD_FIELDS = [
 
 @st.composite
 def quote_free_csv(draw):
-    """CSV text without a quote or CR: valid rows, then a few mutations."""
+    """CSV text without a quote, its lines ending in LF or all in CRLF:
+    valid rows, then a few mutations."""
     rnd = draw(st.randoms(use_true_random=False))
     rows = []
     for fid in range(draw(st.integers(1, 4))):
@@ -606,8 +607,9 @@ def quote_free_csv(draw):
             del lines[i]
         if kind in ("field", "drop", "extra"):
             lines[i] = ",".join(fields)
-    text = "\n".join([",".join(CSV_COLUMNS)] + lines)
-    return text + "\n" * draw(st.integers(0, 2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(CSV_COLUMNS)] + lines)
+    return text + eol * draw(st.integers(0, 2))
 
 
 @settings(max_examples=400, deadline=None)
@@ -616,7 +618,7 @@ def quote_free_csv(draw):
 def test_split_and_reader_tokenizers_agree(text, chunk_rows, limit):
     from unittest import mock
 
-    assert '"' not in text and "\r" not in text
+    assert '"' not in text and text.count("\r") == text.count("\r\n")
     old_limit = csv.field_size_limit()
     try:
         if limit is not None:
@@ -673,7 +675,7 @@ def test_csv_error_lines_are_physical_after_a_quoted_newline(monkeypatch,
     assert exc.value.line == 4
 
 
-def test_crlf_and_cr_only_line_ends():
+def test_crlf_and_cr_only_line_ends(monkeypatch):
     rows = ("1,a,1.0,2.0,0,LR,,,1", "1,b,3.0,4.0,0,LR,,,1")
     lf = header(*rows).getvalue()
     assert_columns_equal(parse_tracking(io.StringIO(lf)),
@@ -685,6 +687,44 @@ def test_crlf_and_cr_only_line_ends():
     with pytest.raises(ParseError, match="carriage return") as exc:
         parse_tracking(io.StringIO(lf.replace("1,b,3.0", "1,b\r,3.0")))
     assert exc.value.line == 3
+    # a CRLF file without quotes, as write_tracking_csv writes one, is split
+    # without csv.reader
+    buf = io.StringIO()
+    write_tracking_csv(small_dataset(), buf)
+    assert "\r\n" in buf.getvalue()
+    monkeypatch.setattr(ingest, "_reader_tokens", None)
+    assert_datasets_equal(parse_tracking(io.StringIO(buf.getvalue())),
+                          small_dataset())
+
+
+def test_other_csv_reader_errors_name_the_record(monkeypatch):
+    """csv.reader before Python 3.11 rejects a NUL character; any error of
+    csv.reader other than a CR or the field limit keeps its message."""
+    real = csv.reader
+
+    def reader(lines):
+        rows = real(lines)
+
+        class NulReader:
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rec = next(rows)
+                if "\0" in "".join(rec):
+                    raise csv.Error("line contains NUL")
+                return rec
+
+            line_num = property(lambda self: rows.line_num)
+        return NulReader()
+
+    monkeypatch.setattr(csv, "reader", reader)
+    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                 '1,b,1.0,2.0,0,LR,"x\ny\0",,1')
+    with pytest.raises(ParseError, match="malformed CSV: line contains "
+                                         "NUL") as exc:
+        parse_tracking(src)
+    assert exc.value.line == 4
 
 
 @pytest.mark.parametrize("quote", [False, True])
@@ -696,6 +736,12 @@ def test_field_limit_is_the_same_on_both_tokenizers(quote):
                                          f"limit of {limit}") as exc:
         parse_tracking(src)
     assert exc.value.line == 3
+    if quote:   # a record over lines 3-4 is reported at its first line
+        src = header("1,a,1.0,2.0,0,LR,,,1",
+                     f'1,b,3.0,4.0,0,LR,"x\n{team[1:]},,1')
+        with pytest.raises(ParseError, match="field limit") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 3
     # an earlier bad line in the same chunk is still reported first
     src = header("1,a,bad,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
     with pytest.raises(ParseError, match="non-numeric position") as exc:
