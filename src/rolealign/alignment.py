@@ -181,28 +181,20 @@ class AlignedDataset:
                 fh.close()
 
 
-def assign_roles(ds: Dataset, t: Template, include_weights: bool = True,
-                 cache: np.ndarray | None = None) -> AlignedDataset:
+def assign_roles(ds: Dataset, t: Template,
+                 include_weights: bool = True) -> AlignedDataset:
     """Assign each frame's agents to role slots by minimum total negative
     log-likelihood.
 
     The per-frame cost of putting agent i in role j is -(log pdf of the
     agent's position under role j + log role weight); with
-    include_weights=False the weight term is dropped.  ``cache`` may supply
-    precomputed per-point component log densities, shaped (S*N, K) in
-    flatten order, as produced during discovery on the same data.
+    include_weights=False the weight term is dropped.
     """
     n = ds.n_agents
     k = t.k
     if n > k:
         raise ValueError(f"{n} agents cannot fill {k} roles injectively")
-    if cache is not None:
-        dens = np.asarray(cache, dtype=float)
-        if dens.shape != (ds.n_frames * n, k):
-            raise ValueError("cache shape does not match dataset/template")
-    else:
-        dens = component_log_pdfs(t.roles, flatten(ds))
-    cost_all = -dens
+    cost_all = -component_log_pdfs(t.roles, flatten(ds))
     if include_weights:
         cost_all = cost_all - np.log(t.weights)
     cost_all = cost_all.reshape(ds.n_frames, n, k)
@@ -235,8 +227,8 @@ def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
     Order is fixed: attack-direction normalization, per-frame centering,
     optional key-frame filtering for the discovery stage only.  Role
     assignment always covers the full (unfiltered) dataset.  When discovery
-    ran on the full dataset its cached log densities are reused for
-    assignment; a filtered training set forces recomputation.
+    ran on the full dataset, ``avg_loglik`` is the last EM pass's
+    log-likelihood; a filtered training set forces recomputation.
     """
     from .ingest import center_normalize, filter_key_frames, \
         normalize_attack_direction
@@ -246,20 +238,11 @@ def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
     full = center_normalize(normalize_attack_direction(ds))
     training = filter_key_frames(full) if key_frames_only else full
     formation, trace = _disc.discover_formation(training, cfg)
-    if parent is not None:
-        template, mapping = _align_with_mapping(formation, parent)
-        cache = None
-        if not key_frames_only and trace.cache is not None:
-            # reorder cached density columns into template role order
-            cache = np.empty_like(trace.cache)
-            for i, j in enumerate(mapping):
-                cache[:, j] = trace.cache[:, i]
-    else:
-        template = Template.from_formation(formation)
-        cache = None if key_frames_only else trace.cache
-    aligned = assign_roles(full, template, include_weights=include_weights,
-                           cache=cache)
+    template = Template.from_formation(formation) if parent is None \
+        else align_template(formation, parent)
+    aligned = assign_roles(full, template, include_weights=include_weights)
+    avg_loglik = average_log_likelihood(full, formation) if key_frames_only \
+        else trace.logliks[-1]
     return PipelineResult(formation=formation, template=template, trace=trace,
-                          aligned=aligned,
-                          avg_loglik=average_log_likelihood(full, formation),
+                          aligned=aligned, avg_loglik=avg_loglik,
                           dataset=full, training=training)

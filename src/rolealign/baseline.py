@@ -130,7 +130,7 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
                                             cov=sample_covariance(member),
                                             weight=1.0 / k))
         weights = np.where(counts > 0, counts, 1.0)
-        formation = _as_formation(new_roles, weights / weights.sum())
+        formation = _as_formation(new_roles, weights)
         roles = formation.components
         _, log_mix = log_responsibilities(roles, formation.weights, pts)
         trace.append(it, total_cost, float(log_mix.mean()), changed)

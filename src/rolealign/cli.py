@@ -90,30 +90,7 @@ def _load_and_prepare(args):
         except EmptySelectionError:
             raise EmptySelectionError(
                 f"no frames match filter {args.filter!r}") from None
-    ds = center_normalize(normalize_attack_direction(ds))
-    _release_free_heap()
-    return ds
-
-
-def _release_free_heap():
-    """Return the free pages of the heap to the system (glibc's
-    ``malloc_trim``; elsewhere a no-op).
-
-    Parsing frees tens of MiB of blocks that stay resident as holes in the
-    heap.  Whether a later (P, K) array fitted into one of them or grew the
-    heap depended on the heap layout alone, so the peak RSS of one command
-    on one 144k-point input differed by 11 MiB from run to run.  With the
-    pages returned, both cases fault in the same number of pages.
-    """
-    import ctypes
-    import os
-
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return
-    except (AttributeError, ValueError, OSError):
-        return
-    ctypes.CDLL(None).malloc_trim(0)
+    return center_normalize(normalize_attack_direction(ds))
 
 
 def _config_dict(args, cfg=None):

@@ -318,10 +318,10 @@ def learn_tree(ds: Dataset, g: Template | None = None,
 
     def build(indices, parent, depth):
         sub = ds.take(indices)
-        formation, trace = discover_formation(sub, cfg)
+        formation, _ = discover_formation(sub, cfg)
         template = align_template(formation, parent) if parent is not None \
             else Template.from_formation(formation)
-        aligned = assign_roles(sub, template, cache=trace.cache)
+        aligned = assign_roles(sub, template)
         x = aligned.matrix
         center = x.mean(axis=0)
         node_wce = float(np.sqrt(((x - center) ** 2).sum(axis=1)).mean())

@@ -18,14 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Gaussian2D, component_log_pdfs, covariance_eigenvalues,
-                       log_responsibilities, nearest_centers,
-                       sample_covariance)
+from .geometry import (Gaussian2D, covariance_eigenvalues,
+                       density_coefficients, moment_features, nearest_centers,
+                       posterior_moments, sample_covariance)
 from .ingest import Dataset, flatten
 
 FULL_GMM = "FullGMM"
 SOFT_KMEANS = "SoftKMeans"
 INIT = "Init"
+
+# Rows per block of the EM pass and of K-means' nearest-center search.  The
+# M-step's sums are BLAS reductions per block, so a fit depends on BLOCK in
+# its last bits; per-point densities and labels do not.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,11 @@ class EmTrace:
     """Per-iteration EM diagnostics.
 
     Row 0 describes the state handed to the loop (kind "Init"); row i >= 1
-    describes the state after update i.  ``cache`` holds the final-state
-    per-point component log densities in the caller's original row order,
-    for reuse by role assignment on the same data.
+    describes the state after update i.
     """
 
     rows: list = field(default_factory=list)
     converged: bool = False
-    cache: np.ndarray | None = None
 
     def append(self, iteration, loglik, update_kind, eig_ratios):
         self.rows.append((int(iteration), float(loglik), str(update_kind),
@@ -132,65 +134,46 @@ class EmTrace:
                 fh.close()
 
 
-def _work_arrays(p, k):
-    """Four (P, K) arrays for the E- and M-steps to compute in."""
-    return [np.empty((p, k)) for _ in range(4)]
-
-
-def _m_step(formation, pts, log_resp, spherical, work=None):
-    """The EM update from log responsibilities.  ``work`` is overwritten,
-    ``log_resp`` too when it is ``work``'s first array."""
-    resp, dx, dy, term = work or [None] * 4
-    resp = np.exp(log_resp, out=resp)
-    counts = resp.sum(axis=0)
+def _em_pass(state, pts, spherical):
+    """One E- and M-step over ``pts`` in blocks of BLOCK rows: the (P,) log
+    mixture density of every point under ``state``, and the next formation
+    (isotropic covariances if ``spherical``), fitted from the sums of
+    responsibility times moment feature."""
+    coef = density_coefficients(state.components, state.weights)
+    log_mix = np.empty(len(pts))
+    sums = np.zeros((state.k, 6))
+    for lo in range(0, len(pts), BLOCK):
+        block = slice(lo, lo + BLOCK)
+        log_mix[block], block_sums = posterior_moments(
+            moment_features(pts[block]), coef)
+        sums += block_sums
+    counts = sums[:, 5]
     dead = counts < 1e-300   # responsibility mass underflowed
     counts = np.maximum(counts, 1e-300)
-    weights = counts / resp.shape[0]
-    means = (resp.T @ pts) / counts[:, None]
-    dx = np.subtract(pts[:, None, 0], means[None, :, 0], out=dx)
-    dy = np.subtract(pts[:, None, 1], means[None, :, 1], out=dy)
-    # the weighted squares are formed in place, in the operand order of
-    # resp * (dx*dx + dy*dy) and resp*dx*dx, resp*dx*dy, resp*dy*dy
+    weights = counts / len(pts)
+    means = sums[:, 3:5] / counts[:, None]
+    # central second moments E[xx'] - mean mean'
+    cxx, cxy, cyy = (sums[:, :3] / counts[:, None]
+                     - means[:, [0, 0, 1]] * means[:, [0, 1, 1]]).T
     if spherical:
-        dx *= dx
-        dy *= dy
-        dx += dy
-        dx *= resp
-        c = 0.5 * dx.sum(axis=0) / counts
-        covs = np.zeros((formation.k, 2, 2))
-        covs[:, 0, 0] = c
-        covs[:, 1, 1] = c
-    else:
-        term = np.multiply(resp, dx, out=term)
-        term *= dx
-        cxx = term.sum(axis=0) / counts
-        np.multiply(resp, dx, out=term)
-        term *= dy
-        cxy = term.sum(axis=0) / counts
-        np.multiply(resp, dy, out=term)
-        term *= dy
-        cyy = term.sum(axis=0) / counts
-        covs = np.empty((formation.k, 2, 2))
-        covs[:, 0, 0] = cxx
-        covs[:, 0, 1] = cxy
-        covs[:, 1, 0] = cxy
-        covs[:, 1, 1] = cyy
+        cxx = cyy = 0.5 * (cxx + cyy)
+        cxy = np.zeros(state.k)
+    covs = np.stack([cxx, cxy, cxy, cyy], axis=1).reshape(-1, 2, 2)
     # a dead component keeps its mean and covariance
     for k in np.flatnonzero(dead):
-        means[k] = formation.components[k].mean
-        covs[k] = formation.components[k].cov
+        means[k] = state.components[k].mean
+        covs[k] = state.components[k].cov
     wsum = weights.sum()
     comps = tuple(Gaussian2D(mean=means[k], cov=covs[k],
                              weight=float(weights[k] / wsum))
-                  for k in range(formation.k))
-    return Formation(components=comps)
+                  for k in range(state.k))
+    return log_mix, Formation(components=comps)
 
 
 def em_step_full(state: Formation, points: np.ndarray) -> Formation:
     """One full-covariance EM update over all points."""
     pts = np.asarray(points, dtype=float)
-    log_resp, _ = log_responsibilities(state.components, state.weights, pts)
-    return _m_step(state, pts, log_resp, spherical=False)
+    return _em_pass(state, pts, spherical=False)[1]
 
 
 def player_mean_init(ds: Dataset) -> np.ndarray:
@@ -220,16 +203,15 @@ class KMeansResult:
 
 
 def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
-           max_iters: int = 1000, work=None) -> KMeansResult:
+           max_iters: int = 1000) -> KMeansResult:
     """Lloyd's algorithm run to convergence (max center movement < tol).
 
     An empty cluster is re-seeded at the point currently farthest from its
     assigned center, which keeps the recorded inertia sequence
     non-increasing: the empty center served no points, so moving it is free.
     The point is never taken from a cluster whose only member it is, which
-    would leave that cluster empty.  2-D distances are computed in the
-    first two (P, K) arrays of ``work`` if given, else in two fresh ones;
-    higher-dimensional points go through ``nearest_centers``.
+    would leave that cluster empty.  Each iteration searches the nearest
+    centers with ``nearest_centers``, BLOCK rows at a time.
     """
     pts = np.asarray(points, dtype=float)
     centers = np.array(init, dtype=float)
@@ -239,26 +221,15 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     inertia = []
     labels = None
     searched = fallback = 0
-    rows = np.arange(len(pts))
-    if pts.shape[1] == 2:
-        # (P, K) arrays reused by every iteration
-        d2, dy2 = work or (np.empty((len(pts), k)), np.empty((len(pts), k)))
     for _ in range(max_iters):
-        if pts.shape[1] == 2:
-            # column by column: the same two additions as the reduction
-            # ((pts[:, None] - centers) ** 2).sum(axis=2), without its
-            # (P, K, 2) temporary
-            np.square(np.subtract(pts[:, None, 0], centers[None, :, 0],
-                                  out=d2), out=d2)
-            np.square(np.subtract(pts[:, None, 1], centers[None, :, 1],
-                                  out=dy2), out=dy2)
-            d2 += dy2
-            labels = d2.argmin(axis=1)
-            own = d2[rows, labels]
-        else:
-            labels, own, missed = nearest_centers(pts, centers)
-            searched += len(pts)
+        labels = np.empty(len(pts), dtype=np.intp)
+        own = np.empty(len(pts))
+        for lo in range(0, len(pts), BLOCK):
+            block = slice(lo, lo + BLOCK)
+            labels[block], own[block], missed = nearest_centers(pts[block],
+                                                                centers)
             fallback += missed
+        searched += len(pts)
         counts = np.bincount(labels, minlength=k)
         for empty in range(k):
             if counts[empty]:
@@ -326,44 +297,31 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
         rows = rng.choice(pts.shape[0], size=cfg.k, replace=False)
         init = pts[np.sort(rows)]
 
-    # K-means and every E- and M-step compute in these
-    work = _work_arrays(len(pts), cfg.k)
-    km = kmeans(pts, init, tol=cfg.kmeans_tol, work=work[:2])
+    km = kmeans(pts, init, tol=cfg.kmeans_tol)
     state = _formation_from_clusters(pts, km.centers, km.labels)
 
-    trace = EmTrace()
-    log_resp, log_mix = log_responsibilities(state.components, state.weights,
-                                             pts, work)
-    loglik = float(log_mix.mean())
-    trace.append(0, loglik, INIT, state.eigenvalue_ratios())
-
-    # Convergence compares full updates against the previous full update:
-    # a spherical reset drops the bound on purpose, and on data whose true
-    # ratios sit at the band edge the loop alternates reset/recover, so
-    # judging a full step against the reset right before it would never
-    # terminate.
+    # Each pass gives the log-likelihood of ``state`` and the update from
+    # it.  Convergence compares full updates against the previous full
+    # update: a spherical reset drops the bound on purpose, and on data
+    # whose true ratios sit at the band edge the loop alternates
+    # reset/recover, so judging a full step against the reset right before
+    # it would never terminate.
     r = cfg.eig_ratio_bound
-    last_full = loglik
-    for it in range(1, cfg.max_iters + 1):
+    trace = EmTrace()
+    update, kind, last_full = state, INIT, None
+    for it in range(cfg.max_iters + 1):
+        state = update
         ratios = state.eigenvalue_ratios()
         spherical = bool(np.any(ratios >= r) or np.any(ratios <= 1.0 / r))
-        kind = SOFT_KMEANS if spherical else FULL_GMM
-        state = _m_step(state, pts, log_resp, spherical=spherical, work=work)
-        log_resp, log_mix = log_responsibilities(state.components,
-                                                 state.weights, pts, work)
+        log_mix, update = _em_pass(state, pts, spherical)
         loglik = float(log_mix.mean())
-        trace.append(it, loglik, kind, state.eigenvalue_ratios())
-        if not spherical:
+        trace.append(it, loglik, kind, ratios)
+        if kind == FULL_GMM:
             gain = (loglik - last_full) / max(abs(last_full), 1e-12)
-            last_full = loglik
             if gain < cfg.em_tol:
                 trace.converged = True
                 break
-
-    # Final-state per-point log densities, unsorted back to caller order,
-    # so role assignment on the training data can skip recomputation.
-    dens_sorted = component_log_pdfs(state.components, pts, work)
-    cache = np.empty_like(dens_sorted)
-    cache[order] = dens_sorted
-    trace.cache = cache
+        if kind != SOFT_KMEANS:
+            last_full = loglik
+        kind = SOFT_KMEANS if spherical else FULL_GMM
     return state, trace

@@ -24,6 +24,9 @@ tokenizer.  Line numbers count physical lines (a record's first one).  A
 field longer than ``csv.field_size_limit()``, a CR that does not end a
 line and any other csv.reader error (before Python 3.11, a NUL character)
 raise a ParseError naming the line, as does a byte that is not UTF-8.
+
+JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw inside
+a JSON string, and the CR of a CRLF is JSON whitespace.
 """
 
 from __future__ import annotations
@@ -673,7 +676,7 @@ def _jsonl_rows(objs, lines):
 
 def _parse_jsonl(text):
     chunks, seen = [], np.empty(0, dtype=np.int64)   # frame ids so far
-    for raw, lines in _chunks(text.splitlines(), str.strip,
+    for raw, lines in _chunks(text.split("\n"), str.strip,
                               JSONL_CHUNK_LINES):
         try:
             rows = _jsonl_rows(list(map(json.loads, raw)), lines)

@@ -16,8 +16,8 @@ from rolealign.alignment import (
     run_pipeline,
 )
 from rolealign.discovery import DiscoveryConfig, Formation
-from rolealign.geometry import LOG_2PI, Gaussian2D, component_log_pdfs
-from rolealign.ingest import Dataset, Frame, flatten
+from rolealign.geometry import LOG_2PI, Gaussian2D
+from rolealign.ingest import Dataset, Frame
 from rolealign.synth import recovery_score, sample_dataset, generate_formation
 
 
@@ -166,23 +166,6 @@ def test_assign_roles_too_many_agents():
         assign_roles(ds, t)
 
 
-def test_assign_roles_cache_matches_direct():
-    t = square_template()
-    ds, _ = shuffled_frames(t, 12, noise=0.4, seed=22)
-    cache = component_log_pdfs(t.roles, flatten(ds))
-    direct = assign_roles(ds, t)
-    cached = assign_roles(ds, t, cache=cache)
-    assert np.array_equal(direct.matrix, cached.matrix)
-    assert np.array_equal(direct.mappings, cached.mappings)
-
-
-def test_assign_roles_cache_shape_check():
-    t = square_template()
-    ds, _ = shuffled_frames(t, 5, noise=0.1, seed=23)
-    with pytest.raises(ValueError, match="cache shape"):
-        assign_roles(ds, t, cache=np.zeros((7, 4)))
-
-
 # aligned output formats
 
 
@@ -277,10 +260,24 @@ def test_pipeline_key_frames_only():
 
 
 def test_pipeline_parent_cache_consistency(tiny_tgp):
-    # cached densities reordered by the parent mapping must equal recompute
+    # under a parent, assignment must use the template's role order (a
+    # density cache in the formation's order once broke this)
     tmpl, ds, truth = tiny_tgp
     base = run_pipeline(ds)
     parent = Template(roles=tuple(base.template.roles[::-1]))
     res = run_pipeline(ds, parent=parent)
     fresh = assign_roles(res.dataset, res.template)
     assert np.array_equal(res.aligned.matrix, fresh.matrix)
+
+
+def test_pipeline_avg_loglik_is_the_last_em_pass():
+    tmpl = generate_formation(4, separation=3.0, seed=31)
+    ds, _ = sample_dataset(tmpl, 200, event_rate=0.3, seed=31)
+    res = run_pipeline(ds)
+    assert res.avg_loglik == res.trace.logliks[-1]
+    # the same points in another order: equal up to the summation order
+    assert res.avg_loglik == pytest.approx(
+        average_log_likelihood(res.dataset, res.formation), rel=1e-13)
+    keyed = run_pipeline(ds, key_frames_only=True)
+    assert keyed.avg_loglik == average_log_likelihood(keyed.dataset,
+                                                      keyed.formation)

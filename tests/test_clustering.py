@@ -16,7 +16,7 @@ from rolealign.clustering import (
     wce_sweep,
     within_cluster_error,
 )
-from rolealign.alignment import Template
+from rolealign.alignment import Template, assign_roles
 from rolealign.discovery import DiscoveryConfig, kmeans
 from rolealign.geometry import Gaussian2D, nearest_centers
 from rolealign.ingest import center_normalize, concat_datasets
@@ -290,6 +290,31 @@ def test_tree_min_node_blocks_splits(mixed_formations):
                                          k_candidates=(2, 3)),
                       cfg=DiscoveryConfig(k=4))
     assert tree.depth == 1
+
+
+def test_tree_nodes_assign_as_a_fresh_assign_roles(mixed_formations,
+                                                   monkeypatch):
+    # every node's mappings, including those of nodes aligned to a parent,
+    # are those of assign_roles on the node's frames and template
+    import rolealign.clustering as clustering
+
+    ta, tb, mix = mixed_formations
+    made = []
+
+    def spy(sub, template, *args, **kwargs):
+        out = assign_roles(sub, template, *args, **kwargs)
+        made.append(out.mappings)
+        return out
+
+    monkeypatch.setattr(clustering, "assign_roles", spy)
+    tree = learn_tree(mix, stop=TreeStop(min_node=50, k_candidates=(2, 3)),
+                      cfg=DiscoveryConfig(k=4))
+    nodes = [tree.root, *tree.root.children]   # the order they were built
+    assert len(nodes) == len(made) == 3
+    for node, mappings in zip(nodes, made):
+        fresh = assign_roles(mix.take(np.array(node.row_indices)),
+                             node.template)
+        assert np.array_equal(mappings, fresh.mappings)
 
 
 # nearest-center searches, against the (P, k, D) broadcasts they replaced

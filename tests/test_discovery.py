@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rolealign import discovery, generate_formation, sample_dataset
 from rolealign.discovery import (
     DiscoveryConfig,
     EmTrace,
     Formation,
-    _m_step,
-    _work_arrays,
+    _em_pass,
     canonical_order,
     discover_formation,
     em_step_full,
@@ -179,8 +179,6 @@ def reference_lloyd(pts, init, tol=1e-6, max_iters=1000):
 def _kmeans_case(name):
     rng = np.random.default_rng(41)
     if name == "2d":
-        from rolealign import generate_formation, sample_dataset
-
         ds, _ = sample_dataset(generate_formation(10, separation=2.0, seed=4),
                                3000, swap_rate=0.05, seed=4)
         pts = flatten(ds) + np.array([52.5, 34.0])   # pitch-like offsets
@@ -196,21 +194,17 @@ def _kmeans_case(name):
 
 
 @pytest.mark.parametrize("case", ["2d", "44d", "reseed"])
-def test_kmeans_bit_identical_to_reference_loop(case):
+def test_kmeans_bit_identical_to_reference_loop(case, monkeypatch):
     pts, init = _kmeans_case(case)
-    km = kmeans(pts, init)
     centers, labels, inertia = reference_lloyd(pts, init)
-    assert km.n_iterations > 1
-    assert np.array_equal(km.centers, centers)
-    assert np.array_equal(km.labels, labels)
-    assert km.inertia == inertia
-    if pts.shape[1] == 2:   # again in caller-owned arrays holding garbage
-        work = [np.full(a.shape, np.nan)
-                for a in _work_arrays(len(pts), len(init))[:2]]
-        kw = kmeans(pts, init, work=work)
-        assert np.array_equal(kw.centers, centers)
-        assert np.array_equal(kw.labels, labels)
-        assert kw.inertia == inertia
+    for block in (discovery.BLOCK, 7):   # one block, then many
+        monkeypatch.setattr(discovery, "BLOCK", block)
+        km = kmeans(pts, init)
+        assert km.n_iterations > 1
+        assert np.array_equal(km.centers, centers)
+        assert np.array_equal(km.labels, labels)
+        assert km.inertia == inertia
+        assert km.searched == len(pts) * km.n_iterations
 
 
 def test_kmeans_does_not_mutate_init():
@@ -237,10 +231,9 @@ def test_canonical_order_lexicographic():
 # EM updates
 
 
-def e_step(f, pts, work=None):
+def e_step(f, pts):
     """Log responsibilities and the average log-likelihood under f."""
-    log_resp, log_mix = log_responsibilities(f.components, f.weights, pts,
-                                             work)
+    log_resp, log_mix = log_responsibilities(f.components, f.weights, pts)
     return log_resp, float(log_mix.mean())
 
 
@@ -266,7 +259,7 @@ def test_dead_component_keeps_its_mean_and_covariance(spherical):
                      weight=0.5)
     near = Gaussian2D(mean=np.zeros(2), cov=np.eye(2), weight=0.5)
     state = Formation(components=(near, far))
-    out = _m_step(state, pts, e_step(state, pts)[0], spherical=spherical)
+    out = _em_pass(state, pts, spherical)[1]
     assert np.array_equal(out.components[1].mean, far.mean)
     assert np.array_equal(out.components[1].cov, far.cov)
     assert out.components[1].weight < 1e-300
@@ -278,7 +271,7 @@ def test_spherical_step_gives_isotropic_covariances():
     state = random_formation(rng, 3)
     pts = rng.normal(size=(120, 2)) * 2
     log_resp, _ = e_step(state, pts)
-    new = _m_step(state, pts, log_resp, spherical=True)
+    new = _em_pass(state, pts, spherical=True)[1]
     resp = np.exp(log_resp)
     counts = resp.sum(axis=0)
     means = (resp.T @ pts) / counts[:, None]
@@ -291,9 +284,8 @@ def test_spherical_step_gives_isotropic_covariances():
 
 
 def reference_em_step(f, pts, spherical):
-    """The broadcast expressions that the in-place E- and M-steps must
-    match bit for bit: log densities, log responsibilities, and the
-    weighted means and second moments."""
+    """One EM step in the difference form: the average log-likelihood
+    under f, and the next weights, means and (central) second moments."""
     means = np.array([c.mean for c in f.components])
     precs = np.array([c.precision for c in f.components])
     dets = np.array([c.det for c in f.components])
@@ -301,8 +293,7 @@ def reference_em_step(f, pts, spherical):
     dy = pts[:, None, 1] - means[None, :, 1]
     quad = (precs[:, 0, 0] * dx * dx + 2.0 * precs[:, 0, 1] * dx * dy
             + precs[:, 1, 1] * dy * dy)
-    dens = -LOG_2PI - 0.5 * np.log(dets) - 0.5 * quad
-    joint = dens + np.log(f.weights)
+    joint = -LOG_2PI - 0.5 * np.log(dets) - 0.5 * quad + np.log(f.weights)
     m = joint.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(joint - m).sum(axis=1, keepdims=True)) + m
     resp = np.exp(joint - log_norm)
@@ -312,16 +303,18 @@ def reference_em_step(f, pts, spherical):
     dy = pts[:, None, 1] - new_means[None, :, 1]
     if spherical:
         c = 0.5 * (resp * (dx * dx + dy * dy)).sum(axis=0) / counts
-        moments = (c, c)
+        moments = (c, np.zeros_like(c), c)
     else:
         moments = tuple((resp * a * b).sum(axis=0) / counts
                         for a, b in ((dx, dx), (dx, dy), (dy, dy)))
-    return dens, joint - log_norm, float(log_norm.mean()), new_means, moments
+    return float(log_norm.mean()), counts / len(pts), new_means, moments
 
 
 @pytest.mark.parametrize("spherical", [False, True])
-def test_em_steps_bit_identical_to_reference_in_fresh_and_work_arrays(
-        spherical):
+def test_em_pass_matches_difference_form_reference(spherical):
+    # the moment form differs from the difference form by rounding only:
+    # here the densities by a few 1e-15, the fitted moments by cancellation
+    # in E[xx'] - mean mean', of order u (|mean|^2 + var) / var
     rng = np.random.default_rng(12)
     comps = []
     for w in (0.2, 0.3, 0.5):
@@ -330,19 +323,44 @@ def test_em_steps_bit_identical_to_reference_in_fresh_and_work_arrays(
                                 cov=a @ a.T + 0.3 * np.eye(2), weight=w))
     f = Formation(components=tuple(comps))
     pts = rng.normal(size=(500, 2)) * 3
-    dens, log_resp, ll, means, moments = reference_em_step(f, pts, spherical)
-    work = [np.full(a.shape, np.nan) for a in _work_arrays(500, 3)]
-    assert np.array_equal(component_log_pdfs(f.components, pts), dens)
-    for arrays in (None, work):
-        got, got_ll = e_step(f, pts, arrays)
-        assert np.array_equal(got, log_resp) and got_ll == ll
-        new = _m_step(f, pts, got, spherical, arrays)
-        assert np.array_equal(new.means, means)
-        covs = np.array([c.cov for c in new.components])
-        picks = (covs[:, 0, 0], covs[:, 1, 1]) if spherical else \
-            (covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1])
-        assert all(np.array_equal(a, b) for a, b in zip(picks, moments))
-    assert got is work[0]
+    ll, weights, means, moments = reference_em_step(f, pts, spherical)
+    log_mix, new = _em_pass(f, pts, spherical)
+    assert log_mix.shape == (500,)
+    assert float(log_mix.mean()) == pytest.approx(ll, rel=1e-14)
+    assert np.allclose(new.weights, weights, rtol=1e-13, atol=0)
+    assert np.allclose(new.means, means, rtol=1e-12, atol=1e-14)
+    covs = np.array([c.cov for c in new.components])
+    for got, want in zip((covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]),
+                         moments):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+    if spherical:
+        assert np.all(covs[:, 0, 1] == 0.0)
+        assert np.array_equal(covs[:, 0, 0], covs[:, 1, 1])
+    assert em_step_full(f, pts).to_dict() == _em_pass(f, pts, False)[1] \
+        .to_dict()
+
+
+def test_em_fit_does_not_depend_on_block_size_beyond_rounding(monkeypatch):
+    tmpl = generate_formation(4, separation=1.5, seed=3)
+    ds, _ = sample_dataset(tmpl, 1500, swap_rate=0.05, seed=3)
+    p = ds.n_frames * ds.n_agents
+    fits = []
+    for block in (7, 4096, p):
+        monkeypatch.setattr(discovery, "BLOCK", block)
+        fits.append(discover_formation(ds, DiscoveryConfig(k=4, em_tol=1e-9)))
+    (f0, t0), rest = fits[0], fits[1:]
+    assert p > 4096 and len(t0.rows) > 10
+    for f, t in rest:
+        assert len(t.rows) == len(t0.rows)
+        assert t.update_kinds == t0.update_kinds
+        # row 0 scores the K-means state, whose per-point densities are
+        # the same bits in any block
+        assert t.rows[0] == t0.rows[0]
+        assert np.allclose(t.logliks, t0.logliks, rtol=1e-10, atol=0)
+        for a, b in zip(f.components, f0.components):
+            assert a.weight == pytest.approx(b.weight, rel=1e-10)
+            assert np.allclose(a.mean, b.mean, rtol=1e-10, atol=0)
+            assert np.allclose(a.cov, b.cov, rtol=1e-10, atol=0)
 
 
 def test_component_log_pdfs_matches_single_gaussian():
@@ -411,17 +429,6 @@ def test_k1_matches_sample_moments():
                        atol=1e-12)
     assert f.components[0].weight == 1.0
     assert trace.converged
-
-
-def test_cache_equals_direct_densities_in_caller_order():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(90, 2)) * 3
-    ds = frames_from_points(pts, per_frame=3)
-    f, trace = discover_formation(ds, DiscoveryConfig(k=3, init_mode="random"))
-    assert trace.cache.shape == (90, 3)
-    assert np.allclose(trace.cache, component_log_pdfs(f.components,
-                                                       flatten(ds)),
-                       atol=0, rtol=0)
 
 
 def test_row_permutation_cannot_change_the_result():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolealign import (Gaussian2D, bhattacharyya_distance,
-                       covariance_eigenvalues, differential_entropy,
-                       gaussian_log_pdf, kl_divergence,
+                       component_log_pdfs, covariance_eigenvalues,
+                       differential_entropy, gaussian_log_pdf, kl_divergence,
                        mahalanobis_between_means, nearest_centers,
                        role_area, sq_dist_to)
 
@@ -44,6 +44,95 @@ def test_log_pdf_vectorized_matches_scalar():
     assert batch.shape == (40,)
     for x, v in zip(xs, batch):
         assert gaussian_log_pdf(g, x) == pytest.approx(v, abs=1e-12)
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff 2^-53."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1.0 - nu)
+
+
+def difference_form(gaussians, pts):
+    """The log densities as c - (p00 dx dx + 2 p01 dx dy + p11 dy dy) / 2,
+    with c = -log 2 pi - log(det) / 2, and a bound on their rounding error:
+    each product carries four roundings (two from dx, dy), the sum of three
+    two more and the subtraction one, so the error is within gamma_7 of
+    |c| + (|p00| dx^2 + 2 |p01| |dx dy| + |p11| dy^2) / 2."""
+    means = np.array([g.mean for g in gaussians])
+    precs = np.array([g.precision for g in gaussians])
+    const = -LOG_2PI - 0.5 * np.log([g.det for g in gaussians])
+    dx = pts[:, None, 0] - means[None, :, 0]
+    dy = pts[:, None, 1] - means[None, :, 1]
+    quad = (precs[:, 0, 0] * dx * dx + 2.0 * precs[:, 0, 1] * dx * dy
+            + precs[:, 1, 1] * dy * dy)
+    size = (np.abs(precs[:, 0, 0]) * dx * dx
+            + 2.0 * np.abs(precs[:, 0, 1] * dx * dy)
+            + np.abs(precs[:, 1, 1]) * dy * dy)
+    return const - 0.5 * quad, gamma(7) * (np.abs(const) + 0.5 * size)
+
+
+def moment_form_bound(gaussians, pts):
+    """Rounding bound of the moment form phi(x) . c, where phi = [x^2, xy,
+    y^2, x, y, 1] and c = [-p00/2, -p01, -p11/2, (Pm)_x, (Pm)_y,
+    const - m'Pm/2]: gamma_12 of the sum of |phi_i| times the absolute
+    size of c_i, with Pm and m'Pm taken over absolute values.  Higham
+    section 3.1 gives gamma_6 for the six-term product; forming the
+    features and coefficients adds at most five roundings, and one is
+    spare."""
+    means = np.array([g.mean for g in gaussians])
+    absp = np.abs(np.array([g.precision for g in gaussians]))
+    const = -LOG_2PI - 0.5 * np.log([g.det for g in gaussians])
+    lin = absp[:, :, 0] * np.abs(means[:, :1]) \
+        + absp[:, :, 1] * np.abs(means[:, 1:])
+    size = np.stack([0.5 * absp[:, 0, 0], absp[:, 0, 1], 0.5 * absp[:, 1, 1],
+                     lin[:, 0], lin[:, 1],
+                     np.abs(const) + 0.5 * (lin * np.abs(means)).sum(axis=1)])
+    x, y = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    phi = np.stack([x * x, x * y, y * y, x, y, np.ones(len(pts))], axis=1)
+    return gamma(12) * (phi @ size)
+
+
+def _density_case(name):
+    rng = np.random.default_rng(31)
+    if name == "centered":
+        return [random_gaussian(rng) for _ in range(5)], \
+            rng.normal(0.0, 4.0, (500, 2))
+    # raw pitch coordinates: roles 1 mm wide near (100, 60), points
+    # within a few millimetres and across the pitch
+    gs = []
+    for _ in range(3):
+        a = rng.normal(0.0, 1e-3, (2, 2))
+        gs.append(Gaussian2D(mean=[100.0, 60.0] + rng.normal(0.0, 0.01, 2),
+                             cov=a @ a.T + 1e-6 * np.eye(2)))
+    near = np.array([100.0, 60.0]) + rng.normal(0.0, 0.01, (400, 2))
+    far = rng.uniform((0.0, 0.0), (105.0, 68.0), (100, 2))
+    return gs, np.concatenate([near, far])
+
+
+@pytest.mark.parametrize("case", ["centered", "pitch"])
+def test_component_log_pdfs_within_rounding_bound_of_difference_form(case):
+    gaussians, pts = _density_case(case)
+    got = component_log_pdfs(gaussians, pts)
+    ref, ref_error = difference_form(gaussians, pts)
+    gap = np.abs(got - ref)
+    assert np.all(gap <= moment_form_bound(gaussians, pts) + ref_error)
+    if case == "pitch":   # the moment form's cancellation is visible here
+        assert gap.max() > 1e-9
+
+
+def test_component_log_pdfs_entries_do_not_depend_on_shape():
+    # every entry equals the 1 x 1 product of its own row and column
+    rng = np.random.default_rng(32)
+    gaussians = [random_gaussian(rng) for _ in range(4)]
+    pts = rng.normal(0.0, 4.0, (37, 2))
+    full = component_log_pdfs(gaussians, pts)
+    for i in (0, 17, 36):
+        for j in range(4):
+            assert component_log_pdfs(gaussians[j:j + 1], pts[i:i + 1]) \
+                == full[i, j]
+    for lo, hi in ((0, 2), (5, 36), (36, 37)):
+        assert np.array_equal(component_log_pdfs(gaussians[1:3], pts[lo:hi]),
+                              full[lo:hi, 1:3])
 
 
 def test_log_pdf_integrates_to_one():

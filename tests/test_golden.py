@@ -5,9 +5,10 @@ package's writers) in pitch coordinates, with right-to-left frames stored
 mirrored and agents listed in a different order on every other frame, so
 parsing, normalization and canonical ordering all do real work.  Every
 output file except ``manifest.json`` (which records timings and paths) is
-compared by sha256 with the value recorded before the columnar ``Dataset``
-rewrite; a refactor that changes any output bit fails here.  The hashes
-hold for float64 numpy on x86-64; another BLAS may round differently.
+compared by sha256 with the value recorded when EM moved to the moment
+form (densities and M-step sums as matrix products); a refactor that
+changes any output bit fails here.  The hashes hold for float64 numpy with
+OpenBLAS on x86-64; another BLAS may round differently.
 """
 
 import hashlib
@@ -26,31 +27,31 @@ GOLDEN = {
     "input/contexts.jsonl":
         "cc528700be0a739ef7dd712665d6bc187a6a1f8eda4b57815f9388fdc1e259ef",
     "discover/formation.json":
-        "98e4e03816569f7da3bd91d7bb19e8ba681d5ca83ff7555505028450b68fe1c9",
+        "575fb379c441608550010932946ca76b296208c81758d4b2c606c1046730508a",
     "discover/template.json":
-        "0d521bcaeefb0d6299f59edeb9897d2af3403a72a8b6683972532748e4cc0a44",
+        "59e1967cede913b010bbafe54715877c8e64f1194472a6473f08ddccc52e3c87",
     "discover/emtrace.csv":
-        "a8abc9f5ea4e55282b24e8db19c4c289d6554f8e35f02150a0f9ec51879d9e37",
+        "d5d458d372de87d719e276ad51a4dddea6b702e3b705811c71b5a34ae9d906ca",
     "compare/report.json":
-        "d2096c4a79a90c46add681a5b07b3b921d2597aa153d266b51be19f80d15cf8e",
+        "ff49f842c050b1abcc453dd2de881c3230590d5b1e59a23862a54792d9f54dfb",
     "compare/wce_sweep.csv":
         "c84bc6c35c5f443dba1bb4c870c9f50cbfb6145c758139c1f9820b0673ae249f",
     "compare/pca.csv":
         "88fe1ec880a40b94efc2cef8ee4a1b7c480a8847085bfb272eccdc406070b7de",
     "compare/emtrace.csv":
-        "a8abc9f5ea4e55282b24e8db19c4c289d6554f8e35f02150a0f9ec51879d9e37",
+        "d5d458d372de87d719e276ad51a4dddea6b702e3b705811c71b5a34ae9d906ca",
     "compare/hard_trace.csv":
-        "be11d3d780eb0a8548588dfca7ba575ab0ae6761359eb70fa186d1620e9954d4",
+        "448ee9e5f73b39329d168b185b91982edf6a4e3e3c310f83385db28a2dcce611",
     "context/global.template.json":
-        "e1a6b49eedf3870b705946c07c92ad112128476a4533b228d436e7fe20142133",
+        "3739bcd7a753d9e9467f3eb2d7bc060d231aca178a573a2da17979df2631a7ef",
     "context/context_home_g1_1.template.json":
-        "5d901814111ba86c8abc7c8cbf7164ded8dbd1f9ccb99e769b8352ee5a1996f2",
+        "c4be91304e04453dbdb954f25234ce2472ef11d18c1a6e29cc4ae83df67ce790",
     "context/context_home_g1_2.template.json":
-        "4bb38ef7b8d204b6016317ef79849f52fed0280e01cf984ba99cc3ac979ef3af",
+        "dc54a2c6c51bc7794ce3e6274e4ba8ba6a79b04e1ab593708f63b53d2a3eceb5",
     "context/context_away_g1_1.template.json":
-        "8299a706115c996bf91855127bbee98216ba4555a22a6be1b91ae73ad6dbd76d",
+        "53f6fa4af8751c06f2795da6dee8dd0a54820045c1e0c5af90703b7e39e85880",
     "context/context_away_g1_2.template.json":
-        "8210719245e7bb413f927b8c88bd5b9d11a77053a4cd512a91dde6c67f661683",
+        "ef2e50ff86f119d00052e3081b20e524cface9537da1dcf21165cf78c4675583",
 }
 
 

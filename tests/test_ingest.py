@@ -157,6 +157,25 @@ def test_jsonl_defaults():
     assert (f.team, f.game, f.period) == ("", "", 1)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_jsonl_lines_end_at_lf_only(eol):
+    # U+2028, U+2029 and U+0085 may stand raw inside a JSON string
+    import json
+
+    teams = ["a\u2028b", "c\u2029d", "e\u0085f"]
+    lines = [json.dumps({"frame_id": i, "positions": [[float(i), 0.0]],
+                         "team": team, "game": "g\u2028"}, ensure_ascii=False)
+             for i, team in enumerate(teams)]
+    text = eol.join(lines) + eol
+    assert all(ch in text for ch in "\u2028\u2029\u0085")
+    ds = parse_tracking(io.StringIO(text), format="jsonl")
+    assert ds.team.tolist() == teams
+    assert ds.game.tolist() == ["g\u2028"] * 3
+    bad = eol.join(lines + ['{"frame_id": 9}']) + eol
+    with pytest.raises(ParseError, match="line 4: missing key 'positions'"):
+        parse_tracking(io.StringIO(bad), format="jsonl")
+
+
 # errors carry 1-based line numbers
 
 
