@@ -114,14 +114,16 @@ class AlignedDataset:
     ``mappings[s, i]`` is the role slot of agent i in frame s, and
     ``frame_id[s]`` the frame's id.  When a frame has fewer agents than
     roles the unfilled slots are NaN.  ``n_certified`` counts the frames
-    whose mapping the row-argmin certificate settled without a Hungarian
-    solve.
+    whose mapping the row-argmin certificate settled without a solve, and
+    ``n_tied`` the solved frames with more than one optimum, which went
+    through ``hungarian`` for its lexicographic rule.
     """
 
     matrix: np.ndarray
     mappings: np.ndarray
     frame_id: np.ndarray
     n_certified: int = 0
+    n_tied: int = 0
 
     def __post_init__(self):
         for name, dtype in (("matrix", float), ("mappings", int),
@@ -139,7 +141,8 @@ class AlignedDataset:
         slots = np.full((s, k, 2), np.nan)
         slots[np.arange(s)[:, None], batch.mappings] = ds.positions
         return cls(matrix=slots.reshape(s, 2 * k), mappings=batch.mappings,
-                   frame_id=ds.frame_id, n_certified=batch.n_certified)
+                   frame_id=ds.frame_id, n_certified=batch.n_certified,
+                   n_tied=batch.n_tied)
 
     @property
     def n_frames(self):

@@ -6,10 +6,13 @@ equal-cost optima are broken deterministically in favour of the
 lexicographically smallest row->column mapping.
 
 Role assignment solves one such problem per frame.  ``assign_batch`` takes
-all frames at once: a frame whose row minima are unique and fall in distinct
-columns is settled by its row argmins, which are then the unique optimum, and
-only the remaining frames go through ``hungarian``.  On well-separated roles
-almost every frame is settled that way.
+all frames at once.  A frame whose row minima are unique and fall in distinct
+columns is certified: its row argmins are the unique optimum.  The remaining
+frames are solved together by ``_jv_lockstep``, the same shortest-augmenting-
+path steps vectorized over frames, which gives each frame the scalar
+solver's mapping and duals bit for bit.  Only the solved frames whose tight
+edges admit another optimal mapping are tied, and go through ``hungarian``
+for its lexicographic rule.  ``hungarian`` stays the solver of one matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ _LEX_SLACK = 1e-6
 # more than this (relative to 1 + the frame's largest magnitude), ten times
 # the slack above, so the refinement can never prefer another mapping.
 _CERT_MARGIN = 10 * _LEX_SLACK
+# ``assign_batch`` solves the frames the certificate leaves in chunks of this
+# many, so its working set stays a few MB when a full match leaves tens of
+# thousands of frames uncertified.
+_LOCKSTEP_FRAMES = 1024
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -100,6 +107,152 @@ def _jv_square(cost: list[list[float]]) -> tuple[list[int], list[float], list[fl
     return mapping, u[1:], v[1:]
 
 
+def _lockstep_search(cost, frames, u, v, matched, way, minv, j0):
+    """The turns after the first of one row's search in ``_jv_square``, for
+    the frames ``frames`` of a cost stack at once.
+
+    The other arrays hold only those frames, laid out as in ``_jv_square``
+    (1-based, column 0 the virtual start), and are updated in place; every
+    frame has had its first turn, from column 0 to column ``j0``, and that
+    column is taken.  Each pass does one more turn in every frame still
+    searching.  A frame that reaches a free column stops there, its ``j0``
+    pointing at it, and the others go on with compacted copies of their
+    arrays, so no pass computes anything for a frame that has stopped.
+    """
+    used = np.zeros(minv.shape, dtype=bool)
+    used[:, 0] = True
+    tree = np.zeros(minv.shape, dtype=bool)
+    tree[np.arange(len(j0)), matched[:, 0]] = True
+    work = [u, v, matched, way, minv, used, tree, j0]
+    idx = None   # where the working copies sit in the arrays passed in
+    while True:
+        uw, vw, mw, ww, minv, used, tree, jw = work
+        fr = np.arange(len(jw))
+        rows = mw[fr, jw]
+        used[fr, jw] = True
+        tree[fr, rows] = True
+        cur = (cost[frames, rows - 1] - uw[fr, rows][:, None]) - vw[:, 1:]
+        better = (cur < minv[:, 1:]) & ~used[:, 1:]
+        np.copyto(minv[:, 1:], cur, where=better)
+        np.copyto(ww[:, 1:], jw[:, None], where=better)
+        unused = np.where(used[:, 1:], np.inf, minv[:, 1:])
+        j1 = unused.argmin(axis=1)   # the first minimum, as the scalar scan
+        delta = unused[fr, j1][:, None]
+        np.add(uw, delta, out=uw, where=tree)
+        np.subtract(vw, delta, out=vw, where=used)
+        np.subtract(minv, delta, out=minv, where=~used)
+        jw[:] = j1 + 1
+        searching = mw[fr, jw] != 0
+        if searching.all():
+            continue
+        if idx is not None:
+            u[idx], v[idx], way[idx], j0[idx] = uw, vw, ww, jw
+        keep = np.flatnonzero(searching)
+        if not len(keep):
+            return
+        idx = keep if idx is None else idx[keep]
+        frames = frames[keep]
+        work = [x[keep] for x in work]
+
+
+def _jv_lockstep(cost):
+    """``_jv_square`` on every matrix of an (F, n, n) stack at once.
+
+    Rows are placed in the scalar order, one row of every frame per outer
+    step.  The first turn of a row's search is taken by every frame together;
+    the few frames whose turn lands on a taken column continue in
+    ``_lockstep_search``.  Each element sees the scalar code's IEEE operations
+    in the scalar order (the reduced cost ``(c - u[i0]) - v[j]``, strict ``<``
+    updates of ``minv`` and ``way``, ``delta`` from the first minimum over
+    unused columns, the same dual updates and augmentation walk), so the
+    (F, n) mappings and both (F, n) dual vectors it returns are
+    ``_jv_square``'s, bit for bit.
+    """
+    f, n, _ = cost.shape
+    fr = np.arange(f)
+    u = np.zeros((f, n + 1))
+    v = np.zeros((f, n + 1))
+    matched = np.zeros((f, n + 1), dtype=np.intp)
+    way = np.zeros((f, n + 1), dtype=np.intp)
+    for i in range(1, n + 1):
+        matched[:, 0] = i
+        # first turn: only row i and the virtual column 0 are in the tree
+        minv = np.full((f, n + 1), np.inf)
+        cur = (cost[:, i - 1] - u[:, i, None]) - v[:, 1:]
+        better = cur < minv[:, 1:]
+        np.copyto(minv[:, 1:], cur, where=better)
+        np.copyto(way[:, 1:], 0, where=better)
+        j0 = minv[:, 1:].argmin(axis=1) + 1
+        delta = minv[fr, j0]
+        u[:, i] += delta
+        v[:, 0] -= delta
+        minv[:, 1:] -= delta[:, None]
+        a = np.flatnonzero(matched[fr, j0])
+        if len(a):
+            sub = [x[a] for x in (u, v, matched, way, minv, j0)]
+            _lockstep_search(cost, a, *sub)
+            u[a], v[a], way[a], j0[a] = sub[0], sub[1], sub[3], sub[5]
+        while j0.any():   # way[:, 0] stays 0, so finished walks stand still
+            j1 = way[fr, j0]
+            matched[fr, j0] = matched[fr, j1]
+            j0 = j1
+    mapping = np.empty((f, n), dtype=np.intp)
+    mapping[fr[:, None], matched[:, 1:] - 1] = np.arange(n)
+    return mapping, u[:, 1:], v[:, 1:]
+
+
+def _tight(cost, u, v):
+    """The zero-reduced-cost edges of an (F, n, n) stack under duals u, v,
+    up to 1e-9 of each matrix's largest magnitude (at least 1)."""
+    scale = np.maximum(1.0, np.maximum(cost.max(axis=(1, 2)),
+                                       -cost.min(axis=(1, 2))))
+    reduced = cost - u[:, :, None]
+    reduced -= v[:, None, :]
+    return reduced <= (1e-9 * scale)[:, None, None]
+
+
+def _alternating_cycles(tight, mapping, n_real):
+    """Which frames of an (F, n, n) ``tight`` stack hold a tight perfect
+    matching that gives one of the first ``n_real`` rows another column than
+    ``mapping`` does.
+
+    Two perfect matchings differ by alternating cycles, so such a matching
+    exists exactly when a cycle of the digraph "row i can take the column of
+    row i' along a tight edge" passes through one of those rows.  Rows with
+    no way out are peeled off until only cycles and the paths into them are
+    left; when padding rows (those from ``n_real`` on) are present, a closure
+    of what is left tells which rows lie on a cycle.
+    """
+    f, n, _ = tight.shape
+    owner = np.empty_like(mapping)
+    owner[np.arange(f)[:, None], mapping] = np.arange(n)
+    fs, rows, cols = np.nonzero(tight)
+    src = fs * n + rows
+    dst = fs * n + owner[fs, cols]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    while True:
+        has_out = np.zeros(f * n, dtype=bool)
+        has_out[src] = True
+        keep = has_out[dst]
+        if keep.all():
+            break
+        src, dst = src[keep], dst[keep]
+    cycles = np.zeros(f, dtype=bool)
+    cycles[src // n] = True
+    if n_real < n and len(src):
+        frames, local = np.unique(src // n, return_inverse=True)
+        reach = np.zeros((len(frames), n, n))
+        reach[local, src % n, dst % n] = 1.0
+        span = 1
+        while span < n:   # paths of up to 2 * span edges
+            reach = np.minimum(reach + reach @ reach, 1.0)
+            span *= 2
+        on_cycle = reach.diagonal(axis1=1, axis2=2)[:, :n_real]
+        cycles[frames] = on_cycle.any(axis=1)
+    return cycles
+
+
 def _find_augmenting(row, adj, row_to_col, col_to_row, visited, blocked):
     for j in adj[row]:
         if blocked[j] or visited[j]:
@@ -125,9 +278,9 @@ def _lex_refine(cost, mapping, u, v, n_real):
     n = len(cost)
     arr = np.asarray(cost)
     scale = max(1.0, float(np.abs(arr).max()))
-    tol = 1e-9 * scale
-    tight = (arr - np.asarray(u)[:, None] - np.asarray(v)[None, :]) <= tol
-    if int(tight.sum()) <= n:
+    tight = _tight(arr[None], np.asarray(u)[None], np.asarray(v)[None])[0]
+    if not _alternating_cycles(tight[None], np.asarray(mapping)[None],
+                               n_real)[0]:
         return mapping  # unique optimal matching, nothing to refine
     adj = [np.nonzero(tight[i])[0].tolist() for i in range(n)]
     row_to_col = list(mapping)
@@ -202,16 +355,23 @@ class BatchAssignment:
 
     ``mappings[s]`` and ``totals[s]`` equal ``hungarian(cost[s])``'s mapping
     and total cost.  ``certified[s]`` is True when frame s was settled by its
-    row argmins alone, False when it was solved by ``hungarian``.
+    row argmins alone; the other frames were solved in lockstep.  ``tied[s]``
+    marks the solved frames with more than one optimum, which ``hungarian``
+    solved again for its lexicographic rule.
     """
 
     mappings: np.ndarray
     totals: np.ndarray
     certified: np.ndarray
+    tied: np.ndarray
 
     @property
     def n_certified(self):
         return int(self.certified.sum())
+
+    @property
+    def n_tied(self):
+        return int(self.tied.sum())
 
 
 def assign_batch(cost) -> BatchAssignment:
@@ -221,10 +381,14 @@ def assign_batch(cost) -> BatchAssignment:
     runner-up by a margin and the row argmins are pairwise distinct.  Any
     other injective mapping then pays at least that margin more, so the
     argmin mapping is the unique optimum and the lexicographic rule has
-    nothing to choose between.  Only uncertified frames (ties, near-ties,
-    two rows wanting one column) are solved one by one.  Mappings and totals
-    are bit-identical to per-frame ``hungarian``, which also sets the errors
-    raised for N > K and non-finite entries.
+    nothing to choose between.  The uncertified frames (ties, near-ties,
+    two rows wanting one column) are padded to K x K as ``hungarian`` pads
+    them and solved together by ``_jv_lockstep``, whose mappings and duals
+    are ``_jv_square``'s.  A solved frame whose tight edges admit no other
+    perfect matching keeps that mapping, which the lexicographic refinement
+    would return unchanged; only the tied rest go through ``hungarian``.
+    Mappings and totals are bit-identical to per-frame ``hungarian``, which
+    also sets the errors raised for N > K and non-finite entries.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 3 or c.shape[1] < 1:
@@ -243,14 +407,27 @@ def assign_batch(cost) -> BatchAssignment:
                       > margin[:, None]).all(axis=1)
         cols = np.sort(mappings, axis=1)
         certified &= (cols[:, 1:] != cols[:, :-1]).all(axis=1)
-    for f in np.flatnonzero(~certified):
+    tied = np.zeros(s, dtype=bool)
+    solve = np.flatnonzero(~certified)
+    for start in range(0, len(solve), _LOCKSTEP_FRAMES):
+        frames = solve[start:start + _LOCKSTEP_FRAMES]
+        square = c[frames]
+        if n < k:   # hungarian's padding: rows of max entry + 1
+            sentinel = square.max(axis=(1, 2)) + 1.0
+            square = np.concatenate(
+                [square, np.broadcast_to(sentinel[:, None, None],
+                                         (len(frames), k - n, k))], axis=1)
+        solved, u, v = _jv_lockstep(square)
+        mappings[frames] = solved[:, :n]
+        tied[frames] = _alternating_cycles(_tight(square, u, v), solved, n)
+    for f in np.flatnonzero(tied):
         mappings[f] = hungarian(c[f]).mapping
     # row-wise sums over the last axis add in the same order as hungarian's
     # 1-D sum, so the totals match it bit for bit
     totals = np.take_along_axis(c, mappings[:, :, None], axis=2)[:, :, 0] \
         .sum(axis=1)
     return BatchAssignment(mappings=mappings, totals=totals,
-                           certified=certified)
+                           certified=certified, tied=tied)
 
 
 @dataclass(frozen=True)

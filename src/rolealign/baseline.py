@@ -33,13 +33,15 @@ class HardEmTrace:
     """Per-iteration totals; no monotonicity is promised, that is the point.
 
     ``certified[i]`` counts the frames of pass i + 1 whose assignment the
-    row-argmin certificate settled; it is not part of the CSV.
+    row-argmin certificate settled, and ``tied[i]`` the solved frames of that
+    pass with more than one optimum; neither is part of the CSV.
     """
 
     rows: list = field(default_factory=list)
     converged: bool = False
     oscillated: bool = False
     certified: list = field(default_factory=list)
+    tied: list = field(default_factory=list)
 
     def append(self, iteration, total_cost, avg_loglik, changed_frames):
         self.rows.append((int(iteration), float(total_cost),
@@ -108,6 +110,7 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     for it in range(1, passes + 1):
         batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
         trace.certified.append(batch.n_certified)
+        trace.tied.append(batch.n_tied)
         mappings = batch.mappings
         # a sequential sum in frame order, not numpy's pairwise one:
         # hard_trace.csv records its exact bits

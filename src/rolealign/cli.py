@@ -150,9 +150,11 @@ def cmd_discover(args) -> int:
     return 0
 
 
-def _certificate(frames, certified):
-    """Frames settled by the row-argmin certificate vs solved by Hungarian."""
-    return {"certified": certified, "solved": frames - certified}
+def _certificate(frames, certified, tied):
+    """Frames settled by the row-argmin certificate vs solved, and the
+    solved frames with tied optima that went through ``hungarian``."""
+    return {"certified": certified, "solved": frames - certified,
+            "tied": tied}
 
 
 def _search_totals(sweep):
@@ -234,9 +236,10 @@ def cmd_compare(args) -> int:
         outputs=["report.json", "wce_sweep.csv", "pca.csv", "emtrace.csv",
                  "hard_trace.csv"],
         stats={"delta_avg_loglik": report["delta_avg_loglik"],
-               "soft_assignment": _certificate(s, res.aligned.n_certified),
-               "hard_assignment": [_certificate(s, c)
-                                   for c in hard_trace.certified],
+               "soft_assignment": _certificate(s, res.aligned.n_certified,
+                                               res.aligned.n_tied),
+               "hard_assignment": [_certificate(s, c, t) for c, t in
+                                   zip(hard_trace.certified, hard_trace.tied)],
                "nearest_centers": {"aligned": _search_totals(sweep_aligned),
                                    "identity": _search_totals(
                                        sweep_identity)}})

@@ -10,6 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from rolealign import (SinkhornConvergenceError, assign_batch, hungarian,
                        sinkhorn_normalize)
+from rolealign import assignment
+from rolealign.assignment import (_alternating_cycles, _jv_lockstep,
+                                  _jv_square, _tight)
 
 
 def brute_force(cost):
@@ -251,6 +254,124 @@ def test_batch_against_scipy_oracle():
     for c, t in zip(cost, b.totals):
         rows, cols = optimize.linear_sum_assignment(c)
         assert t == pytest.approx(c[rows, cols].sum(), abs=1e-9)
+
+
+def test_batch_against_scipy_oracle_uncertified_22():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(25)
+    cost = role_costs(rng, 150, 22, 22, 1.5)
+    b = assign_batch(cost)
+    assert b.n_certified < 10 and b.n_tied == 0
+    for c, m, t in zip(cost, b.mappings, b.totals):
+        rows, cols = optimize.linear_sum_assignment(c)
+        assert t == pytest.approx(c[rows, cols].sum(), abs=1e-9)
+        assert m.tolist() == cols.tolist()   # the optimum is unique
+
+
+# ------------------------------------------------------- lockstep solver
+
+def padded(cost):
+    """Each (n, k) frame of ``cost`` padded to k x k as hungarian pads it."""
+    s, n, k = cost.shape
+    sentinel = cost.max(axis=(1, 2)) + 1.0
+    pad = np.broadcast_to(sentinel[:, None, None], (s, k - n, k))
+    return np.concatenate([cost, pad], axis=1)
+
+
+def assert_lockstep_is_scalar(square):
+    mappings, u, v = _jv_lockstep(square)
+    for f, c in enumerate(square):
+        m, uf, vf = _jv_square(c.tolist())
+        assert mappings[f].tolist() == m
+        assert u[f].tobytes() == np.array(uf).tobytes()   # bit for bit
+        assert v[f].tobytes() == np.array(vf).tobytes()
+
+
+def test_lockstep_matches_scalar_on_random_floats():
+    rng = np.random.default_rng(30)
+    for n in range(1, 9):
+        assert_lockstep_is_scalar(rng.normal(0.0, 5.0, (60, n, n)))
+    assert_lockstep_is_scalar(rng.normal(0.0, 5.0, (200, 22, 22)))
+
+
+def test_lockstep_matches_scalar_on_integer_ties():
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 9):
+        assert_lockstep_is_scalar(
+            rng.integers(0, 3, (200, n, n)).astype(float))
+
+
+def test_lockstep_matches_scalar_on_mixed_padded_frames():
+    # easy frames finish each row's search in one turn, random ones run
+    # long; all of them, padded as hungarian pads, share one lockstep
+    rng = np.random.default_rng(32)
+    for n, k in ((3, 7), (10, 12), (1, 5)):
+        easy = role_costs(rng, 150, n, k, 0.2)
+        hard = rng.normal(0.0, 3.0, (150, n, k))
+        ties = rng.integers(0, 3, (100, n, k)).astype(float)
+        stack = np.concatenate([easy, hard, ties])
+        assert_lockstep_is_scalar(padded(stack[rng.permutation(len(stack))]))
+
+
+def tied_22(rng, s):
+    """22 x 22 frames, most of them uncertified; rounding a few to whole
+    numbers gives them equal-cost optima."""
+    cost = role_costs(rng, s, 22, 22, 1.5)
+    cost[::15] = np.round(cost[::15])
+    return cost
+
+
+def test_batch_matches_hungarian_on_uncertified_22():
+    cost = tied_22(np.random.default_rng(33), 150)
+    b = assert_same_as_hungarian(cost)
+    assert b.n_certified < 10 and b.n_tied >= 1
+    assert not (b.tied & b.certified).any()
+
+
+def test_batch_matches_hungarian_across_chunks(monkeypatch):
+    monkeypatch.setattr(assignment, "_LOCKSTEP_FRAMES", 16)
+    cost = tied_22(np.random.default_rng(34), 100)
+    b = assert_same_as_hungarian(cost)
+    assert len(cost) - b.n_certified > 3 * 16 and b.n_tied >= 1
+
+
+def test_extra_tight_edges_with_a_unique_optimum_are_not_tied(monkeypatch):
+    # both rows want column 0, so the frame is not certified; the duals
+    # leave 3 tight edges, row 0's tight column 0 lying left of its own,
+    # yet [1, 0] is the only optimum
+    cost = np.array([[0.0, 0.0], [0.0, 1.0]])
+    m, u, v = _jv_square(cost.tolist())
+    tight = _tight(cost[None], np.array(u)[None], np.array(v)[None])
+    assert tight.sum() > 2 and not _alternating_cycles(tight, np.array([m]), 2)
+    b = assert_same_as_hungarian(cost[None])
+    assert not b.certified[0] and not b.tied[0]
+
+    def no_search(*args):
+        raise AssertionError("unique tight optimum searched")
+
+    monkeypatch.setattr(assignment, "_find_augmenting", no_search)
+    assert hungarian(cost).mapping.tolist() == [1, 0]
+
+
+def test_tied_frame_takes_the_lexicographic_optimum():
+    # [0, 1, 2] and [1, 2, 0] both cost 4; row 2 can take any column
+    cost = np.array([[[0.0, 0.0, 5.0], [3.0, 0.0, 0.0], [4.0, 4.0, 4.0]]])
+    b = assert_same_as_hungarian(cost)
+    assert b.tied[0] and b.mappings.tolist() == [[0, 1, 2]]
+
+
+def test_cycles_among_padding_rows_alone_are_not_ties():
+    # both agents want role 0 and the optimum [1, 0] is unique; the two
+    # padding rows can swap roles 2 and 3, which changes no agent's role
+    cost = np.array([[[0.0, 1.0, 9.0, 9.0], [0.0, 5.0, 9.0, 9.0]]])
+    b = assert_same_as_hungarian(cost)
+    assert b.mappings.tolist() == [[1, 0]]
+    assert not b.certified[0] and not b.tied[0]
+    square = padded(cost)
+    mapping, u, v = _jv_lockstep(square)
+    tight = _tight(square, u, v)
+    assert _alternating_cycles(tight, mapping, 4)[0]
+    assert not _alternating_cycles(tight, mapping, 2)[0]
 
 
 # ---------------------------------------------------------------- sinkhorn
