@@ -115,8 +115,8 @@ class AlignedDataset:
     ``frame_id[s]`` the frame's id.  When a frame has fewer agents than
     roles the unfilled slots are NaN.  ``n_certified`` counts the frames
     whose mapping the row-argmin certificate settled without a solve, and
-    ``n_tied`` the solved frames with more than one optimum, which went
-    through ``hungarian`` for its lexicographic rule.
+    ``n_tied`` the solved frames with more than one optimum, whose mapping
+    was refined lexicographically from the lockstep duals.
     """
 
     matrix: np.ndarray

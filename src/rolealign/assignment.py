@@ -1,23 +1,20 @@
 """Exact bipartite assignment and doubly-stochastic matrix normalization.
 
-The Hungarian solver is the shortest-augmenting-path (Jonker-Volgenant style)
-variant, O(n^3) for an n x n matrix, written in plain Python.  Ties between
-equal-cost optima are broken deterministically in favour of the
-lexicographically smallest row->column mapping.
-
-Role assignment solves one such problem per frame.  ``assign_batch`` takes
-all frames at once.  A frame whose row minima are unique and fall in distinct
-columns is certified: its row argmins are the unique optimum.  The remaining
-frames are solved together by ``_jv_lockstep``, the same shortest-augmenting-
-path steps vectorized over frames, which gives each frame the scalar
-solver's mapping and duals bit for bit.  Only the solved frames whose tight
-edges admit another optimal mapping are tied, and go through ``hungarian``
-for its lexicographic rule.  ``hungarian`` stays the solver of one matrix.
+Role assignment solves one minimum-cost assignment per frame, and
+``assign_batch`` takes all frames at once.  Ties between equal-cost optima
+are broken deterministically in favour of the lexicographically smallest
+row->column mapping.  A frame whose row minima are unique and fall in
+distinct columns is certified: its row argmins are the unique optimum.  The
+remaining frames are solved together by ``_jv_lockstep``, the
+shortest-augmenting-path method of Jonker and Volgenant (1987), O(n^3) for an
+n x n matrix, vectorized over frames.  Only the solved frames whose tight
+edges admit another optimal mapping are tied; ``_lex_refine`` refines their
+lockstep mapping lexicographically from the lockstep duals.  ``hungarian``,
+the solver of one matrix, is ``assign_batch`` of one frame.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,65 +50,11 @@ class Assignment:
         object.__setattr__(self, "total_cost", float(self.total_cost))
 
 
-def _jv_square(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
-    """Solve a square assignment problem; returns (row->col, row duals, col duals).
-
-    Classic 1-indexed shortest-augmenting-path formulation; column 0 is the
-    virtual start column.
-    """
-    n = len(cost)
-    inf = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    matched = [0] * (n + 1)   # matched[j] = row occupying column j (1-based, 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        matched[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = matched[j0]
-            row = cost[i0 - 1]
-            ui0 = u[i0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[matched[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if matched[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            matched[j0] = matched[j1]
-            j0 = j1
-    mapping = [0] * n
-    for j in range(1, n + 1):
-        if matched[j]:
-            mapping[matched[j] - 1] = j - 1
-    return mapping, u[1:], v[1:]
-
-
 def _lockstep_search(cost, frames, u, v, matched, way, minv, j0):
-    """The turns after the first of one row's search in ``_jv_square``, for
-    the frames ``frames`` of a cost stack at once.
+    """The turns after the first of one row's search in ``_jv_lockstep``,
+    for the frames ``frames`` of a cost stack at once.
 
-    The other arrays hold only those frames, laid out as in ``_jv_square``
+    The other arrays hold only those frames, laid out as in ``_jv_lockstep``
     (1-based, column 0 the virtual start), and are updated in place; every
     frame has had its first turn, from column 0 to column ``j0``, and that
     column is taken.  Each pass does one more turn in every frame still
@@ -156,17 +99,19 @@ def _lockstep_search(cost, frames, u, v, matched, way, minv, j0):
 
 
 def _jv_lockstep(cost):
-    """``_jv_square`` on every matrix of an (F, n, n) stack at once.
+    """Shortest-augmenting-path solve of every matrix of an (F, n, n) stack
+    at once; returns the (F, n) row->column mappings and row and column duals.
 
-    Rows are placed in the scalar order, one row of every frame per outer
-    step.  The first turn of a row's search is taken by every frame together;
-    the few frames whose turn lands on a taken column continue in
-    ``_lockstep_search``.  Each element sees the scalar code's IEEE operations
-    in the scalar order (the reduced cost ``(c - u[i0]) - v[j]``, strict ``<``
-    updates of ``minv`` and ``way``, ``delta`` from the first minimum over
-    unused columns, the same dual updates and augmentation walk), so the
-    (F, n) mappings and both (F, n) dual vectors it returns are
-    ``_jv_square``'s, bit for bit.
+    This is the classic 1-indexed one-matrix formulation, column 0 the
+    virtual start column, with rows placed in its order, one row of every
+    frame per outer step.  The first turn of a row's search is taken by every
+    frame together; the few frames whose turn lands on a taken column
+    continue in ``_lockstep_search``.  Each element sees the one-matrix
+    code's IEEE operations in its order (the reduced cost
+    ``(c - u[i0]) - v[j]``, strict ``<`` updates of ``minv`` and ``way``,
+    ``delta`` from the first minimum over unused columns, the same dual
+    updates and augmentation walk), so the mappings and duals are that
+    code's, bit for bit; the tests keep it as the reference.
     """
     f, n, _ = cost.shape
     fr = np.arange(f)
@@ -267,23 +212,21 @@ def _find_augmenting(row, adj, row_to_col, col_to_row, visited, blocked):
     return False
 
 
-def _lex_refine(cost, mapping, u, v, n_real):
+def _lex_refine(cost, mapping, tight, n_real):
     """Rewrite ``mapping`` into the lexicographically smallest optimal one.
 
-    Works on the tight subgraph (zero reduced cost edges) of the solved
-    problem: by complementary slackness every perfect matching of tight edges
-    is optimal.  Rows are fixed in order, each to the smallest column that
-    still leaves the remaining rows matchable.
+    ``cost`` is a padded n x n frame, ``mapping`` its solved row->column
+    mapping and ``tight`` its tight subgraph (zero reduced cost edges under
+    the solve's duals, from ``_tight``): by complementary slackness every
+    perfect matching of tight edges is optimal.  It is called only for frames
+    where ``_alternating_cycles`` found another such matching.  Rows are fixed
+    in order, each to the smallest column that still leaves the remaining
+    rows matchable.
     """
     n = len(cost)
-    arr = np.asarray(cost)
-    scale = max(1.0, float(np.abs(arr).max()))
-    tight = _tight(arr[None], np.asarray(u)[None], np.asarray(v)[None])[0]
-    if not _alternating_cycles(tight[None], np.asarray(mapping)[None],
-                               n_real)[0]:
-        return mapping  # unique optimal matching, nothing to refine
+    scale = max(1.0, float(np.abs(cost).max()))
     adj = [np.nonzero(tight[i])[0].tolist() for i in range(n)]
-    row_to_col = list(mapping)
+    row_to_col = mapping.tolist()
     col_to_row = [-1] * n
     for i, j in enumerate(row_to_col):
         col_to_row[j] = i
@@ -320,44 +263,16 @@ def _lex_refine(cost, mapping, u, v, n_real):
     return row_to_col
 
 
-def hungarian(cost, lexicographic: bool = True) -> Assignment:
-    """Minimum-cost injective assignment of rows to columns.
-
-    ``cost`` is an n x m array-like with n <= m and finite entries.  Matrices
-    with n < m are padded to square with a sentinel (max entry + 1); the
-    padding rows are discarded from the result.  The returned assignment is
-    exactly optimal; with ``lexicographic`` the mapping is additionally the
-    lexicographically smallest among equal-cost optima.
-    """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] < 1:
-        raise ValueError("cost must be a 2-D matrix with at least one row")
-    n, m = c.shape
-    if n > m:
-        raise ValueError(f"cost matrix must have n <= m, got {n}x{m}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost matrix contains non-finite entries")
-    rows = c.tolist()
-    if n < m:
-        sentinel = float(c.max()) + 1.0
-        rows = rows + [[sentinel] * m for _ in range(m - n)]
-    mapping, u, v = _jv_square(rows)
-    if lexicographic:
-        mapping = _lex_refine(rows, mapping, u, v, n)
-    mapping = np.array(mapping[:n])
-    total = float(c[np.arange(n), mapping].sum())
-    return Assignment(mapping=mapping, total_cost=total)
-
-
 @dataclass(frozen=True)
 class BatchAssignment:
     """Per-frame optimal mappings of an (S, N, K) cost tensor.
 
-    ``mappings[s]`` and ``totals[s]`` equal ``hungarian(cost[s])``'s mapping
-    and total cost.  ``certified[s]`` is True when frame s was settled by its
-    row argmins alone; the other frames were solved in lockstep.  ``tied[s]``
-    marks the solved frames with more than one optimum, which ``hungarian``
-    solved again for its lexicographic rule.
+    ``mappings[s]`` is frame s's optimal mapping, the lexicographically
+    smallest among equal-cost optima, and ``totals[s]`` its total cost.
+    ``certified[s]`` is True when frame s was settled by its row argmins
+    alone; the other frames were solved in lockstep.  ``tied[s]`` marks the
+    solved frames with more than one optimum, whose lockstep mapping was
+    refined lexicographically from the lockstep duals.
     """
 
     mappings: np.ndarray
@@ -375,20 +290,22 @@ class BatchAssignment:
 
 
 def assign_batch(cost) -> BatchAssignment:
-    """``hungarian`` on every frame of an (S, N, K) cost tensor, N <= K.
+    """Exact minimum-cost assignment of every frame of an (S, N, K) cost
+    tensor with finite entries, N <= K.
 
     A frame is certified when every row's minimum undercuts the row's
     runner-up by a margin and the row argmins are pairwise distinct.  Any
     other injective mapping then pays at least that margin more, so the
     argmin mapping is the unique optimum and the lexicographic rule has
     nothing to choose between.  The uncertified frames (ties, near-ties,
-    two rows wanting one column) are padded to K x K as ``hungarian`` pads
-    them and solved together by ``_jv_lockstep``, whose mappings and duals
-    are ``_jv_square``'s.  A solved frame whose tight edges admit no other
-    perfect matching keeps that mapping, which the lexicographic refinement
-    would return unchanged; only the tied rest go through ``hungarian``.
-    Mappings and totals are bit-identical to per-frame ``hungarian``, which
-    also sets the errors raised for N > K and non-finite entries.
+    two rows wanting one column) are padded to K x K with rows of the
+    frame's max entry + 1, which every mapping pays alike and which are
+    dropped from the result, and solved together by ``_jv_lockstep``.  A
+    solved frame whose tight edges admit no other perfect matching keeps
+    that mapping, which the lexicographic refinement would return unchanged;
+    only the tied rest go to ``_lex_refine``, with their lockstep mapping
+    and tight edges, so no frame is solved twice.  Each frame's result
+    depends on that frame alone.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 3 or c.shape[1] < 1:
@@ -412,22 +329,36 @@ def assign_batch(cost) -> BatchAssignment:
     for start in range(0, len(solve), _LOCKSTEP_FRAMES):
         frames = solve[start:start + _LOCKSTEP_FRAMES]
         square = c[frames]
-        if n < k:   # hungarian's padding: rows of max entry + 1
+        if n < k:
             sentinel = square.max(axis=(1, 2)) + 1.0
             square = np.concatenate(
                 [square, np.broadcast_to(sentinel[:, None, None],
                                          (len(frames), k - n, k))], axis=1)
         solved, u, v = _jv_lockstep(square)
+        tight = _tight(square, u, v)
+        cycles = _alternating_cycles(tight, solved, n)
+        for f in np.flatnonzero(cycles):
+            solved[f] = _lex_refine(square[f], solved[f], tight[f], n)
         mappings[frames] = solved[:, :n]
-        tied[frames] = _alternating_cycles(_tight(square, u, v), solved, n)
-    for f in np.flatnonzero(tied):
-        mappings[f] = hungarian(c[f]).mapping
-    # row-wise sums over the last axis add in the same order as hungarian's
-    # 1-D sum, so the totals match it bit for bit
+        tied[frames] = cycles
     totals = np.take_along_axis(c, mappings[:, :, None], axis=2)[:, :, 0] \
         .sum(axis=1)
     return BatchAssignment(mappings=mappings, totals=totals,
                            certified=certified, tied=tied)
+
+
+def hungarian(cost) -> Assignment:
+    """Minimum-cost injective assignment of rows to columns.
+
+    ``cost`` is an n x m array-like with n <= m and finite entries.  This is
+    ``assign_batch`` of one frame: the assignment is exactly optimal, and its
+    mapping is the lexicographically smallest among equal-cost optima.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] < 1:
+        raise ValueError("cost must be a 2-D matrix with at least one row")
+    batch = assign_batch(c[None])
+    return Assignment(mapping=batch.mappings[0], total_cost=batch.totals[0])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ class HardEmTrace:
 
     ``certified[i]`` counts the frames of pass i + 1 whose assignment the
     row-argmin certificate settled, and ``tied[i]`` the solved frames of that
-    pass with more than one optimum; neither is part of the CSV.
+    pass with more than one optimum, whose mapping was refined
+    lexicographically from the lockstep duals; neither is part of the CSV.
     """
 
     rows: list = field(default_factory=list)

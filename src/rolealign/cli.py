@@ -151,8 +151,9 @@ def cmd_discover(args) -> int:
 
 
 def _certificate(frames, certified, tied):
-    """Frames settled by the row-argmin certificate vs solved, and the
-    solved frames with tied optima that went through ``hungarian``."""
+    """Frames settled by the row-argmin certificate vs solved in lockstep,
+    and the solved frames with tied optima, refined lexicographically from
+    the lockstep duals."""
     return {"certified": certified, "solved": frames - certified,
             "tied": tied}
 

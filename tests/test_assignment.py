@@ -1,6 +1,7 @@
 """Assignment solver against exhaustive oracles; Sinkhorn fixed points."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rolealign import (SinkhornConvergenceError, assign_batch, hungarian,
                        sinkhorn_normalize)
 from rolealign import assignment
 from rolealign.assignment import (_alternating_cycles, _jv_lockstep,
-                                  _jv_square, _tight)
+                                  _lex_refine, _tight)
 
 
 def brute_force(cost):
@@ -100,16 +101,6 @@ def test_lexicographic_matches_brute_force_on_ties():
         assert a.mapping.tolist() == lex
 
 
-def test_non_lexicographic_still_optimal():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        c = rng.integers(0, 3, (n, n)).astype(float)
-        a = hungarian(c, lexicographic=False)
-        best, _ = brute_force(c)
-        assert a.total_cost == pytest.approx(best, abs=1e-9)
-
-
 def test_total_cost_consistent_with_entries():
     rng = np.random.default_rng(5)
     c = rng.normal(0, 2, (6, 9))
@@ -119,14 +110,16 @@ def test_total_cost_consistent_with_entries():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n <= m"):
         hungarian(np.ones((3, 2)))     # more rows than columns
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         hungarian([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         hungarian([[1.0, np.inf], [0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2-D matrix"):
         hungarian(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="2-D matrix"):
+        hungarian(np.ones((0, 3)))
 
 
 def test_mapping_is_frozen():
@@ -137,10 +130,80 @@ def test_mapping_is_frozen():
 
 # ------------------------------------------------------------ batch solver
 
+def _jv_square(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """Solve a square assignment problem; returns (row->col, row duals, col duals).
+
+    Classic 1-indexed shortest-augmenting-path formulation; column 0 is the
+    virtual start column.
+    """
+    n = len(cost)
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    matched = [0] * (n + 1)   # matched[j] = row occupying column j (1-based, 0 = free)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        matched[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = matched[j0]
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            delta = inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[matched[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if matched[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            matched[j0] = matched[j1]
+            j0 = j1
+    mapping = [0] * n
+    for j in range(1, n + 1):
+        if matched[j]:
+            mapping[matched[j] - 1] = j - 1
+    return mapping, u[1:], v[1:]
+
+
+def scalar_hungarian(c):
+    """One (n, k) frame solved on its own, independently of ``assign_batch``:
+    padded to k x k, solved by the scalar ``_jv_square``, then refined by
+    ``_lex_refine`` when its tight edges hold another optimum.  The total is
+    a 1-D sum over the frame's rows."""
+    n = len(c)
+    square = padded(c[None])[0]
+    m, u, v = _jv_square(square.tolist())
+    mapping = np.array(m)
+    tight = _tight(square[None], np.array(u)[None], np.array(v)[None])
+    if _alternating_cycles(tight, mapping[None], n)[0]:
+        mapping = np.array(_lex_refine(square, mapping, tight[0], n))
+    mapping = mapping[:n]
+    return mapping, c[np.arange(n), mapping].sum()
+
+
 def per_frame(cost):
-    solved = [hungarian(c) for c in cost]
-    return (np.array([a.mapping for a in solved]),
-            np.array([a.total_cost for a in solved]))
+    solved = [scalar_hungarian(c) for c in cost]
+    return (np.array([m for m, _ in solved]),
+            np.array([t for _, t in solved]))
 
 
 def assert_same_as_hungarian(cost):
@@ -180,7 +243,7 @@ def test_batch_integer_ties_take_the_lexicographic_path():
 
 def test_batch_near_tie_is_not_certified():
     # the row argmins [1, 0] undercut [0, 1] by 2e-10, inside the slack
-    # hungarian's lexicographic refinement accepts, so it returns [0, 1]
+    # the lexicographic refinement accepts, so it returns [0, 1]
     eps = 1e-10
     cost = np.array([[[1.0 + eps, 1.0], [1.0, 1.0 + eps]]])
     b = assert_same_as_hungarian(cost)
@@ -271,7 +334,8 @@ def test_batch_against_scipy_oracle_uncertified_22():
 # ------------------------------------------------------- lockstep solver
 
 def padded(cost):
-    """Each (n, k) frame of ``cost`` padded to k x k as hungarian pads it."""
+    """Each (n, k) frame of ``cost`` padded to k x k as assign_batch pads
+    it, with rows of the frame's max entry + 1."""
     s, n, k = cost.shape
     sentinel = cost.max(axis=(1, 2)) + 1.0
     pad = np.broadcast_to(sentinel[:, None, None], (s, k - n, k))
@@ -303,7 +367,7 @@ def test_lockstep_matches_scalar_on_integer_ties():
 
 def test_lockstep_matches_scalar_on_mixed_padded_frames():
     # easy frames finish each row's search in one turn, random ones run
-    # long; all of them, padded as hungarian pads, share one lockstep
+    # long; all of them, padded as assign_batch pads, share one lockstep
     rng = np.random.default_rng(32)
     for n, k in ((3, 7), (10, 12), (1, 5)):
         easy = role_costs(rng, 150, n, k, 0.2)
@@ -333,6 +397,47 @@ def test_batch_matches_hungarian_across_chunks(monkeypatch):
     cost = tied_22(np.random.default_rng(34), 100)
     b = assert_same_as_hungarian(cost)
     assert len(cost) - b.n_certified > 3 * 16 and b.n_tied >= 1
+
+
+def test_each_uncertified_frame_reaches_the_lockstep_once(monkeypatch):
+    # tied frames are refined from their own chunk's solve, not solved again
+    monkeypatch.setattr(assignment, "_LOCKSTEP_FRAMES", 16)
+    chunks = []
+
+    def counted(square):
+        chunks.append(len(square))
+        return _jv_lockstep(square)
+
+    monkeypatch.setattr(assignment, "_jv_lockstep", counted)
+    cost = np.random.default_rng(35).integers(0, 3, (120, 6, 6)).astype(float)
+    b = assign_batch(cost)
+    solved = len(cost) - b.n_certified
+    assert b.n_tied > 3 * 16
+    assert len(chunks) == math.ceil(solved / 16) and sum(chunks) == solved
+
+
+def test_hungarian_on_a_certifiable_matrix_skips_the_lockstep(monkeypatch):
+    def no_solve(square):
+        raise AssertionError("certifiable matrix sent to the lockstep")
+
+    monkeypatch.setattr(assignment, "_jv_lockstep", no_solve)
+    rng = np.random.default_rng(36)
+    for n, k in ((6, 6), (4, 9)):
+        cost = role_costs(rng, 1, n, k, 0.1)[0]
+        assert hungarian(cost).mapping.tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("cost", [
+    role_costs(np.random.default_rng(37), 1, 3, 7, 2.0)[0],     # rectangular
+    np.random.default_rng(38).integers(0, 3, (6, 6)).astype(float),   # ties
+    np.array([[1.0 + 1e-10, 1.0], [1.0, 1.0 + 1e-10]]),         # near-tie
+    np.array([[0.0, 0.0, 5.0], [3.0, 0.0, 0.0], [4.0, 4.0, 4.0]]),
+], ids=["rectangular", "integer-ties", "near-tie", "tied"])
+def test_hungarian_is_assign_batch_of_one_frame(cost):
+    a = hungarian(cost)
+    b = assign_batch(cost[None])
+    assert np.array_equal(a.mapping, b.mappings[0])
+    assert a.total_cost == b.totals[0]
 
 
 def test_extra_tight_edges_with_a_unique_optimum_are_not_tied(monkeypatch):

@@ -217,7 +217,7 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     assert soft["certified"] + soft["solved"] == 80 and soft["certified"] > 0
     assert len(hard) == len(hard_lines) - 1
     assert all(p["certified"] + p["solved"] == 80 for p in hard)
-    # the solved frames with tied optima, sent to hungarian
+    # the solved frames with tied optima, refined lexicographically
     assert all(0 <= p["tied"] <= p["solved"] for p in [soft] + hard)
     assert "certified" not in json.dumps(report)
     # per WCE sweep: rows of its nearest-center searches, and those the
