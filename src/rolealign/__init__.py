@@ -5,9 +5,9 @@ from .version import __version__
 from .geometry import (Gaussian2D, NearestCenters, bhattacharyya_distance,
                        component_log_pdfs, covariance_eigenvalues,
                        differential_entropy, gaussian_log_pdf, kl_divergence,
-                       log_responsibilities, mahalanobis_between_means,
+                       log_mixture_density, mahalanobis_between_means,
                        nearest_centers, role_area, sample_covariance,
-                       sq_dist_to)
+                       split_by_label, sq_dist_to)
 from .assignment import (Assignment, BatchAssignment,
                          SinkhornConvergenceError, SinkhornResult,
                          assign_batch, hungarian, sinkhorn_normalize)
@@ -36,9 +36,9 @@ __all__ = [
     "__version__",
     "Gaussian2D", "bhattacharyya_distance", "component_log_pdfs",
     "covariance_eigenvalues", "differential_entropy", "gaussian_log_pdf",
-    "kl_divergence", "log_responsibilities", "mahalanobis_between_means",
+    "kl_divergence", "log_mixture_density", "mahalanobis_between_means",
     "NearestCenters", "nearest_centers", "role_area", "sample_covariance",
-    "sq_dist_to",
+    "split_by_label", "sq_dist_to",
     "Assignment", "BatchAssignment", "SinkhornConvergenceError",
     "SinkhornResult", "assign_batch", "hungarian", "sinkhorn_normalize",
     "Dataset", "EmptySelectionError", "Frame", "ParseError",

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import BatchAssignment, assign_batch, hungarian
+from .assignment import assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
-                       log_responsibilities, mahalanobis_between_means)
+                       log_mixture_density, mahalanobis_between_means)
 from .ingest import Dataset, flatten
 from . import discovery as _disc
 
@@ -116,7 +116,8 @@ class AlignedDataset:
     roles the unfilled slots are NaN.  ``n_certified`` counts the frames
     whose mapping the row-argmin certificate settled without a solve, and
     ``n_tied`` the solved frames with more than one optimum, whose mapping
-    was refined lexicographically from the lockstep duals.
+    was refined lexicographically from the lockstep duals.  ``totals[s]``
+    is the total cost of frame s's mapping.
     """
 
     matrix: np.ndarray
@@ -124,25 +125,14 @@ class AlignedDataset:
     frame_id: np.ndarray
     n_certified: int = 0
     n_tied: int = 0
+    totals: np.ndarray = ()
 
     def __post_init__(self):
         for name, dtype in (("matrix", float), ("mappings", int),
-                            ("frame_id", np.int64)):
+                            ("frame_id", np.int64), ("totals", float)):
             value = np.array(getattr(self, name), dtype=dtype)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_batch(cls, ds: Dataset, batch: BatchAssignment,
-                   k: int) -> "AlignedDataset":
-        """Put each frame's agents into the K role slots ``batch`` maps them
-        to."""
-        s = ds.n_frames
-        slots = np.full((s, k, 2), np.nan)
-        slots[np.arange(s)[:, None], batch.mappings] = ds.positions
-        return cls(matrix=slots.reshape(s, 2 * k), mappings=batch.mappings,
-                   frame_id=ds.frame_id, n_certified=batch.n_certified,
-                   n_tied=batch.n_tied)
 
     @property
     def n_frames(self):
@@ -200,14 +190,20 @@ def assign_roles(ds: Dataset, t: Template,
     cost_all = -component_log_pdfs(t.roles, flatten(ds))
     if include_weights:
         cost_all = cost_all - np.log(t.weights)
-    cost_all = cost_all.reshape(ds.n_frames, n, k)
-    return AlignedDataset.from_batch(ds, assign_batch(cost_all), k)
+    s = ds.n_frames
+    batch = assign_batch(cost_all.reshape(s, n, k))
+    slots = np.full((s, k, 2), np.nan)
+    slots[np.arange(s)[:, None], batch.mappings] = ds.positions
+    return AlignedDataset(matrix=slots.reshape(s, 2 * k),
+                          mappings=batch.mappings, frame_id=ds.frame_id,
+                          n_certified=batch.n_certified,
+                          n_tied=batch.n_tied, totals=batch.totals)
 
 
 def average_log_likelihood(ds: Dataset, f: "_disc.Formation") -> float:
     """Mean over all points of the log mixture density under f."""
-    _, log_mix = log_responsibilities(f.components, f.weights, flatten(ds))
-    return float(log_mix.mean())
+    return float(log_mixture_density(f.components, f.weights,
+                                     flatten(ds)).mean())
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Where the soft pipeline lets every point contribute fractionally to every
 role, this baseline commits each agent to exactly one role per frame (an
-exact assignment per frame, by the same ``assign_batch`` rule the soft
-pipeline's role assignment uses) and refits each role's Gaussian from its
+exact assignment per frame, by the soft pipeline's own ``assign_roles``
+without its weight term) and refits each role's Gaussian from its
 assigned points only.  The exclusive commitment is what makes it slow (one
 exact assignment per frame per iteration) and what breaks the usual EM
 guarantee: its likelihood sequence may oscillate, which the trace records
@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignedDataset, Template
-from .assignment import assign_batch
+from .alignment import (AlignedDataset, Template, assign_roles,
+                        average_log_likelihood)
 from .discovery import Formation
-from .geometry import (Gaussian2D, component_log_pdfs, differential_entropy,
-                       log_responsibilities, sample_covariance)
+from .geometry import (Gaussian2D, differential_entropy, log_mixture_density,
+                       sample_covariance, split_by_label)
 from .ingest import Dataset, flatten
 
 
@@ -80,64 +80,56 @@ def player_identity_template(ds: Dataset) -> Template:
     return Template(roles=tuple(roles))
 
 
-def _as_formation(roles, weights):
-    total = float(np.sum(weights))
-    comps = tuple(Gaussian2D(mean=r.mean, cov=r.cov, weight=float(w) / total)
-                  for r, w in zip(roles, weights))
-    return Formation(components=comps)
-
-
 def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
                        ) -> tuple[Formation, AlignedDataset, HardEmTrace]:
     """Alternate exclusive per-frame assignment and per-role refits.
 
-    Stops when no frame's assignment changes, when an assignment state
-    repeats (oscillation, flagged on the trace), or after max_iters passes.
+    Each pass is ``assign_roles`` without the weight term (costs are plain
+    negative log densities; the baseline has no mixture weight term), a
+    refit of every role from the points assigned to it, and
+    ``average_log_likelihood`` of the refit formation.  Stops when no
+    frame's assignment changes, when an assignment state repeats
+    (oscillation, flagged on the trace), or after max_iters passes.
     max_iters=0 still performs the one mandatory assign-and-refit pass.  A
-    role assigned zero points keeps its previous Gaussian.  Costs are plain
-    negative log densities; the baseline has no mixture weight term.
+    role assigned zero points keeps its previous Gaussian.
     """
-    s, n = ds.n_frames, ds.n_agents
-    k = init.k
-    if n > k:
-        raise ValueError(f"{n} agents cannot fill {k} roles")
+    s, k = ds.n_frames, init.k
     pts = flatten(ds)
     roles = init.roles
 
     trace = HardEmTrace()
     prev_maps = None
     seen_states = set()
-    passes = max(1, max_iters)
-    for it in range(1, passes + 1):
-        batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
-        trace.certified.append(batch.n_certified)
-        trace.tied.append(batch.n_tied)
-        mappings = batch.mappings
+    for it in range(1, max(1, max_iters) + 1):
+        aligned = assign_roles(ds, Template(roles=roles),
+                               include_weights=False)
+        trace.certified.append(aligned.n_certified)
+        trace.tied.append(aligned.n_tied)
+        mappings = aligned.mappings
         # a sequential sum in frame order, not numpy's pairwise one:
         # hard_trace.csv records its exact bits
         total_cost = 0.0
-        for frame_total in batch.totals.tolist():
+        for frame_total in aligned.totals.tolist():
             total_cost += frame_total
         changed = s if prev_maps is None else int(
             (mappings != prev_maps).any(axis=1).sum())
 
-        flat_roles = mappings.reshape(-1)
-        new_roles = []
-        counts = np.zeros(k)
-        for j in range(k):
-            member = pts[flat_roles == j]
-            counts[j] = len(member)
-            if len(member) == 0:
-                new_roles.append(roles[j])   # re-seed from previous state
-            else:
-                new_roles.append(Gaussian2D(mean=member.mean(axis=0),
-                                            cov=sample_covariance(member),
-                                            weight=1.0 / k))
-        weights = np.where(counts > 0, counts, 1.0)
-        formation = _as_formation(new_roles, weights)
+        members = split_by_label(pts, mappings.reshape(-1), k)
+        # each refit role is built with weight 1/k, then rebuilt with its
+        # share: the rebuild applies the eigenvalue floor a second time,
+        # which can move a floored covariance's bits
+        fits = [old if len(m) == 0 else   # re-seed from previous state
+                Gaussian2D(mean=m.mean(axis=0), cov=sample_covariance(m),
+                           weight=1.0 / k)
+                for old, m in zip(roles, members)]
+        weights = np.array([max(len(m), 1) for m in members], dtype=float)
+        total = float(np.sum(weights))
+        formation = Formation(components=tuple(
+            Gaussian2D(mean=r.mean, cov=r.cov, weight=float(w) / total)
+            for r, w in zip(fits, weights)))
         roles = formation.components
-        _, log_mix = log_responsibilities(roles, formation.weights, pts)
-        trace.append(it, total_cost, float(log_mix.mean()), changed)
+        trace.append(it, total_cost, average_log_likelihood(ds, formation),
+                     changed)
 
         if changed == 0:
             trace.converged = True
@@ -149,7 +141,6 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         seen_states.add(key)
         prev_maps = mappings
 
-    aligned = AlignedDataset.from_batch(ds, batch, k)
     return formation, aligned, trace
 
 
@@ -185,7 +176,7 @@ def overlap_penalty(f: Formation, n_samples: int = 100_000,
     z = rng.standard_normal((n_samples, 2))
     x = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
 
-    _, log_mix = log_responsibilities(f.components, np.full(k, 1.0 / k), x)
+    log_mix = log_mixture_density(f.components, np.full(k, 1.0 / k), x)
     h_mix = -float(log_mix.mean())
     se = float(log_mix.std(ddof=1) / np.sqrt(n_samples))
     h_cond = float(np.mean([differential_entropy(c) for c in f.components]))

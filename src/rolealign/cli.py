@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (Template, align_template, average_log_likelihood,
-                        run_pipeline)
+from .alignment import Template, align_template, run_pipeline
 from .baseline import hard_assignment_em, player_identity_template
 from .clustering import pca_variance_explained, wce_sweep
 from .discovery import DiscoveryConfig, discover_formation, em_step_full
@@ -187,7 +186,7 @@ def cmd_compare(args) -> int:
         res.dataset, init, max_iters=args.max_iters)
     timings["hard"] = time.perf_counter() - t2
 
-    hard_ll = average_log_likelihood(res.dataset, hard_formation)
+    hard_ll = hard_trace.logliks[-1]
     hard_as_template = align_template(hard_formation, res.template)
     per_role_kl = [kl_divergence(a, b) for a, b in
                    zip(res.template.roles, hard_as_template.roles)]
@@ -321,6 +320,16 @@ def cmd_context(args) -> int:
     full = _load_and_prepare(args)
     timings["parse"] = time.perf_counter() - t0
 
+    # distinct (team, game, period) in order of first appearance, each
+    # named before any fit so that a clash of file names fails early
+    names = {}
+    for ctx in dict.fromkeys(zip(full.team.tolist(), full.game.tolist(),
+                                 full.period.tolist())):
+        name = "context_" + "_".join(map(_slug, ctx)) + ".template.json"
+        if name in names:
+            raise ValueError(f"contexts {names[name]!r} and {ctx!r} would "
+                             f"both be written to {name}")
+        names[name] = ctx
     cfg = _make_config(args, full.n_agents)
     t1 = time.perf_counter()
     global_formation, _ = discover_formation(full, cfg)
@@ -332,17 +341,12 @@ def cmd_context(args) -> int:
     global_template.save(out / "global.template.json")
     timings["global"] = time.perf_counter() - t1
 
-    # distinct (team, game, period) in order of first appearance
-    contexts = list(dict.fromkeys(zip(full.team.tolist(), full.game.tolist(),
-                                      full.period.tolist())))
     outputs = ["global.template.json"]
     t2 = time.perf_counter()
-    for team, game, period in contexts:
+    for name, (team, game, period) in names.items():
         sub = filter_metadata(full, team=team, game=game, period=period)
         formation, _ = discover_formation(sub, cfg)
         template = align_template(formation, global_template)
-        name = f"context_{_slug(team)}_{_slug(game)}_{_slug(period)}" \
-               f".template.json"
         template.save(out / name)
         outputs.append(name)
     timings["contexts"] = time.perf_counter() - t2
@@ -351,7 +355,7 @@ def cmd_context(args) -> int:
         command="context", version=__version__,
         config=_config_dict(args, cfg), input=args.input,
         input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
-        outputs=outputs, stats={"n_contexts": len(contexts)})
+        outputs=outputs, stats={"n_contexts": len(names)})
     manifest.save(out / "manifest.json")
     return 0
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .alignment import Template, align_template, assign_roles
 from .discovery import DiscoveryConfig, discover_formation, kmeans
-from .geometry import NearestCenters, nearest_centers, sq_dist_to
+from .geometry import (NearestCenters, nearest_centers, split_by_label,
+                       sq_dist_to)
 from .ingest import Dataset
 
 
@@ -42,9 +43,9 @@ class ClusterSet:
             raise ValueError("centroid count disagrees with k")
         if lab.min() < 0 or lab.max() >= self.k:
             raise ValueError("labels out of range")
-        for j in range(self.k):
-            if not np.any(lab == j):
-                raise ValueError(f"cluster {j} is empty")
+        empty = np.flatnonzero(np.bincount(lab, minlength=self.k) == 0)
+        if len(empty):
+            raise ValueError(f"cluster {empty[0]} is empty")
         cent.flags.writeable = False
         lab.flags.writeable = False
         object.__setattr__(self, "centroids", cent)
@@ -93,11 +94,10 @@ def pairwise_within_cluster(r, labels) -> float:
     pairwise form is reported alongside it as a metric.
     """
     x = _matrix(r)
-    labels = np.asarray(labels)
+    groups, codes = np.unique(np.asarray(labels), return_inverse=True)
     total = 0.0
     pairs = 0
-    for j in np.unique(labels):
-        sub = x[labels == j]
+    for sub in split_by_label(x, codes, len(groups)):
         m = len(sub)
         if m < 2:
             continue
@@ -155,7 +155,7 @@ def flat_cluster(r, k_candidates, template: Template | None,
             init = t_vec[None, :] + noise * sigma[None, :] * \
                 rng.standard_normal((k, dim))
             km = kmeans(x, init, tol=1e-6)
-            if any(not np.any(km.labels == j) for j in range(k)):
+            if np.bincount(km.labels, minlength=k).min() == 0:
                 warnings.warn(f"candidate k={k} degenerate, skipped")
                 continue
             partial = ClusterSet(k=k, centroids=km.centers, labels=km.labels)
@@ -343,9 +343,8 @@ def learn_tree(ds: Dataset, g: Template | None = None,
                 < stop.min_rel_improvement:
             return TreeNode(template=template, row_indices=tuple(indices),
                             depth=depth, wce=node_wce)
-        idx = np.asarray(indices)
-        children = tuple(build(idx[cs.labels == j], template, depth + 1)
-                         for j in range(cs.k))
+        children = tuple(build(rows, template, depth + 1) for rows in
+                         split_by_label(np.asarray(indices), cs.labels, cs.k))
         return TreeNode(template=template, row_indices=tuple(indices),
                         depth=depth, wce=node_wce, children=children,
                         cluster=cs,

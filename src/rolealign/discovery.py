@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import (Gaussian2D, covariance_eigenvalues,
                        density_coefficients, moment_features, nearest_centers,
-                       posterior_moments, sample_covariance)
+                       posterior_moments, sample_covariance, split_by_label)
 from .ingest import Dataset, flatten
 
 FULL_GMM = "FullGMM"
@@ -255,14 +255,11 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
 
 
 def _formation_from_clusters(pts, centers, labels):
-    comps = []
     total = len(pts)
-    k = centers.shape[0]
-    for j in range(k):
-        members = pts[labels == j]
-        comps.append(Gaussian2D(mean=centers[j], cov=sample_covariance(members),
-                                weight=len(members) / total))
-    return Formation(components=tuple(comps))
+    members = split_by_label(pts, labels, centers.shape[0])
+    return Formation(components=tuple(
+        Gaussian2D(mean=c, cov=sample_covariance(m), weight=len(m) / total)
+        for c, m in zip(centers, members)))
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ log density is linear in the moment features phi(x) = [x^2, xy, y^2, x, y,
 Gaussians (log weights optionally folded into the constant row) and
 ``component_log_pdfs`` the (P, K) densities as one gemm of phi and it.  It
 is the one kernel behind role assignment, the hard baseline and
-``gaussian_log_pdf``; ``log_responsibilities`` is the one mixture
+``gaussian_log_pdf``; ``log_mixture_density`` is the one mixture
 log-sum-exp, and ``posterior_moments`` the E-step of one block of EM
 together with its M-step sums r' phi.  Each density is a six-term dot
 product: by Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -182,19 +182,12 @@ def _log_sum_exp(joint):
     return np.log(total) + top, total
 
 
-def log_responsibilities(gaussians, weights, pts: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """The E-step of a Gaussian mixture: (P, K) log responsibilities and
-    the (P, 1) log mixture density of every point.
-
-    ``weights`` are the mixture weights of ``gaussians``; the mean of the
-    second result is the average log-likelihood.
-    """
-    joint = _gemm(moment_features(pts),
-                  density_coefficients(gaussians, weights))
-    log_mix, _ = _log_sum_exp(joint.copy())
-    joint -= log_mix   # now the log responsibilities
-    return joint, log_mix
+def log_mixture_density(gaussians, weights, pts: np.ndarray) -> np.ndarray:
+    """(P,) log density of every point under the mixture of ``gaussians``
+    with mixture ``weights``; its mean is the average log-likelihood."""
+    log_mix, _ = _log_sum_exp(_gemm(moment_features(pts),
+                                    density_coefficients(gaussians, weights)))
+    return log_mix[:, 0]
 
 
 def posterior_moments(phi: np.ndarray, coef: np.ndarray
@@ -230,6 +223,18 @@ def sample_covariance(points) -> np.ndarray:
     are fewer than two."""
     pts = np.asarray(points, dtype=float)
     return np.cov(pts.T, bias=True) if len(pts) > 1 else np.eye(2)
+
+
+def split_by_label(rows: np.ndarray, labels, k: int) -> list:
+    """``[rows[labels == j] for j in range(k)]`` from one stable argsort:
+    each group's rows in their original order, as contiguous slices of one
+    sorted copy, instead of k boolean scans.  ``labels`` are in [0, k)."""
+    labels = np.asarray(labels)
+    ends = np.cumsum(np.bincount(labels, minlength=k))
+    # in the smallest unsigned type that holds k, the stable sort is a
+    # radix sort whenever k < 65536
+    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
+    return np.split(rows[order], ends[:-1])
 
 
 def _midpoint_mahalanobis(p: Gaussian2D, q: Gaussian2D) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rolealign.alignment import Template
+from rolealign.assignment import assign_batch
 from rolealign.baseline import (
     HardEmTrace,
     hard_assignment_em,
@@ -13,8 +14,9 @@ from rolealign.baseline import (
     player_identity_template,
 )
 from rolealign.discovery import Formation
-from rolealign.geometry import Gaussian2D
-from rolealign.ingest import Dataset, Frame
+from rolealign.geometry import (Gaussian2D, component_log_pdfs,
+                                log_mixture_density, sample_covariance)
+from rolealign.ingest import Dataset, Frame, flatten
 from rolealign.synth import generate_formation, recovery_score, sample_dataset
 
 LN2 = 0.6931471805599453
@@ -136,6 +138,124 @@ def test_hard_em_deterministic(tiny_tgp):
     assert fa.to_dict() == fb.to_dict()
     assert np.array_equal(aa.matrix, ab.matrix)
     assert ta.rows == tb.rows
+
+
+def reference_hard_em(ds, init, max_iters=500):
+    """The hard EM loop written out on its own: negative log densities
+    solved by ``assign_batch``, a refit per role from a boolean mask
+    gather, each refit role built with weight 1/k and rebuilt with its
+    share, and the mean log mixture density of the refit formation.
+    Returns the formation, the aligned matrix and the trace's fields."""
+    s, n, k = ds.n_frames, ds.n_agents, init.k
+    pts = flatten(ds)
+    roles = init.roles
+    rows, certified, tied = [], [], []
+    converged = oscillated = False
+    prev, seen = None, set()
+    for it in range(1, max(1, max_iters) + 1):
+        batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
+        certified.append(batch.n_certified)
+        tied.append(batch.n_tied)
+        maps = batch.mappings
+        total_cost = 0.0
+        for frame_total in batch.totals.tolist():
+            total_cost += frame_total
+        changed = s if prev is None else int((maps != prev).any(axis=1).sum())
+        flat = maps.reshape(-1)
+        fits, counts = [], np.zeros(k)
+        for j in range(k):
+            member = pts[flat == j]
+            counts[j] = len(member)
+            fits.append(roles[j] if len(member) == 0 else Gaussian2D(
+                mean=member.mean(axis=0), cov=sample_covariance(member),
+                weight=1.0 / k))
+        weights = np.where(counts > 0, counts, 1.0)
+        total = float(np.sum(weights))
+        roles = tuple(Gaussian2D(mean=r.mean, cov=r.cov, weight=float(w) / total)
+                      for r, w in zip(fits, weights))
+        log_mix = log_mixture_density(roles, [r.weight for r in roles], pts)
+        rows.append((it, total_cost, float(log_mix.mean()), changed))
+        if changed == 0:
+            converged = True
+            break
+        if maps.tobytes() in seen:
+            oscillated = True
+            break
+        seen.add(maps.tobytes())
+        prev = maps
+    slots = np.full((s, k, 2), np.nan)
+    slots[np.arange(s)[:, None], maps] = ds.positions
+    return (Formation(components=roles), slots.reshape(s, 2 * k), rows,
+            certified, tied, converged, oscillated)
+
+
+def assert_same_as_reference(ds, init, max_iters=500):
+    formation, aligned, trace = hard_assignment_em(ds, init, max_iters)
+    ref = reference_hard_em(ds, init, max_iters)
+    assert formation.to_dict() == ref[0].to_dict()
+    assert np.array_equal(aligned.matrix, ref[1], equal_nan=True)
+    assert trace.rows == ref[2]
+    assert (trace.certified, trace.tied) == (ref[3], ref[4])
+    assert (trace.converged, trace.oscillated) == (ref[5], ref[6])
+    return formation, trace
+
+
+def two_member_role_case():
+    """Two agents, three roles: the far role is assigned exactly two points,
+    whose covariance is singular and so floored."""
+    rng = np.random.default_rng(30)
+    pos = np.stack([rng.normal((-1.0, 0.0), 0.3, (30, 2)),
+                    rng.normal((1.0, 0.0), 0.3, (30, 2))], axis=1)
+    pos[[7, 19], 1] = [10.0, 10.0] + np.random.default_rng(0).normal(
+        0.0, 0.5, (2, 2))
+    ds = Dataset.from_frames(tuple(
+        Frame(frame_id=i, positions=p, agent_ids=("a", "b"))
+        for i, p in enumerate(pos)))
+    init = Template(roles=(gauss(-1.0, 0.0, 1 / 3), gauss(1.0, 0.0, 1 / 3),
+                           gauss(10.0, 10.0, 1 / 3)))
+    return ds, init
+
+
+def test_hard_em_is_the_reference_loop(tiny_tgp):
+    tmpl, ds, truth = tiny_tgp
+    _, trace = assert_same_as_reference(ds, player_identity_template(ds))
+    assert trace.converged
+
+
+def test_hard_em_is_the_reference_loop_when_cut_by_max_iters():
+    # overlapping roles and swaps: the full run takes 8 passes
+    tmpl = generate_formation(4, separation=1.5, seed=5)
+    ds, _ = sample_dataset(tmpl, 100, swap_rate=0.1, seed=5)
+    init = player_identity_template(ds)
+    for max_iters in (0, 1, 3):
+        _, trace = assert_same_as_reference(ds, init, max_iters)
+        assert len(trace.rows) == max(1, max_iters)
+        assert not trace.converged
+    _, trace = assert_same_as_reference(ds, init)
+    assert trace.converged and len(trace.rows) > 3
+
+
+def test_hard_em_is_the_reference_loop_with_an_empty_role():
+    rng = np.random.default_rng(30)
+    frames = tuple(Frame(frame_id=i, positions=rng.normal(0, 0.5, (2, 2)),
+                         agent_ids=("a", "b")) for i in range(30))
+    init = Template(roles=(gauss(-0.5, 0.0, 1 / 3), gauss(0.5, 0.0, 1 / 3),
+                           gauss(100.0, 100.0, 1 / 3)))
+    assert_same_as_reference(Dataset.from_frames(frames), init)
+
+
+def test_hard_em_is_the_reference_loop_with_a_two_member_role():
+    ds, init = two_member_role_case()
+    formation, trace = assert_same_as_reference(ds, init)
+    assert trace.converged
+    aligned = hard_assignment_em(ds, init)[1]
+    two = flatten(ds)[aligned.mappings.reshape(-1) == 2]
+    assert len(two) == 2
+    # the case only pins the double construction if building the role
+    # once, with its final weight, gives other bits
+    once = Gaussian2D(mean=two.mean(axis=0), cov=sample_covariance(two),
+                      weight=formation.components[2].weight)
+    assert not np.array_equal(once.cov, formation.components[2].cov)
 
 
 def test_hard_trace_csv_format():

@@ -11,10 +11,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rolealign.alignment import Template
+from rolealign.alignment import Template, average_log_likelihood
+from rolealign.baseline import hard_assignment_em, player_identity_template
 from rolealign.cli import main
 from rolealign.discovery import Formation
-from rolealign.ingest import concat_datasets, write_tracking_csv
+from rolealign.ingest import (center_normalize, concat_datasets,
+                              normalize_attack_direction, parse_tracking,
+                              write_tracking_csv)
 from rolealign.synth import generate_formation, sample_dataset
 
 
@@ -257,6 +260,22 @@ def test_bench_empty_range(tmp_path, capsys):
     assert "empty n range" in capsys.readouterr().err
 
 
+def test_compare_hard_loglik_is_the_last_hard_pass(plain_csv, tmp_path):
+    # compare reads the hard log-likelihood off the trace; it is the
+    # log-likelihood of the returned hard formation, bit for bit
+    path, _ = plain_csv
+    out = tmp_path / "out"
+    assert run(["compare", "--input", path, "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    ds = center_normalize(normalize_attack_direction(parse_tracking(path)))
+    formation, _, trace = hard_assignment_em(ds, player_identity_template(ds))
+    assert report["hard_avg_loglik"] == average_log_likelihood(ds, formation)
+    assert report["hard_avg_loglik"] == trace.logliks[-1]
+    last = (out / "hard_trace.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[2]) == report["hard_avg_loglik"]
+
+
 # context
 
 
@@ -275,6 +294,22 @@ def test_context_outputs(teams_csv, tmp_path):
         assert gap.max() < 1.0   # same formation, shared role order
     with open(out / "manifest.json") as fh:
         assert json.load(fh)["stats"]["n_contexts"] == 2
+
+
+@pytest.mark.parametrize("teams", [("a b", "a-b"), ("", "any")])
+def test_context_name_collision_is_an_input_error(teams, tmp_path, capsys):
+    tmpl = generate_formation(4, separation=3.0, seed=91)
+    first, _ = sample_dataset(tmpl, 30, seed=91, team=teams[0])
+    second, _ = sample_dataset(tmpl, 30, seed=92, team=teams[1])
+    ds = concat_datasets([first, replace(second,
+                                         frame_id=second.frame_id + 100)])
+    path = tmp_path / "teams.csv"
+    write_tracking_csv(ds, path)
+    out = tmp_path / "ctx"
+    assert run(["context", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr((teams[0], "", 1)) in err and repr((teams[1], "", 1)) in err
+    assert list(out.iterdir()) == []   # every name is checked before a fit
 
 
 # top-level plumbing

@@ -98,6 +98,21 @@ def test_pairwise_matches_direct_loop():
     assert got == pytest.approx(total / pairs, rel=1e-8)
 
 
+def test_pairwise_is_the_per_label_mask_gather():
+    # any label values: one group per distinct label, in sorted order
+    rng = np.random.default_rng(34)
+    rows = rng.normal(0.0, 3.0, (60, 6))
+    labels = rng.choice([-2, 5, 9], size=60)
+    total, pairs = 0.0, 0
+    for j in np.unique(labels):
+        sub = rows[labels == j]
+        sq = (sub * sub).sum(axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (sub @ sub.T)
+        total += np.sqrt(np.clip(d2, 0.0, None)).sum()
+        pairs += len(sub) * (len(sub) - 1)
+    assert pairwise_within_cluster(rows, labels) == float(total / pairs)
+
+
 def test_pairwise_all_singletons_is_zero():
     rows = np.arange(8.0).reshape(4, 2)
     assert pairwise_within_cluster(rows, [0, 1, 2, 3]) == 0.0
@@ -194,6 +209,10 @@ def test_cluster_set_validation():
     with pytest.raises(ValueError, match="cluster 1 is empty"):
         ClusterSet(k=2, centroids=np.zeros((2, 2)),
                    labels=np.array([0, 0]))
+    # the first empty cluster is the one named
+    with pytest.raises(ValueError, match="cluster 1 is empty"):
+        ClusterSet(k=4, centroids=np.zeros((4, 2)),
+                   labels=np.array([2, 0, 2]))
 
 
 # the sweep

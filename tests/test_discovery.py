@@ -24,7 +24,7 @@ from rolealign.geometry import (
     Gaussian2D,
     component_log_pdfs,
     gaussian_log_pdf,
-    log_responsibilities,
+    log_mixture_density,
 )
 from rolealign.ingest import Dataset, Frame, flatten
 
@@ -233,7 +233,9 @@ def test_canonical_order_lexicographic():
 
 def e_step(f, pts):
     """Log responsibilities and the average log-likelihood under f."""
-    log_resp, log_mix = log_responsibilities(f.components, f.weights, pts)
+    log_mix = log_mixture_density(f.components, f.weights, pts)
+    log_resp = (component_log_pdfs(f.components, pts) + np.log(f.weights)
+                - log_mix[:, None])
     return log_resp, float(log_mix.mean())
 
 

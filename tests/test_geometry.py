@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from rolealign import (Gaussian2D, bhattacharyya_distance,
                        component_log_pdfs, covariance_eigenvalues,
                        differential_entropy, gaussian_log_pdf, kl_divergence,
-                       mahalanobis_between_means, nearest_centers,
-                       role_area, sq_dist_to)
+                       log_mixture_density, mahalanobis_between_means,
+                       nearest_centers, role_area, split_by_label, sq_dist_to)
 
 LOG_2PI = 1.8378770664093453
 
@@ -133,6 +133,13 @@ def test_component_log_pdfs_entries_do_not_depend_on_shape():
     for lo, hi in ((0, 2), (5, 36), (36, 37)):
         assert np.array_equal(component_log_pdfs(gaussians[1:3], pts[lo:hi]),
                               full[lo:hi, 1:3])
+    # and the log mixture density of a point depends on that point alone
+    weights = rng.dirichlet(np.ones(4))
+    mix = log_mixture_density(gaussians, weights, pts)
+    assert mix.shape == (37,)
+    for lo, hi in ((0, 1), (17, 18), (36, 37), (0, 2), (5, 36)):
+        assert np.array_equal(log_mixture_density(gaussians, weights,
+                                                  pts[lo:hi]), mix[lo:hi])
 
 
 def test_log_pdf_integrates_to_one():
@@ -472,3 +479,25 @@ def test_nearest_centers_equals_broadcast_search_property(case):
     x, centers, exclude = case
     near = assert_matches_reference(x, centers, exclude)
     assert 0 <= near.fallback <= len(x)
+
+
+# ------------------------------------------------------------ split_by_label
+
+
+def test_split_by_label_is_the_mask_gather():
+    rng = np.random.default_rng(33)
+    pts = rng.normal(0.0, 5.0, (500, 2))
+    labels = rng.choice([0, 1, 3, 4], size=500)   # label 2 is absent
+    groups = split_by_label(pts, labels, 5)
+    assert len(groups) == 5
+    for j, group in enumerate(groups):
+        member = pts[labels == j]
+        assert np.array_equal(group, member)
+        if len(member):
+            assert np.array_equal(group.mean(axis=0), member.mean(axis=0))
+            assert np.array_equal(np.cov(group.T, bias=True),
+                                  np.cov(member.T, bias=True))
+    assert groups[2].shape == (0, 2)
+    idx = np.arange(500)
+    for j, rows in enumerate(split_by_label(idx, labels, 5)):
+        assert np.array_equal(rows, np.flatnonzero(labels == j))
