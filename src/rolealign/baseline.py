@@ -16,6 +16,7 @@ the comparison the likelihood and speed claims need.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +135,9 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         if changed == 0:
             trace.converged = True
             break
-        key = mappings.tobytes()
+        # a fixed-size digest of the pass's state, not its 8 S N bytes
+        key = hashlib.blake2b(np.ascontiguousarray(mappings),
+                              digest_size=32).digest()
         if key in seen_states:
             trace.oscillated = True
             break

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 internal error, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -26,10 +27,11 @@ from .alignment import Template, align_template, run_pipeline
 from .baseline import hard_assignment_em, player_identity_template
 from .clustering import pca_variance_explained, wce_sweep
 from .discovery import DiscoveryConfig, discover_formation, em_step_full
-from .geometry import kl_divergence, role_area
+from .geometry import kl_divergence, role_area, split_by_label
 from .ingest import (EmptySelectionError, ParseError, center_normalize,
                      filter_key_frames, filter_metadata, flatten,
                      normalize_attack_direction, parse_tracking)
+from .parallel import run_tasks
 from .synth import generate_formation, sample_dataset
 from .version import __version__
 
@@ -312,6 +314,28 @@ def _slug(value):
     return "".join(ch if ch.isalnum() else "-" for ch in text)
 
 
+def _fit(full, rows, cfg):
+    """(formation, stats) of the fit to ``full`` (to its frames at ``rows``
+    unless None), or the exception the fit raised: a context's error is
+    raised once the outputs before it are written, as in a serial loop."""
+    t = time.perf_counter()
+    try:
+        ds = full if rows is None else full.take(rows)
+        formation, trace = discover_formation(ds, cfg)
+    except Exception as exc:   # noqa: BLE001 - raised by cmd_context
+        return exc
+    return formation, {"frames": ds.n_frames,
+                       "em_iterations": len(trace.rows) - 1,
+                       "converged": trace.converged,
+                       "fit_s": time.perf_counter() - t}
+
+
+def _fitted(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def cmd_context(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,40 +346,50 @@ def cmd_context(args) -> int:
 
     # distinct (team, game, period) in order of first appearance, each
     # named before any fit so that a clash of file names fails early
+    t1 = time.perf_counter()
+    keys = list(zip(full.team.tolist(), full.game.tolist(),
+                    full.period.tolist()))
+    code = {ctx: i for i, ctx in enumerate(dict.fromkeys(keys))}
     names = {}
-    for ctx in dict.fromkeys(zip(full.team.tolist(), full.game.tolist(),
-                                 full.period.tolist())):
+    for ctx in code:
         name = "context_" + "_".join(map(_slug, ctx)) + ".template.json"
         if name in names:
             raise ValueError(f"contexts {names[name]!r} and {ctx!r} would "
                              f"both be written to {name}")
         names[name] = ctx
+    # each context's frames in file order: the rows filter_metadata selects
+    groups = split_by_label(np.arange(full.n_frames),
+                            np.fromiter(map(code.__getitem__, keys), np.intp,
+                                        len(keys)), len(code))
     cfg = _make_config(args, full.n_agents)
-    t1 = time.perf_counter()
-    global_formation, _ = discover_formation(full, cfg)
+    # the global fit runs here while forked workers fit the contexts
+    fits = run_tasks([functools.partial(_fit, full, rows, cfg)
+                      for rows in [None, *groups]])
+    timings["fits"] = time.perf_counter() - t1
+
+    t2 = time.perf_counter()
+    global_formation, global_stats = _fitted(fits[0])
     if args.parent_template:
         global_template = align_template(
             global_formation, Template.load(args.parent_template))
     else:
         global_template = Template.from_formation(global_formation)
     global_template.save(out / "global.template.json")
-    timings["global"] = time.perf_counter() - t1
-
     outputs = ["global.template.json"]
-    t2 = time.perf_counter()
-    for name, (team, game, period) in names.items():
-        sub = filter_metadata(full, team=team, game=game, period=period)
-        formation, _ = discover_formation(sub, cfg)
+    stats = {}
+    for name, result in zip(names, fits[1:]):
+        formation, stats[name] = _fitted(result)
         template = align_template(formation, global_template)
         template.save(out / name)
         outputs.append(name)
-    timings["contexts"] = time.perf_counter() - t2
+    timings["write"] = time.perf_counter() - t2
 
     manifest = RunManifest(
         command="context", version=__version__,
         config=_config_dict(args, cfg), input=args.input,
         input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
-        outputs=outputs, stats={"n_contexts": len(names)})
+        outputs=outputs, stats={"n_contexts": len(names),
+                                "global": global_stats, "contexts": stats})
     manifest.save(out / "manifest.json")
     return 0
 

@@ -26,7 +26,9 @@ line and any other csv.reader error (before Python 3.11, a NUL character)
 raise a ParseError naming the line, as does a byte that is not UTF-8.
 
 JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw inside
-a JSON string, and the CR of a CRLF is JSON whitespace.
+a JSON string, and the CR of a CRLF is JSON whitespace.  JSONL text of more
+than one chunk is cut at LF into parts read on every usable CPU (see
+``_parse_jsonl``); the Dataset and every error are those of a serial read.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import parallel
 
 LEFT_TO_RIGHT = "LR"
 RIGHT_TO_LEFT = "RL"
@@ -275,12 +279,12 @@ def _read_text(source):
                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _chunks(records, keep, size):
+def _chunks(records, keep, size, line=1):
     """(non-blank records, their line numbers) for ``size`` records at a
-    time, the first on line 1; see ``_drop_blank`` for ``keep``."""
+    time, the first on ``line``; see ``_drop_blank`` for ``keep``."""
     from itertools import islice
 
-    records, line = iter(records), 1
+    records = iter(records)
     while chunk := list(islice(records, size)):
         kept, lines = _drop_blank(chunk, np.arange(line, line + len(chunk)),
                                   keep)
@@ -652,7 +656,7 @@ def _jsonl_rows(objs, lines):
         period = np.array(col["period"], dtype=np.int64)
     except OverflowError:
         return None
-    if not (np.isfinite(xy).all() and np.unique(fid).size == len(fid)):
+    if not np.isfinite(xy).all():
         return None
     # the given agent ids; "a<i>" for agent i of a frame without ids
     agent = np.empty(len(points), dtype=object)
@@ -674,23 +678,84 @@ def _jsonl_rows(objs, lines):
     return rows
 
 
-def _parse_jsonl(text):
-    chunks, seen = [], np.empty(0, dtype=np.int64)   # frame ids so far
-    for raw, lines in _chunks(text.split("\n"), str.strip,
-                              JSONL_CHUNK_LINES):
+_scan_object = json.JSONDecoder().scan_once
+
+
+def _decode(line):
+    """``json.loads(line)``.  A line that is exactly one object, "{" to
+    "}", is read by the decoder's scanner alone, skipping json.loads'
+    whitespace handling; any other line, and any error, is json.loads'."""
+    if line.startswith("{") and line.endswith("}"):
         try:
-            rows = _jsonl_rows(list(map(json.loads, raw)), lines)
+            obj, end = _scan_object(line, 0)
+        except (json.JSONDecodeError, StopIteration):
+            pass
+        else:
+            if end == len(line):
+                return obj
+    return json.loads(line)
+
+
+def _jsonl_part(text, start, end):
+    """The row columns (None for no frame) and sorted frame ids of the
+    JSONL lines in ``text[start:end]``, with their line numbers in
+    ``text``.  Raises the ParseError of its first bad line, a frame id
+    counting as repeated only within these lines."""
+    from operator import itemgetter
+
+    chunks, seen = [], np.empty(0, dtype=np.int64)   # sorted, so far
+    for raw, lines in _chunks(text[start:end].split("\n"), str.strip,
+                              JSONL_CHUNK_LINES,
+                              text.count("\n", 0, start) + 1):
+        try:
+            objs = list(map(_decode, raw))
         except json.JSONDecodeError:
             rows = None
-        if rows is None or np.isin(rows["frame_id"], seen).any():
+        else:
+            rows = _jsonl_rows(objs, lines)
+        if rows is not None:
+            ids = np.sort(np.concatenate([seen, np.fromiter(
+                map(itemgetter("frame_id"), objs), np.int64, len(objs))]),
+                kind="stable")
+        if rows is None or (ids[1:] == ids[:-1]).any():
             earlier = set(seen.tolist())
             _scan(lambda line, r: _check_jsonl_line(line, r, earlier), raw,
                   lines)
-        seen = np.concatenate([seen, np.unique(rows["frame_id"])])
+        seen = ids
         chunks.append(rows)
-    if not chunks:
+    return (_merge_chunks(chunks) if chunks else None), seen
+
+
+def _parse_jsonl(text):
+    """Text of two or more chunks of lines is cut at LF into parts, one per
+    usable CPU (``parallel.run_tasks``), each read like the whole.  When a
+    part fails, or repeats a frame id of another, the whole text is read
+    in one part, so errors and their lines are those of a serial read."""
+    from functools import partial
+
+    parts = min(parallel.usable_cpus(),
+                -(-(text.count("\n") + 1) // JSONL_CHUNK_LINES))
+    ends = sorted({text.find("\n", len(text) * j // parts) + 1 or len(text)
+                   for j in range(1, parts)} | {len(text)})
+    starts = [0, *ends[:-1]]
+    try:
+        read = parallel.run_tasks([partial(_jsonl_part, text, a, b)
+                                   for a, b in zip(starts, ends)])
+    except ParseError:
+        if len(starts) == 1:   # that part was the whole text
+            raise
+        read = None
+    if read is not None:
+        ids = np.sort(np.concatenate([seen for _, seen in read]),
+                      kind="stable")
+        if (ids[1:] == ids[:-1]).any():
+            read = None
+    if read is None:
+        read = [_jsonl_part(text, 0, len(text))]
+    rows = [r for r, _ in read if r is not None]
+    if not rows:
         raise ParseError("no frames")
-    return _group_rows(_merge_chunks(chunks))
+    return _group_rows(_merge_chunks(rows))
 
 
 def parse_tracking(source, format: str = "csv") -> Dataset:

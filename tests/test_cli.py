@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from rolealign import parallel
 from rolealign.alignment import Template, average_log_likelihood
 from rolealign.baseline import hard_assignment_em, player_identity_template
 from rolealign.cli import main
@@ -293,7 +295,38 @@ def test_context_outputs(teams_csv, tmp_path):
         gap = np.sqrt(((ctx.means - glob_t.means) ** 2).sum(axis=1))
         assert gap.max() < 1.0   # same formation, shared role order
     with open(out / "manifest.json") as fh:
-        assert json.load(fh)["stats"]["n_contexts"] == 2
+        manifest = json.load(fh)
+    assert manifest["stats"]["n_contexts"] == 2
+    assert list(manifest["timings"]) == ["parse", "fits", "write"]
+    assert list(manifest["stats"]["contexts"]) == names[::-1]   # file order
+    for fit in [manifest["stats"]["global"],
+                *manifest["stats"]["contexts"].values()]:
+        assert set(fit) == {"frames", "em_iterations", "converged", "fit_s"}
+    assert manifest["stats"]["global"]["frames"] == 120
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_context_with_fewer_points_than_k_fails_after_the_earlier_ones(
+        tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    tmpl = generate_formation(4, separation=3.0, seed=93)
+    parts = [sample_dataset(tmpl, s, seed=93 + i, team=team)[0]
+             for i, (s, team) in enumerate([(40, "a"), (1, "b"), (40, "c")])]
+    ds = concat_datasets([replace(p, frame_id=p.frame_id + 100 * i)
+                          for i, p in enumerate(parts)])
+    path = tmp_path / "teams.csv"
+    write_tracking_csv(ds, path)
+    out = tmp_path / "ctx"
+    assert run(["context", "--input", str(path), "--out", str(out), "--k",
+                "6", "--init", "random"]) == 2
+    # as when the contexts were fitted one after another: the global
+    # template and every context before the failing one are written
+    assert capsys.readouterr().err == \
+        "error: k=6 exceeds total point count 4\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "context_a_any_1.template.json", "global.template.json"]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("teams", [("a b", "a-b"), ("", "any")])

@@ -228,6 +228,18 @@ def test_canonical_order_lexicographic():
                           [[0.0, 1.0], [0.0, 2.0], [1.0, -1.0], [1.0, 5.0]])
 
 
+def test_canonical_order_is_lexsort_with_ties_and_signed_zeros():
+    rng = np.random.default_rng(7)
+    # few distinct values, so whole (x, y) rows tie; -0.0 and 0.0 are equal
+    pts = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(5000, 2))
+    expected = np.lexsort((pts[:, 1], pts[:, 0]))
+    assert np.array_equal(canonical_order(pts), expected)
+    # a strided (non-contiguous) view sorts the same rows the same way
+    wide = np.zeros((5000, 4))
+    wide[:, ::2] = pts
+    assert np.array_equal(canonical_order(wide[:, ::2]), expected)
+
+
 # EM updates
 
 

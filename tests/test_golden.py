@@ -13,9 +13,11 @@ OpenBLAS on x86-64; another BLAS may round differently.
 
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 
+from rolealign import ingest, parallel
 from rolealign.cli import main
 from rolealign.synth import generate_formation, sample_dataset
 
@@ -132,6 +134,40 @@ def output_hashes(root):
 
 def test_cli_outputs_match_recorded_hashes(tmp_path):
     assert output_hashes(tmp_path) == GOLDEN
+
+
+def test_context_outputs_do_not_depend_on_the_cpu_count(tmp_path,
+                                                         monkeypatch):
+    truth = generate_formation(6, separation=3.0, seed=41)
+    path = tmp_path / "contexts.jsonl"
+    _write_jsonl(path, truth, 43)
+    # 241 lines (the last one empty) in 4 chunks: 3 parts with 3 CPUs
+    monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 64)
+    run_tasks, parts = parallel.run_tasks, []
+
+    def parse_parts(tasks):   # only the JSONL parse calls it through here
+        parts.append(len(tasks))
+        return run_tasks(tasks)
+
+    monkeypatch.setattr(parallel, "run_tasks", parse_parts)
+    manifests = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["context", "--input", str(path), "--format", "jsonl",
+                     "--k", "6", "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert {f"context/{p.name}": _sha(p) for p in out.iterdir()
+                if p.name != "manifest.json"} == \
+            {k: v for k, v in GOLDEN.items() if k.startswith("context/")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["timings"], manifest["config"]["out"]
+        for fit in [manifest["stats"]["global"],
+                    *manifest["stats"]["contexts"].values()]:
+            del fit["fit_s"]
+        manifests.append(manifest)
+    assert parts == [1, 3]
+    assert manifests[0] == manifests[1]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rolealign import ingest
+from rolealign import ingest, parallel
 from rolealign.ingest import (
     CSV_COLUMNS,
     Dataset,
@@ -157,8 +157,19 @@ def test_jsonl_defaults():
     assert (f.team, f.game, f.period) == ("", "", 1)
 
 
+def jsonl_reads(monkeypatch):
+    """Yields twice: for a read of JSONL text in one part in this process,
+    then for one cut into parts of one-line chunks read by three processes
+    (their results and errors must not differ)."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    yield "one part"
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 1)
+    yield "parts"
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-def test_jsonl_lines_end_at_lf_only(eol):
+def test_jsonl_lines_end_at_lf_only(eol, monkeypatch):
     # U+2028, U+2029 and U+0085 may stand raw inside a JSON string
     import json
 
@@ -168,12 +179,14 @@ def test_jsonl_lines_end_at_lf_only(eol):
              for i, team in enumerate(teams)]
     text = eol.join(lines) + eol
     assert all(ch in text for ch in "\u2028\u2029\u0085")
-    ds = parse_tracking(io.StringIO(text), format="jsonl")
-    assert ds.team.tolist() == teams
-    assert ds.game.tolist() == ["g\u2028"] * 3
-    bad = eol.join(lines + ['{"frame_id": 9}']) + eol
-    with pytest.raises(ParseError, match="line 4: missing key 'positions'"):
-        parse_tracking(io.StringIO(bad), format="jsonl")
+    for _ in jsonl_reads(monkeypatch):
+        ds = parse_tracking(io.StringIO(text), format="jsonl")
+        assert ds.team.tolist() == teams
+        assert ds.game.tolist() == ["g\u2028"] * 3
+        bad = eol.join(lines + ['{"frame_id": 9}']) + eol
+        with pytest.raises(ParseError,
+                           match="line 4: missing key 'positions'"):
+            parse_tracking(io.StringIO(bad), format="jsonl")
 
 
 # errors carry 1-based line numbers
@@ -252,6 +265,12 @@ def test_uneven_agent_counts():
      "2 agent_ids for 1 positions"),
     ('{"frame_id": 1, "positions": [["a", 0.0]]}', "non-numeric position"),
     ('{bad json', "invalid JSON"),
+    # lines the decoder's scanner starts on; the messages are json.loads'
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]]} {}',
+     "invalid JSON: Extra data"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]], "team": }',
+     "invalid JSON: Expecting value"),
+    ('{"frame_id": 1, "positions": [[0.0, 0.0]]', "invalid JSON: Expecting"),
     # JSON types are not coerced
     ('{"frame_id": 1, "positions": [[0.0, 0.0]], "period": "x"}',
      "period must be an integer"),
@@ -290,45 +309,51 @@ def test_uneven_agent_counts():
     ('{"frame_id": 1, "positions": [[0.0, 0.0], [1.0, 1.0]], '
      '"agent_ids": ["a", 2.5]}', "agent_ids entries must be strings, got 2.5"),
 ])
-def test_jsonl_errors(line_text, fragment):
+def test_jsonl_errors(line_text, fragment, monkeypatch):
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
-    with pytest.raises(ParseError, match=fragment) as exc:
-        parse_tracking(io.StringIO(good + "\n" + line_text + "\n"),
-                       format="jsonl")
-    assert exc.value.line == 2
+    for _ in jsonl_reads(monkeypatch):
+        with pytest.raises(ParseError, match=fragment) as exc:
+            parse_tracking(io.StringIO(good + "\n" + line_text + "\n"),
+                           format="jsonl")
+        assert exc.value.line == 2
 
 
-def test_jsonl_agent_ids_are_never_printed_into_strings():
+def test_jsonl_agent_ids_are_never_printed_into_strings(monkeypatch):
     # these used to parse to the ids '1', 'None' and "{'k': 2}"
     line = ('{"frame_id": 0, "positions": [[0, 0], [1, 1], [2, 2]], '
             '"agent_ids": [1, null, {"k": 2}]}')
-    with pytest.raises(ParseError, match="agent_ids entries must be "
-                       "strings, got 1") as exc:
-        parse_tracking(io.StringIO(line + "\n"), format="jsonl")
-    assert exc.value.line == 1
+    for _ in jsonl_reads(monkeypatch):
+        with pytest.raises(ParseError, match="agent_ids entries must be "
+                           "strings, got 1") as exc:
+            parse_tracking(io.StringIO(line + "\n"), format="jsonl")
+        assert exc.value.line == 1
 
 
 @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
-def test_jsonl_is_event_must_be_a_json_boolean(value):
+def test_jsonl_is_event_must_be_a_json_boolean(value, monkeypatch):
     # bool("false") is True: a quoted flag must not be coerced
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]], "is_event": false}'
     bad = '{"frame_id": 1, "positions": [[0.0, 0.0]], "is_event": %s}' % value
-    with pytest.raises(ParseError, match="is_event must be true or false") \
-            as exc:
-        parse_tracking(io.StringIO(good + "\n" + bad + "\n"), format="jsonl")
-    assert exc.value.line == 2
+    for _ in jsonl_reads(monkeypatch):
+        with pytest.raises(ParseError,
+                           match="is_event must be true or false") as exc:
+            parse_tracking(io.StringIO(good + "\n" + bad + "\n"),
+                           format="jsonl")
+        assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("point", ['["nan", 0.0]', "[0.0, NaN]",
                                    "[Infinity, 0.0]", '[1.0, "-inf"]'])
-def test_jsonl_non_finite_position_names_its_line(point):
+def test_jsonl_non_finite_position_names_its_line(point, monkeypatch):
     # a quoted coordinate is not a JSON number, whatever it spells
     fragment = "non-numeric" if '"' in point else "non-finite"
     good = '{"frame_id": 0, "positions": [[0.0, 0.0]]}'
     bad = '{"frame_id": 1, "positions": [%s]}' % point
-    with pytest.raises(ParseError, match=f"{fragment} position") as exc:
-        parse_tracking(io.StringIO(good + "\n" + bad + "\n"), format="jsonl")
-    assert exc.value.line == 2
+    for _ in jsonl_reads(monkeypatch):
+        with pytest.raises(ParseError, match=f"{fragment} position") as exc:
+            parse_tracking(io.StringIO(good + "\n" + bad + "\n"),
+                           format="jsonl")
+        assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("x,y", [("nan", "0.0"), ("1.0", "inf"),
@@ -340,11 +365,34 @@ def test_csv_non_finite_position_names_its_line(x, y):
     assert exc.value.line == 3
 
 
-def test_jsonl_duplicate_frame_id():
+def test_jsonl_duplicate_frame_id(monkeypatch):
     text = ('{"frame_id": 4, "positions": [[0.0, 0.0]]}\n'
             '{"frame_id": 4, "positions": [[1.0, 1.0]]}\n')
-    with pytest.raises(ParseError, match="duplicate frame_id 4"):
-        parse_tracking(io.StringIO(text), format="jsonl")
+    for _ in jsonl_reads(monkeypatch):
+        with pytest.raises(ParseError, match="duplicate frame_id 4") as exc:
+            parse_tracking(io.StringIO(text), format="jsonl")
+        assert exc.value.line == 2
+
+
+def test_jsonl_frame_id_repeated_in_a_later_part_names_its_line(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 2)
+    lines = ['{"frame_id": %d, "positions": [[%d.0, 0.0]]}' % (i, i)
+             for i in range(9)]
+    lines[7] = lines[1]   # three parts of three lines each
+    with pytest.raises(ParseError, match="duplicate frame_id 1") as exc:
+        parse_tracking(io.StringIO("\n".join(lines) + "\n"), format="jsonl")
+    assert exc.value.line == 8
+
+
+def test_jsonl_lines_may_hold_json_whitespace(monkeypatch):
+    lines = ['{"frame_id": 0, "positions": [[1.0, 2.0]]}',
+             ' \t{"frame_id": 1, "positions": [[3.0, 4.0]]}\r',
+             '{ "frame_id": 2, "positions": [[5.0, 6.0]] }  ']
+    for _ in jsonl_reads(monkeypatch):
+        ds = parse_tracking(io.StringIO("\n".join(lines)), format="jsonl")
+        assert ds.frame_id.tolist() == [0, 1, 2]
+        assert ds.positions.ravel().tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_unknown_format():
@@ -800,16 +848,19 @@ def test_jsonl_chunks_join_seamlessly(monkeypatch):
     text = "\n".join(lines[:5] + ["  "] + lines[5:]) + "\n"   # a blank line
     whole = parse_tracking(io.StringIO(text), format="jsonl")
     monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 4)
-    assert_columns_equal(whole, parse_tracking(io.StringIO(text),
-                                               format="jsonl"))
-    # a frame id repeated from an earlier chunk is an error on its own, and
-    # the first one, ahead of a malformed line later in the same chunk
-    for tail in ([], ['{"frame_id": 99}']):
-        bad = lines[:9] + [lines[2]] + tail
-        with pytest.raises(ParseError, match="duplicate frame_id 2") as exc:
-            parse_tracking(io.StringIO("\n".join(bad) + "\n"),
-                           format="jsonl")
-        assert exc.value.line == 10
+    for cpus in (1, 3):   # one part, then three
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert_columns_equal(whole, parse_tracking(io.StringIO(text),
+                                                   format="jsonl"))
+        # a frame id repeated from an earlier chunk is an error on its own,
+        # and the first one, ahead of a malformed line later in the chunk
+        for tail in ([], ['{"frame_id": 99}']):
+            bad = lines[:9] + [lines[2]] + tail
+            with pytest.raises(ParseError,
+                               match="duplicate frame_id 2") as exc:
+                parse_tracking(io.StringIO("\n".join(bad) + "\n"),
+                               format="jsonl")
+            assert exc.value.line == 10
 
 
 # properties
