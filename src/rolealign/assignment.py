@@ -318,10 +318,15 @@ def assign_batch(cost) -> BatchAssignment:
     mappings = c.argmin(axis=2)
     certified = np.ones(s, dtype=bool)
     if k > 1:
-        low2 = np.partition(c, 1, axis=2)
-        margin = _CERT_MARGIN * (1.0 + np.abs(c).max(axis=(1, 2)))
-        certified &= (low2[:, :, 1] - low2[:, :, 0]
-                      > margin[:, None]).all(axis=1)
+        # each row's minimum, then its runner-up: the least entry left once
+        # the minimum is replaced by inf (in a copy, not the caller's array)
+        at_min = mappings[:, :, None]
+        low = np.take_along_axis(c, at_min, axis=2)[:, :, 0]
+        rest = c.copy()
+        np.put_along_axis(rest, at_min, np.inf, axis=2)
+        scale = np.maximum(c.max(axis=(1, 2)), -low.min(axis=1))   # max |c|
+        margin = _CERT_MARGIN * (1.0 + scale)
+        certified &= (rest.min(axis=2) - low > margin[:, None]).all(axis=1)
         cols = np.sort(mappings, axis=1)
         certified &= (cols[:, 1:] != cols[:, :-1]).all(axis=1)
     tied = np.zeros(s, dtype=bool)

@@ -75,7 +75,11 @@ def _parse_filter(expr):
         key = key.strip()
         if key not in ("team", "game", "period"):
             raise ValueError(f"unknown filter key {key!r}")
-        out[key] = int(value) if key == "period" else value.strip()
+        try:
+            out[key] = int(value) if key == "period" else value.strip()
+        except ValueError:
+            raise ValueError(f"filter period must be an integer, got "
+                             f"{value!r}") from None
     if not out:
         raise ValueError(f"empty filter expression {expr!r}")
     return out
@@ -166,6 +170,37 @@ def _search_totals(sweep):
             "fallback": sum(r["fallback"] for r in sweep)}
 
 
+def _sweep_ks(frames):
+    """The cluster counts of compare's WCE sweeps over ``frames`` rows."""
+    return list(range(2, min(21, frames)))
+
+
+def _soft_branch(full, cfg, parent, key_frames_only):
+    """The soft pipeline and the aligned matrix's WCE sweep and PCA, and
+    their time."""
+    t = time.perf_counter()
+    res = run_pipeline(full, cfg, parent=parent,
+                       key_frames_only=key_frames_only)
+    sweep = wce_sweep(res.aligned.matrix, _sweep_ks(full.n_frames))
+    pca = pca_variance_explained(res.aligned.matrix)
+    return res, sweep, pca, time.perf_counter() - t
+
+
+def _hard_branch(full, max_iters):
+    """The hard baseline from the player-identity template, and the
+    identity matrix's WCE sweep and PCA, on ``run_pipeline``'s normalized
+    dataset, and their time; the baseline's ``AlignedDataset`` is dropped,
+    so a worker sends back only what ``cmd_compare`` reads."""
+    t = time.perf_counter()
+    ds = center_normalize(normalize_attack_direction(full))
+    formation, _, trace = hard_assignment_em(
+        ds, player_identity_template(ds), max_iters=max_iters)
+    identity = ds.positions.reshape(ds.n_frames, -1)
+    sweep = wce_sweep(identity, _sweep_ks(ds.n_frames))
+    pca = pca_variance_explained(identity)
+    return formation, trace, sweep, pca, time.perf_counter() - t
+
+
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,31 +212,25 @@ def cmd_compare(args) -> int:
     cfg = _make_config(args, full.n_agents)
     parent = Template.load(args.parent_template) if args.parent_template \
         else None
+    # the two branches share only the parsed input: the soft one runs here
+    # while a forked worker runs the hard one
     t1 = time.perf_counter()
-    res = run_pipeline(full, cfg, parent=parent,
-                       key_frames_only=args.key_frames_only)
-    timings["soft"] = time.perf_counter() - t1
+    soft, hard = run_tasks([
+        functools.partial(_soft_branch, full, cfg, parent,
+                          args.key_frames_only),
+        functools.partial(_hard_branch, full, args.max_iters)])
+    timings["fits"] = time.perf_counter() - t1
+    res, sweep_aligned, pca_aligned, soft_s = soft
+    hard_formation, hard_trace, sweep_identity, pca_identity, hard_s = hard
 
     t2 = time.perf_counter()
-    init = player_identity_template(res.dataset)
-    hard_formation, hard_aligned, hard_trace = hard_assignment_em(
-        res.dataset, init, max_iters=args.max_iters)
-    timings["hard"] = time.perf_counter() - t2
-
     hard_ll = hard_trace.logliks[-1]
     hard_as_template = align_template(hard_formation, res.template)
     per_role_kl = [kl_divergence(a, b) for a, b in
                    zip(res.template.roles, hard_as_template.roles)]
     per_role_area = [role_area(a) - role_area(b) for a, b in
                      zip(res.template.roles, hard_as_template.roles)]
-
-    s = res.dataset.n_frames
-    identity = res.dataset.positions.reshape(s, -1)
-    ks = list(range(2, min(21, s)))
-    sweep_aligned = wce_sweep(res.aligned.matrix, ks)
-    sweep_identity = wce_sweep(identity, ks)
-    pca_aligned = pca_variance_explained(res.aligned.matrix)
-    pca_identity = pca_variance_explained(identity)
+    s = full.n_frames
 
     report = {
         "soft_avg_loglik": res.avg_loglik,
@@ -230,6 +259,7 @@ def cmd_compare(args) -> int:
             fh.write(f"{i},{a!r},{b!r}\n")
     res.trace.to_csv(out / "emtrace.csv")
     hard_trace.to_csv(out / "hard_trace.csv")
+    timings["write"] = time.perf_counter() - t2
 
     manifest = RunManifest(
         command="compare", version=__version__,
@@ -244,7 +274,8 @@ def cmd_compare(args) -> int:
                                    zip(hard_trace.certified, hard_trace.tied)],
                "nearest_centers": {"aligned": _search_totals(sweep_aligned),
                                    "identity": _search_totals(
-                                       sweep_identity)}})
+                                       sweep_identity)},
+               "soft": {"fit_s": soft_s}, "hard": {"fit_s": hard_s}})
     manifest.save(out / "manifest.json")
     return 0
 

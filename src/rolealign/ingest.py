@@ -26,9 +26,13 @@ line and any other csv.reader error (before Python 3.11, a NUL character)
 raise a ParseError naming the line, as does a byte that is not UTF-8.
 
 JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw inside
-a JSON string, and the CR of a CRLF is JSON whitespace.  JSONL text of more
-than one chunk is cut at LF into parts read on every usable CPU (see
-``_parse_jsonl``); the Dataset and every error are those of a serial read.
+a JSON string, and the CR of a CRLF is JSON whitespace.
+
+Quote-free CSV text and JSONL text of more than one chunk are cut at LF into
+parts read on every usable CPU (``_lf_parts``, ``parallel.run_tasks``); the
+Dataset and every error are those of a serial read (see ``_parse_csv`` and
+``_parse_jsonl``).  CSV read by csv.reader is read in one process, since a
+quoted field may hold a newline.
 """
 
 from __future__ import annotations
@@ -307,7 +311,11 @@ def _drop_blank(recs, lines, keep=None):
 
 
 def _merge_chunks(chunks):
-    """One set of row columns from per-chunk ones, agent codes merged."""
+    """One set of row columns from per-chunk ones (None for none), agent
+    codes merged; a None chunk holds no row."""
+    chunks = [c for c in chunks if c is not None]
+    if len(chunks) < 2:   # nothing to merge (or to copy)
+        return chunks[0] if chunks else None
     rows = {k: np.concatenate([c[k] for c in chunks])
             for k in chunks[0] if k != "agent"}
     rows["agent"] = _merge_codes([c["agent"] for c in chunks])
@@ -389,53 +397,63 @@ def _long_field(line):
                       f"{csv.field_size_limit()} characters", line)
 
 
-def _text_lines(text, start, size):
-    """Lists of ``size`` lines (the last may be shorter) of ``text[start:]``,
-    without their "\\n" or "\\r\\n".  The text is split one block of about
-    64 * size characters at a time, so no list of every line is built."""
+def _text_lines(text, start, end, size):
+    """Lists of ``size`` lines (the last may be shorter) of
+    ``text[start:end]``, without their "\\n" or "\\r\\n".  The text is split
+    one block of about 64 * size characters at a time, so no list of every
+    line is built."""
     pending = []
-    while start < len(text):
-        end = text.find("\n", start + 64 * size) + 1 or len(text)
-        block = text[start:end]
+    while start < end:
+        stop = text.find("\n", start + 64 * size, end) + 1 or end
+        block = text[start:stop]
         if "\r" in block:
             block = block.replace("\r\n", "\n")
         pending += block.split("\n")
         if block.endswith("\n"):
             pending.pop()
-        start = end
-        while len(pending) >= size or (pending and start == len(text)):
+        start = stop
+        while len(pending) >= size or (pending and start == end):
             yield pending[:size]
             del pending[:size]
 
 
-def _split_tokens(text, size):
-    """The CSV tokenizer for text without a quote whose every CR ends a line
-    (CRLF): each line is one record and its fields are ``line.split(",")``
-    once the line end is gone, as csv.reader would read them.  Yields the
-    header record, then the (columns, lines) of each chunk of up to ``size``
-    lines; a field over the csv module's field limit raises once the lines
-    before it have been yielded."""
-    from itertools import repeat
+def _too_long(rec, limit):
+    """Whether a quote-free line holds a field over ``limit`` characters
+    (only a line over the limit can)."""
+    return len(rec) > limit and max(map(len, rec.split(","))) > limit
 
-    limit = csv.field_size_limit()
 
-    def too_long(rec):   # only a line over the limit can hold such a field
-        return len(rec) > limit and max(map(len, rec.split(","))) > limit
-
+def _split_header(text):
+    """The header record of text for ``_split_tokens``, and the offset of
+    the line after it."""
     end = text.find("\n")
     if end < 0:
         end = len(text)
     header = text[:end].removesuffix("\r")
-    if too_long(header):
+    if _too_long(header, csv.field_size_limit()):
         raise _long_field(1)
-    yield header.split(",") if header else []
-    line = 2
-    for chunk in _text_lines(text, end + 1, size):
+    return (header.split(",") if header else []), min(end + 1, len(text))
+
+
+def _split_tokens(text, start, end, size):
+    """The CSV tokenizer for text without a quote whose every CR ends a line
+    (CRLF): each line is one record and its fields are ``line.split(",")``
+    once the line end is gone, as csv.reader would read them.  Yields the
+    (columns, lines) of each chunk of up to ``size`` lines of
+    ``text[start:end]``, which starts at a line's start, numbered as lines
+    of ``text``; a field over the csv module's field limit raises once the
+    lines before it have been yielded.  ``_split_header`` reads the
+    header."""
+    from itertools import repeat
+
+    limit = csv.field_size_limit()
+    line = text.count("\n", 0, start) + 1
+    for chunk in _text_lines(text, start, end, size):
         first, fault = line, None
         line += len(chunk)
         if max(map(len, chunk)) > limit:
-            bad = next((j for j, rec in enumerate(chunk) if too_long(rec)),
-                       None)
+            bad = next((j for j, rec in enumerate(chunk)
+                        if _too_long(rec, limit)), None)
             if bad is not None:
                 chunk, fault = chunk[:bad], _long_field(first + bad)
         chunk, lines = _drop_blank(chunk,
@@ -498,24 +516,60 @@ def _reader_tokens(text, size):
             raise fault(error, int(lines[-1]))
 
 
+def _lf_parts(text, start, chunk_lines):
+    """(start, end) offsets that cut ``text[start:]`` after an LF into one
+    part per usable CPU, but no more parts than it has chunks of
+    ``chunk_lines`` lines; a parser reads them with ``parallel.run_tasks``.
+    """
+    parts = min(parallel.usable_cpus(),
+                -(-(text.count("\n", start) + 1) // chunk_lines))
+    ends = sorted({text.find("\n", start + (len(text) - start) * j // parts)
+                   + 1 or len(text) for j in range(1, parts)} | {len(text)})
+    return list(zip([start, *ends[:-1]], ends))
+
+
+def _csv_part(text, start, end):
+    """The row columns (None for no record) of the quote-free CSV lines in
+    ``text[start:end]``, with their line numbers in ``text``."""
+    return _merge_chunks([_csv_rows(cols, lines) for cols, lines in
+                          _split_tokens(text, start, end, CSV_CHUNK_ROWS)])
+
+
 def _parse_csv(text):
+    """Quote-free text (``_split_tokens``) is cut at LF into parts read on
+    every usable CPU, each part's errors being those of a serial read of
+    it, so the first failing part's error is a serial read's.  Duplicate
+    and label checks run once, on the merged rows.  Text read by
+    csv.reader, whose quoted fields may hold a newline, is read in this
+    process."""
+    from functools import partial
+
     if not text:
         raise ParseError("empty input", 1)
     split = '"' not in text and ("\r" not in text or
                                  text.count("\r") == text.count("\r\n"))
-    tokens = (_split_tokens if split else _reader_tokens)(text,
-                                                           CSV_CHUNK_ROWS)
-    header = next(tokens)
+    if split:
+        header, start = _split_header(text)
+    else:
+        tokens = _reader_tokens(text, CSV_CHUNK_ROWS)
+        header = next(tokens)
     if tuple(header) != CSV_COLUMNS:
         missing = set(CSV_COLUMNS) - set(header)
         detail = f"missing columns {sorted(missing)}" if missing else \
             f"got {header!r}"
         raise ParseError(f"header must be exactly "
                          f"{','.join(CSV_COLUMNS)}; {detail}", 1)
-    chunks = [_csv_rows(cols, lines) for cols, lines in tokens]
-    if not chunks:
+    if split:
+        parts = parallel.run_tasks([
+            partial(_csv_part, text, a, b)
+            for a, b in _lf_parts(text, start, CSV_CHUNK_ROWS)])
+    else:
+        parts = [_merge_chunks([_csv_rows(cols, lines)
+                                for cols, lines in tokens])]
+    rows = _merge_chunks(parts)
+    if rows is None:
         raise ParseError("no data rows")
-    return _group_rows(_merge_chunks(chunks))
+    return _group_rows(rows)
 
 
 def _group_rows(rows):
@@ -618,8 +672,10 @@ def _check_jsonl_line(line, raw, seen):
 
 
 def _jsonl_rows(objs, lines):
-    """Per-agent row columns of decoded JSONL frames, or None when a value
-    is malformed (the line-by-line check then names it)."""
+    """Row columns of decoded JSONL frames, or None when a value is
+    malformed (the line-by-line check then names it).  ``xy`` and ``agent``
+    hold one row per agent; the line, the frame labels and ``agents`` (the
+    frame's agent count) one row per frame (see ``_per_agent``)."""
     from itertools import chain, compress, repeat
     from operator import methodcaller
 
@@ -668,14 +724,20 @@ def _jsonl_rows(objs, lines):
         names = np.array([f"a{i}" for i in range(per_frame.max())],
                          dtype=object)
         agent[~point_given] = names[within[~point_given]]
-    rows = {"line": lines, "frame_id": fid, "period": period,
+    return {"line": lines, "frame_id": fid, "period": period,
             "is_event": np.array(col["is_event"], dtype=bool),
             "right_to_left": np.array(col["attack_direction"])
             == RIGHT_TO_LEFT, "team": np.array(col["team"], dtype=object),
-            "game": np.array(col["game"], dtype=object)}
-    rows = {k: np.repeat(v, per_frame) for k, v in rows.items()}
-    rows.update(xy=xy, agent=_codes(agent.tolist()))
-    return rows
+            "game": np.array(col["game"], dtype=object), "agents": per_frame,
+            "xy": xy, "agent": _codes(agent.tolist())}
+
+
+def _per_agent(rows):
+    """``_jsonl_rows``' columns with one row per agent: each frame's line
+    and labels repeated once per agent of the frame."""
+    agents = rows.pop("agents")
+    return {k: v if k in ("xy", "agent") else np.repeat(v, agents)
+            for k, v in rows.items()}
 
 
 _scan_object = json.JSONDecoder().scan_once
@@ -697,8 +759,8 @@ def _decode(line):
 
 
 def _jsonl_part(text, start, end):
-    """The row columns (None for no frame) and sorted frame ids of the
-    JSONL lines in ``text[start:end]``, with their line numbers in
+    """The ``_jsonl_rows`` columns (None for no frame) and sorted frame ids
+    of the JSONL lines in ``text[start:end]``, with their line numbers in
     ``text``.  Raises the ParseError of its first bad line, a frame id
     counting as repeated only within these lines."""
     from operator import itemgetter
@@ -723,26 +785,23 @@ def _jsonl_part(text, start, end):
                   lines)
         seen = ids
         chunks.append(rows)
-    return (_merge_chunks(chunks) if chunks else None), seen
+    return _merge_chunks(chunks), seen
 
 
 def _parse_jsonl(text):
-    """Text of two or more chunks of lines is cut at LF into parts, one per
-    usable CPU (``parallel.run_tasks``), each read like the whole.  When a
-    part fails, or repeats a frame id of another, the whole text is read
-    in one part, so errors and their lines are those of a serial read."""
+    """Text of two or more chunks of lines is cut at LF into parts
+    (``_lf_parts``), each read like the whole.  When a part fails, or
+    repeats a frame id of another, the whole text is read in one part, so
+    errors and their lines are those of a serial read.  Parts send their
+    frame labels once per frame; they are repeated per agent here."""
     from functools import partial
 
-    parts = min(parallel.usable_cpus(),
-                -(-(text.count("\n") + 1) // JSONL_CHUNK_LINES))
-    ends = sorted({text.find("\n", len(text) * j // parts) + 1 or len(text)
-                   for j in range(1, parts)} | {len(text)})
-    starts = [0, *ends[:-1]]
+    parts = _lf_parts(text, 0, JSONL_CHUNK_LINES)
     try:
         read = parallel.run_tasks([partial(_jsonl_part, text, a, b)
-                                   for a, b in zip(starts, ends)])
+                                   for a, b in parts])
     except ParseError:
-        if len(starts) == 1:   # that part was the whole text
+        if len(parts) == 1:   # that part was the whole text
             raise
         read = None
     if read is not None:
@@ -752,10 +811,10 @@ def _parse_jsonl(text):
             read = None
     if read is None:
         read = [_jsonl_part(text, 0, len(text))]
-    rows = [r for r, _ in read if r is not None]
-    if not rows:
+    rows = _merge_chunks([r for r, _ in read])
+    if rows is None:
         raise ParseError("no frames")
-    return _group_rows(_merge_chunks(rows))
+    return _group_rows(_per_agent(rows))
 
 
 def parse_tracking(source, format: str = "csv") -> Dataset:

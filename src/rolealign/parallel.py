@@ -9,6 +9,13 @@ process running a second Python thread, which a fork would leave holding
 whatever locks it held), and where one CPU is usable, every task runs in
 this process, in order.
 
+Each process is pinned to its own CPU while the tasks run.  Left to the
+scheduler, a forked worker stayed on its parent's CPU in 8 of 20 trials on
+a 2-vCPU VM, and both processes then ran at half speed for the whole task.
+
+The ``compare`` command's soft and hard branches, the ``context`` command's
+fits, and the CSV and JSONL parsers' parts run through ``run_tasks``.
+
 ``multiprocessing`` is imported only when a worker is started, so that
 importing the package does not pay for it.
 """
@@ -28,9 +35,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _work(conn, tasks, share):
-    """Worker body: for i in ``share``, (True, tasks[i]()) or (False, the
-    exception it raised), sent to the parent as one message."""
+def _work(conn, tasks, share, cpu):
+    """Worker body, on CPU ``cpu``: for i in ``share``, (True, tasks[i]())
+    or (False, the exception it raised), sent to the parent as one
+    message."""
+    os.sched_setaffinity(0, {cpu})
     outcomes = {}
     for i in share:
         try:
@@ -41,14 +50,14 @@ def _work(conn, tasks, share):
     conn.close()
 
 
-def _start(tasks, share):
-    """A forked worker running ``share`` of ``tasks``, and the read end of
-    its result pipe."""
+def _start(tasks, share, cpu):
+    """A forked worker running ``share`` of ``tasks`` on CPU ``cpu``, and
+    the read end of its result pipe."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_work, args=(writer, tasks, share))
+    proc = ctx.Process(target=_work, args=(writer, tasks, share, cpu))
     proc.start()
     writer.close()   # the worker holds the only write end: EOF if it dies
     return proc, reader
@@ -70,18 +79,24 @@ def run_tasks(tasks) -> list:
     W is ``usable_cpus()`` capped by the number of tasks.  This process
     runs the first task while W - 1 forked workers run the rest, worker j
     (from 1) the tasks j, j + W - 1, j + 2 (W - 1), ...; with W = 1 this
-    process runs every task.  Tasks are called without arguments and must
-    not depend on each other's side effects.  If any task raises, the
-    exception of the first such task in task order is raised here, once
-    every worker has exited.
+    process runs every task.  While they run, this process and each worker
+    keep to one CPU of this process's affinity mask, a different one each
+    while the mask has enough; the mask is restored on return.  Tasks are
+    called without arguments and must not depend on each other's side
+    effects.  If any task raises, the exception of the first such task in
+    task order is raised here, once every worker has exited.
     """
     tasks = list(tasks)
     n = len(tasks)
     w = min(usable_cpus(), n)
     results, outcomes, workers, waiting = [None] * n, {}, [], []
+    cpus = sorted(os.sched_getaffinity(0)) if w > 1 else []
     try:
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
         for j in range(1, w):
-            workers.append(_start(tasks, range(j, n, w - 1)))
+            workers.append(_start(tasks, range(j, n, w - 1),
+                                  cpus[j % len(cpus)]))
             waiting.append(workers[-1])
         # this process's tasks come first in task order, so an exception
         # of theirs is the one to raise, and the workers are stopped
@@ -96,6 +111,8 @@ def run_tasks(tasks) -> list:
         for proc, reader in workers:
             proc.join()
             reader.close()
+        if cpus:
+            os.sched_setaffinity(0, cpus)
     for i in sorted(outcomes):
         ok, results[i] = outcomes[i]
         if not ok:

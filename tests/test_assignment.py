@@ -187,23 +187,24 @@ def _jv_square(cost: list[list[float]]) -> tuple[list[int], list[float], list[fl
 def scalar_hungarian(c):
     """One (n, k) frame solved on its own, independently of ``assign_batch``:
     padded to k x k, solved by the scalar ``_jv_square``, then refined by
-    ``_lex_refine`` when its tight edges hold another optimum.  The total is
-    a 1-D sum over the frame's rows."""
+    ``_lex_refine`` when its tight edges hold another optimum (the frame is
+    then tied).  The total is a 1-D sum over the frame's rows."""
     n = len(c)
     square = padded(c[None])[0]
     m, u, v = _jv_square(square.tolist())
     mapping = np.array(m)
     tight = _tight(square[None], np.array(u)[None], np.array(v)[None])
-    if _alternating_cycles(tight, mapping[None], n)[0]:
+    tied = _alternating_cycles(tight, mapping[None], n)[0]
+    if tied:
         mapping = np.array(_lex_refine(square, mapping, tight[0], n))
     mapping = mapping[:n]
-    return mapping, c[np.arange(n), mapping].sum()
+    return mapping, c[np.arange(n), mapping].sum(), tied
 
 
 def per_frame(cost):
     solved = [scalar_hungarian(c) for c in cost]
-    return (np.array([m for m, _ in solved]),
-            np.array([t for _, t in solved]))
+    return (np.array([m for m, _, _ in solved]),
+            np.array([t for _, t, _ in solved]))
 
 
 def assert_same_as_hungarian(cost):
@@ -251,6 +252,45 @@ def test_batch_near_tie_is_not_certified():
     wide = np.array([[[1.5, 1.0], [1.0, 1.5]]])
     b = assert_same_as_hungarian(wide)
     assert b.mappings.tolist() == [[1, 0]] and b.certified[0]
+
+
+def partition_certificate(cost):
+    """The certificate as first written: runner-ups by ``np.partition``, the
+    scale by ``np.abs``."""
+    low2 = np.partition(cost, 1, axis=2)
+    margin = assignment._CERT_MARGIN * (1.0 + np.abs(cost).max(axis=(1, 2)))
+    unique = (low2[:, :, 1] - low2[:, :, 0] > margin[:, None]).all(axis=1)
+    cols = np.sort(cost.argmin(axis=2), axis=1)
+    return unique & (cols[:, 1:] != cols[:, :-1]).all(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["floats", "near ties", "integer ties"])
+def test_certificate_matches_the_partition_reference(kind):
+    rng = np.random.default_rng(26)
+    if kind == "floats":
+        cost = role_costs(rng, 300, 8, 10, 0.8)
+    elif kind == "near ties":   # a runner-up on either side of the margin
+        cost = role_costs(rng, 300, 6, 6, 0.1)
+        cost[1::2] -= 30.0   # the largest magnitude is the least entry
+        margin = assignment._CERT_MARGIN * (1.0 + np.abs(cost).max(
+            axis=(1, 2)))
+        low = cost.argmin(axis=2)[:, 0]
+        cost[np.arange(300), 0, (low + 1) % 6] = cost[:, 0].min(axis=1) + \
+            rng.choice([0.5, 0.999, 1.001, 2.0], 300) * margin
+    else:
+        cost = rng.integers(-2, 3, (300, 5, 7)).astype(float)
+    copy = cost.copy()
+    b = assign_batch(cost)
+    assert np.array_equal(cost, copy)   # the caller's array is untouched
+    certified = partition_certificate(cost)
+    assert np.array_equal(b.certified, certified)
+    assert 0 < b.n_certified < len(cost) or kind == "integer ties"
+    solved = [scalar_hungarian(c) for c in cost]
+    reference = np.where(certified[:, None], cost.argmin(axis=2),
+                         [m for m, _, _ in solved])
+    assert np.array_equal(b.mappings, reference)
+    assert np.array_equal(b.totals, [t for _, t, _ in solved])
+    assert np.array_equal(b.tied, ~certified & [t for _, _, t in solved])
 
 
 @pytest.mark.parametrize("n,k", [(3, 7), (1, 4), (6, 9), (1, 1)])

@@ -175,6 +175,10 @@ def test_filter_errors(teams_csv, tmp_path, capsys):
     assert run(["discover", "--input", path, "--out", str(tmp_path / "c"),
                 "--filter", "color=red"]) == 2
     assert "unknown filter key" in capsys.readouterr().err
+    assert run(["discover", "--input", path, "--out", str(tmp_path / "d"),
+                "--filter", "team=home;period=x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: filter period must be an integer, got 'x'\n"
 
 
 def test_filter_selects_a_team(teams_csv, tmp_path):
@@ -231,6 +235,29 @@ def test_compare_report_and_files(plain_csv, tmp_path):
         near = manifest["stats"]["nearest_centers"][side]
         assert near["rows"] > 0 and 0 <= near["fallback"] <= near["rows"]
     assert "fallback" not in json.dumps(report)
+    assert list(manifest["timings"]) == ["parse", "fits", "write"]
+    for branch in ("soft", "hard"):   # timed where the branch ran
+        assert list(manifest["stats"][branch]) == ["fit_s"]
+        assert 0 < manifest["stats"][branch]["fit_s"] <= \
+            manifest["timings"]["fits"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_whose_soft_branch_fails_writes_no_report(
+        tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    tmpl = generate_formation(4, separation=3.0, seed=94)
+    ds, _ = sample_dataset(tmpl, 1, seed=94)
+    path = tmp_path / "one.csv"
+    write_tracking_csv(ds, path)
+    out = tmp_path / "cmp"
+    assert run(["compare", "--input", str(path), "--out", str(out), "--k",
+                "6", "--init", "random"]) == 2
+    assert capsys.readouterr().err == \
+        "error: k=6 exceeds total point count 4\n"
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 # bench

@@ -17,7 +17,7 @@ import multiprocessing
 
 import numpy as np
 
-from rolealign import ingest, parallel
+from rolealign import cli, ingest, parallel
 from rolealign.cli import main
 from rolealign.synth import generate_formation, sample_dataset
 
@@ -136,6 +136,38 @@ def test_cli_outputs_match_recorded_hashes(tmp_path):
     assert output_hashes(tmp_path) == GOLDEN
 
 
+def runs_on_one_and_three_cpus(monkeypatch, root, name, argv):
+    """Run ``argv`` with W forced to 1, then to 3.  Each run's outputs
+    must equal GOLDEN's ``name/`` entries; returns the task count of every
+    ``run_tasks`` call, and the two manifests without their timings, fit
+    times and output directory."""
+    run_tasks, calls = parallel.run_tasks, []
+
+    def counted(tasks):
+        calls.append(len(tasks))
+        return run_tasks(tasks)
+
+    monkeypatch.setattr(parallel, "run_tasks", counted)
+    monkeypatch.setattr(cli, "run_tasks", counted)
+    manifests = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        out = root / f"{name}{cpus}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert {f"{name}/{p.name}": _sha(p) for p in out.iterdir()
+                if p.name != "manifest.json"} == \
+            {k: v for k, v in GOLDEN.items() if k.startswith(f"{name}/")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["timings"], manifest["config"]["out"]
+        for fit in [manifest["stats"].get(key, {}) for key in
+                    ("global", "soft", "hard")] + \
+                list(manifest["stats"].get("contexts", {}).values()):
+            fit.pop("fit_s", None)
+        manifests.append(manifest)
+    return calls, manifests
+
+
 def test_context_outputs_do_not_depend_on_the_cpu_count(tmp_path,
                                                          monkeypatch):
     truth = generate_formation(6, separation=3.0, seed=41)
@@ -143,30 +175,32 @@ def test_context_outputs_do_not_depend_on_the_cpu_count(tmp_path,
     _write_jsonl(path, truth, 43)
     # 241 lines (the last one empty) in 4 chunks: 3 parts with 3 CPUs
     monkeypatch.setattr(ingest, "JSONL_CHUNK_LINES", 64)
-    run_tasks, parts = parallel.run_tasks, []
+    calls, manifests = runs_on_one_and_three_cpus(
+        monkeypatch, tmp_path, "context",
+        ["context", "--input", str(path), "--format", "jsonl", "--k", "6"])
+    assert calls == [1, 5, 3, 5]   # the parse, then the 5 fits
+    assert manifests[0] == manifests[1]
 
-    def parse_parts(tasks):   # only the JSONL parse calls it through here
-        parts.append(len(tasks))
-        return run_tasks(tasks)
 
-    monkeypatch.setattr(parallel, "run_tasks", parse_parts)
-    manifests = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["context", "--input", str(path), "--format", "jsonl",
-                     "--k", "6", "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
-        assert {f"context/{p.name}": _sha(p) for p in out.iterdir()
-                if p.name != "manifest.json"} == \
-            {k: v for k, v in GOLDEN.items() if k.startswith("context/")}
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["timings"], manifest["config"]["out"]
-        for fit in [manifest["stats"]["global"],
-                    *manifest["stats"]["contexts"].values()]:
-            del fit["fit_s"]
-        manifests.append(manifest)
-    assert parts == [1, 3]
+def test_discover_and_compare_outputs_do_not_depend_on_the_cpu_count(
+        tmp_path, monkeypatch):
+    truth = generate_formation(6, separation=3.0, seed=41)
+    stored, events, rl = _pitch_frames(truth, 300, 41, 100)
+    path = tmp_path / "match.csv"
+    _write_csv(path, stored, events, rl)
+    truth.save(tmp_path / "truth.json")
+    # 1800 rows (the line after them empty) in 4 chunks: 3 parts with 3 CPUs
+    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 512)
+    calls, manifests = runs_on_one_and_three_cpus(
+        monkeypatch, tmp_path, "discover",
+        ["discover", "--input", str(path), "--k", "6",
+         "--parent-template", str(tmp_path / "truth.json")])
+    assert calls == [1, 3] and manifests[0] == manifests[1]
+    calls, manifests = runs_on_one_and_three_cpus(
+        monkeypatch, tmp_path, "compare",
+        ["compare", "--input", str(path), "--k", "6", "--filter",
+         "period=1", "--max-iters", "50"])
+    assert calls == [1, 2, 3, 2]   # the parse, then the two branches
     assert manifests[0] == manifests[1]
 
 

@@ -168,6 +168,17 @@ def jsonl_reads(monkeypatch):
     yield "parts"
 
 
+def csv_reads(monkeypatch):
+    """Yields twice: for a read of CSV text in one part in this process,
+    then for quote-free text cut into parts of one-line chunks read by
+    three processes (their results and errors must not differ)."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    yield "one part"
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 1)
+    yield "parts"
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_jsonl_lines_end_at_lf_only(eol, monkeypatch):
     # U+2028, U+2029 and U+0085 may stand raw inside a JSON string
@@ -210,51 +221,63 @@ def header(*rows):
     ("1,a,1.0,2.0,0,LR,,,x", 2, "non-integer period"),
     ("1,a,1.0,2.0,0,LR,,1", 2, "expected 9 fields"),
 ])
-def test_csv_field_errors(row, line, fragment):
-    with pytest.raises(ParseError, match=fragment) as exc:
-        parse_tracking(header(row))
-    assert exc.value.line == line
+def test_csv_field_errors(row, line, fragment, monkeypatch):
+    for _ in csv_reads(monkeypatch):
+        with pytest.raises(ParseError, match=fragment) as exc:
+            parse_tracking(header(row))
+        assert exc.value.line == line
 
 
-def test_csv_error_line_counts_from_file_start():
-    src = header("1,a,1.0,2.0,0,LR,,,1", "2,a,bad,2.0,0,LR,,,1")
-    with pytest.raises(ParseError) as exc:
-        parse_tracking(src)
-    assert exc.value.line == 3 and str(exc.value).startswith("line 3:")
+def test_csv_error_line_counts_from_file_start(monkeypatch):
+    for _ in csv_reads(monkeypatch):   # in parts, line 3 is a later part's
+        src = header("1,a,1.0,2.0,0,LR,,,1", "2,a,bad,2.0,0,LR,,,1")
+        with pytest.raises(ParseError) as exc:
+            parse_tracking(src)
+        assert exc.value.line == 3 and str(exc.value).startswith("line 3:")
 
 
-def test_csv_bad_header():
-    with pytest.raises(ParseError, match="missing columns") as exc:
-        parse_tracking(io.StringIO("frame_id,agent_id\n"))
-    assert exc.value.line == 1
+def test_csv_bad_header(monkeypatch):
+    for _ in csv_reads(monkeypatch):
+        with pytest.raises(ParseError, match="missing columns") as exc:
+            parse_tracking(io.StringIO("frame_id,agent_id\n"))
+        assert exc.value.line == 1
 
 
-def test_csv_empty_and_headerless():
-    with pytest.raises(ParseError, match="empty input"):
-        parse_tracking(io.StringIO(""))
-    with pytest.raises(ParseError, match="no data rows"):
-        parse_tracking(header())
+def test_csv_empty_and_headerless(monkeypatch):
+    for _ in csv_reads(monkeypatch):
+        with pytest.raises(ParseError, match="empty input"):
+            parse_tracking(io.StringIO(""))
+        for blank in ("", "\n", "\n\n"):
+            with pytest.raises(ParseError, match="no data rows"):
+                parse_tracking(io.StringIO(header().getvalue() + blank))
 
 
-def test_csv_duplicate_agent():
-    src = header("1,a,1.0,2.0,0,LR,,,1", "1,a,3.0,4.0,0,LR,,,1")
-    with pytest.raises(ParseError, match="duplicate agent 'a' in frame 1") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 3
+def test_csv_duplicate_agent(monkeypatch):
+    for _ in csv_reads(monkeypatch):   # in parts, across a part boundary
+        src = header("1,a,1.0,2.0,0,LR,,,1", "1,a,3.0,4.0,0,LR,,,1")
+        with pytest.raises(ParseError,
+                           match="duplicate agent 'a' in frame 1") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 3
 
 
-def test_csv_inconsistent_frame_fields():
-    src = header("1,a,1.0,2.0,0,LR,,,1", "1,b,3.0,4.0,1,LR,,,1")
-    with pytest.raises(ParseError, match="frame-level fields disagree"):
-        parse_tracking(src)
+def test_csv_inconsistent_frame_fields(monkeypatch):
+    for _ in csv_reads(monkeypatch):
+        src = header("1,a,1.0,2.0,0,LR,,,1", "1,b,3.0,4.0,1,LR,,,1")
+        with pytest.raises(ParseError,
+                           match="frame-level fields disagree") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 3
 
 
-def test_uneven_agent_counts():
+def test_uneven_agent_counts(monkeypatch):
     src = header("1,a,1.0,2.0,0,LR,,,1", "1,b,0.0,0.0,0,LR,,,1",
-                 "2,a,3.0,4.0,0,LR,,,1")
-    with pytest.raises(ParseError,
-                       match="frame 2 has 1 agents; other frames have 2"):
-        parse_tracking(src)
+                 "2,a,3.0,4.0,0,LR,,,1").getvalue()
+    for _ in csv_reads(monkeypatch):
+        with pytest.raises(ParseError, match="frame 2 has 1 agents; other "
+                                             "frames have 2") as exc:
+            parse_tracking(io.StringIO(src))
+        assert exc.value.line is None
 
 
 @pytest.mark.parametrize("line_text,fragment", [
@@ -358,11 +381,12 @@ def test_jsonl_non_finite_position_names_its_line(point, monkeypatch):
 
 @pytest.mark.parametrize("x,y", [("nan", "0.0"), ("1.0", "inf"),
                                  ("-Infinity", "2.0")])
-def test_csv_non_finite_position_names_its_line(x, y):
-    src = header("1,a,1.0,2.0,0,LR,,,1", f"2,a,{x},{y},0,LR,,,1")
-    with pytest.raises(ParseError, match="non-finite position") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 3
+def test_csv_non_finite_position_names_its_line(x, y, monkeypatch):
+    for _ in csv_reads(monkeypatch):
+        src = header("1,a,1.0,2.0,0,LR,,,1", f"2,a,{x},{y},0,LR,,,1")
+        with pytest.raises(ParseError, match="non-finite position") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 3
 
 
 def test_jsonl_duplicate_frame_id(monkeypatch):
@@ -594,15 +618,27 @@ def test_csv_chunks_join_seamlessly(monkeypatch):
     text = "\n".join(lines[:10] + [""] + lines[10:]) + "\n"   # a blank line
     whole = parse_tracking(io.StringIO(text))
     monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 7)
-    assert_columns_equal(whole, parse_tracking(io.StringIO(text)))
-    bad = lines[:10] + [""] + lines[10:40] + ["9,a,1.0,x,0,LR,,,1"]
-    with pytest.raises(ParseError, match="non-numeric position") as exc:
-        parse_tracking(io.StringIO("\n".join(bad) + "\n"))
-    assert exc.value.line == 42
-    dup = lines[:30] + [lines[3]]
-    with pytest.raises(ParseError, match="duplicate agent") as exc:
-        parse_tracking(io.StringIO("\n".join(dup) + "\n"))
-    assert exc.value.line == 31
+    run_tasks, parts = parallel.run_tasks, []
+
+    def counted(tasks):
+        parts.append(len(tasks))
+        return run_tasks(tasks)
+
+    monkeypatch.setattr(parallel, "run_tasks", counted)
+    for cpus in (1, 3):   # one part, then three
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert_columns_equal(whole, parse_tracking(io.StringIO(text)))
+        assert parts[-1] == cpus
+        for eol in ("\n", "\r\n"):
+            bad = lines[:10] + [""] + lines[10:40] + ["9,a,1.0,x,0,LR,,,1"]
+            with pytest.raises(ParseError,
+                               match="non-numeric position") as exc:
+                parse_tracking(io.StringIO(eol.join(bad) + eol))
+            assert exc.value.line == 42
+            dup = lines[:30] + [lines[3]]
+            with pytest.raises(ParseError, match="duplicate agent") as exc:
+                parse_tracking(io.StringIO(eol.join(dup) + eol))
+            assert exc.value.line == 31
 
 
 # the two CSV tokenizers: str.split for text without a quote or CR,
@@ -681,8 +717,8 @@ def quote_free_csv(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(quote_free_csv(), st.sampled_from([1, 2, 3, 5, 1 << 14]),
-       st.sampled_from([None, None, 16]))
-def test_split_and_reader_tokenizers_agree(text, chunk_rows, limit):
+       st.sampled_from([None, None, 16]), st.sampled_from([1, 3]))
+def test_split_and_reader_tokenizers_agree(text, chunk_rows, limit, cpus):
     from unittest import mock
 
     assert '"' not in text and text.count("\r") == text.count("\r\n")
@@ -690,7 +726,9 @@ def test_split_and_reader_tokenizers_agree(text, chunk_rows, limit):
     try:
         if limit is not None:
             csv.field_size_limit(limit)
-        with mock.patch.object(ingest, "CSV_CHUNK_ROWS", chunk_rows):
+        # the split path reads in parts on up to ``cpus`` processes
+        with mock.patch.object(ingest, "CSV_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(parallel, "usable_cpus", lambda: cpus):
             split, reader = (parse_or_error(t)
                              for t in (text, reader_path(text)))
     finally:
@@ -721,47 +759,51 @@ def test_quoted_fields_still_parse():
 @pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 14])
 def test_csv_error_lines_are_physical_after_a_quoted_newline(monkeypatch,
                                                              chunk_rows):
-    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", chunk_rows)
-    # records on lines 2-3 and 4-5 each hold a team with a newline
-    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
-                 '1,b,1.0,2.0,0,LR,"home\nteam",,1',
-                 '2,a,bad,2.0,0,LR,"home",,1')
-    with pytest.raises(ParseError, match="non-numeric position") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 6
-    # records on lines 2-4 and 6-8 around a blank line 5
-    src = header('1,a,1.0,2.0,0,LR,"home\n\nteam",,1', "",
-                 '1,a,1.0,2.0,0,LR,"home\n\nteam",,1')
-    with pytest.raises(ParseError, match="duplicate agent") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 6
-    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
-                 "1,b,1.0,2.0\r,0,LR,,,1")
-    with pytest.raises(ParseError, match="carriage return") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 4
+    for _ in csv_reads(monkeypatch):   # csv.reader text is never cut
+        monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", chunk_rows)
+        # records on lines 2-3 and 4-5 each hold a team with a newline
+        src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                     '1,b,1.0,2.0,0,LR,"home\nteam",,1',
+                     '2,a,bad,2.0,0,LR,"home",,1')
+        with pytest.raises(ParseError, match="non-numeric position") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 6
+        # records on lines 2-4 and 6-8 around a blank line 5
+        src = header('1,a,1.0,2.0,0,LR,"home\n\nteam",,1', "",
+                     '1,a,1.0,2.0,0,LR,"home\n\nteam",,1')
+        with pytest.raises(ParseError, match="duplicate agent") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 6
+        src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                     "1,b,1.0,2.0\r,0,LR,,,1")
+        with pytest.raises(ParseError, match="carriage return") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 4
 
 
 def test_crlf_and_cr_only_line_ends(monkeypatch):
     rows = ("1,a,1.0,2.0,0,LR,,,1", "1,b,3.0,4.0,0,LR,,,1")
     lf = header(*rows).getvalue()
-    assert_columns_equal(parse_tracking(io.StringIO(lf)),
-                         parse_tracking(io.StringIO(lf.replace("\n",
-                                                               "\r\n"))))
-    with pytest.raises(ParseError, match="carriage return") as exc:
-        parse_tracking(io.StringIO(lf.replace("\n", "\r")))
-    assert exc.value.line == 1
-    with pytest.raises(ParseError, match="carriage return") as exc:
-        parse_tracking(io.StringIO(lf.replace("1,b,3.0", "1,b\r,3.0")))
-    assert exc.value.line == 3
-    # a CRLF file without quotes, as write_tracking_csv writes one, is split
-    # without csv.reader
     buf = io.StringIO()
     write_tracking_csv(small_dataset(), buf)
     assert "\r\n" in buf.getvalue()
-    monkeypatch.setattr(ingest, "_reader_tokens", None)
-    assert_datasets_equal(parse_tracking(io.StringIO(buf.getvalue())),
-                          small_dataset())
+    reader_tokens = ingest._reader_tokens
+    for _ in csv_reads(monkeypatch):
+        monkeypatch.setattr(ingest, "_reader_tokens", reader_tokens)
+        assert_columns_equal(parse_tracking(io.StringIO(lf)),
+                             parse_tracking(io.StringIO(
+                                 lf.replace("\n", "\r\n"))))
+        with pytest.raises(ParseError, match="carriage return") as exc:
+            parse_tracking(io.StringIO(lf.replace("\n", "\r")))
+        assert exc.value.line == 1
+        with pytest.raises(ParseError, match="carriage return") as exc:
+            parse_tracking(io.StringIO(lf.replace("1,b,3.0", "1,b\r,3.0")))
+        assert exc.value.line == 3
+        # a CRLF file without quotes, as write_tracking_csv writes one, is
+        # split without csv.reader
+        monkeypatch.setattr(ingest, "_reader_tokens", None)
+        assert_datasets_equal(parse_tracking(io.StringIO(buf.getvalue())),
+                              small_dataset())
 
 
 def test_other_csv_reader_errors_name_the_record(monkeypatch):
@@ -786,38 +828,42 @@ def test_other_csv_reader_errors_name_the_record(monkeypatch):
         return NulReader()
 
     monkeypatch.setattr(csv, "reader", reader)
-    src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
-                 '1,b,1.0,2.0,0,LR,"x\ny\0",,1')
-    with pytest.raises(ParseError, match="malformed CSV: line contains "
-                                         "NUL") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 4
+    for _ in csv_reads(monkeypatch):
+        src = header('1,a,1.0,2.0,0,LR,"home\nteam",,1',
+                     '1,b,1.0,2.0,0,LR,"x\ny\0",,1')
+        with pytest.raises(ParseError, match="malformed CSV: line contains "
+                                             "NUL") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 4
 
 
 @pytest.mark.parametrize("quote", [False, True])
-def test_field_limit_is_the_same_on_both_tokenizers(quote):
+def test_field_limit_is_the_same_on_both_tokenizers(quote, monkeypatch):
     limit = csv.field_size_limit()
     team = f'"{"t" * (limit + 1)}"' if quote else "t" * (limit + 1)
-    src = header("1,a,1.0,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
-    with pytest.raises(ParseError, match="longer than the CSV field "
-                                         f"limit of {limit}") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 3
-    if quote:   # a record over lines 3-4 is reported at its first line
-        src = header("1,a,1.0,2.0,0,LR,,,1",
-                     f'1,b,3.0,4.0,0,LR,"x\n{team[1:]},,1')
-        with pytest.raises(ParseError, match="field limit") as exc:
+    half = "t" * (limit // 2 + 1)
+    for _ in csv_reads(monkeypatch):
+        src = header("1,a,1.0,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
+        with pytest.raises(ParseError, match="longer than the CSV field "
+                                             f"limit of {limit}") as exc:
             parse_tracking(src)
         assert exc.value.line == 3
-    # an earlier bad line in the same chunk is still reported first
-    src = header("1,a,bad,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
-    with pytest.raises(ParseError, match="non-numeric position") as exc:
-        parse_tracking(src)
-    assert exc.value.line == 2
-    # a line longer than the limit whose fields are all within it is fine
-    half = "t" * (limit // 2 + 1)
-    ds = parse_tracking(header(f"1,a,1.0,2.0,0,LR,{half},{half},1"))
-    assert ds.team.tolist() == [half] and ds.game.tolist() == [half]
+        if quote:   # a record over lines 3-4 is reported at its first line
+            src = header("1,a,1.0,2.0,0,LR,,,1",
+                         f'1,b,3.0,4.0,0,LR,"x\n{team[1:]},,1')
+            with pytest.raises(ParseError, match="field limit") as exc:
+                parse_tracking(src)
+            assert exc.value.line == 3
+        # an earlier bad line (in one part, in the same chunk) is still
+        # reported first
+        src = header("1,a,bad,2.0,0,LR,,,1", f"1,b,3.0,4.0,0,LR,{team},,1")
+        with pytest.raises(ParseError, match="non-numeric position") as exc:
+            parse_tracking(src)
+        assert exc.value.line == 2
+        # a line longer than the limit whose fields are all within it is
+        # fine
+        ds = parse_tracking(header(f"1,a,1.0,2.0,0,LR,{half},{half},1"))
+        assert ds.team.tolist() == [half] and ds.game.tolist() == [half]
 
 
 @pytest.mark.parametrize("fmt,text", [

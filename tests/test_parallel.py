@@ -47,11 +47,24 @@ def test_the_first_failing_task_in_task_order_raises(cpus):
 
 def test_an_error_here_stops_the_workers(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    mask = os.sched_getaffinity(0)
     start = time.perf_counter()
     with pytest.raises(KeyError):
         run_tasks([partial(fail, KeyError("here")), partial(time.sleep, 60)])
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_each_process_keeps_to_one_cpu_while_the_tasks_run(cpus):
+    mask = os.sched_getaffinity(0)
+    seen = run_tasks([partial(os.sched_getaffinity, 0)] * 4)
+    assert os.sched_getaffinity(0) == mask   # restored here
+    if cpus == 1:
+        assert seen == [mask] * 4
+    else:   # worker 1 runs tasks 1 and 3; CPUs are reused past the mask
+        order = sorted(mask)
+        assert seen == [{order[j % len(order)]} for j in (0, 1, 2, 1)]
 
 
 def test_a_worker_that_dies_is_an_error(monkeypatch):
