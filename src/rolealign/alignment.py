@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
                        log_mixture_density, mahalanobis_between_means)
-from .ingest import Dataset, flatten
+from .ingest import Dataset, flatten, write_csv, write_json, write_jsonl
 from . import discovery as _disc
 
 
@@ -61,8 +61,7 @@ class Template:
         return cls(roles=tuple(Gaussian2D.from_dict(r) for r in d["roles"]))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -147,31 +146,18 @@ class AlignedDataset:
         return self.matrix[s].reshape(-1, 2)
 
     def to_csv(self, path):
-        own = not hasattr(path, "write")
-        fh = open(path, "w") if own else path
-        try:
-            cols = ",".join(f"role_{j}_x,role_{j}_y" for j in range(self.k))
-            fh.write(f"frame_id,{cols}\n")
-            for fid, row in zip(self.frame_id.tolist(), self.matrix):
-                fh.write(str(fid) + "," +
-                         ",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
+        header = ["frame_id"] + [f"role_{j}_{c}" for j in range(self.k)
+                                 for c in "xy"]
+        write_csv(path, header, ([fid, *row] for fid, row in
+                                 zip(self.frame_id.tolist(),
+                                     self.matrix.tolist())))
 
     def to_jsonl(self, path):
-        own = not hasattr(path, "write")
-        fh = open(path, "w") if own else path
-        try:
-            for fid, row, mapping in zip(self.frame_id.tolist(), self.matrix,
-                                         self.mappings.tolist()):
-                obj = {"frame_id": fid, "permutation": mapping,
-                       "positions": [[float(x), float(y)]
-                                     for x, y in row.reshape(-1, 2)]}
-                fh.write(json.dumps(obj) + "\n")
-        finally:
-            if own:
-                fh.close()
+        positions = self.matrix.reshape(-1, self.k, 2).tolist()
+        write_jsonl(path, ({"frame_id": fid, "permutation": mapping,
+                            "positions": pos} for fid, mapping, pos in
+                           zip(self.frame_id.tolist(), self.mappings.tolist(),
+                               positions)))
 
 
 def assign_roles(ds: Dataset, t: Template,
@@ -219,8 +205,7 @@ class PipelineResult:
 
 def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
                  parent: Template | None = None,
-                 key_frames_only: bool = False,
-                 include_weights: bool = True) -> PipelineResult:
+                 key_frames_only: bool = False) -> PipelineResult:
     """Normalize, discover, align, assign: the full end-to-end chain.
 
     Order is fixed: attack-direction normalization, per-frame centering,
@@ -239,7 +224,7 @@ def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
     formation, trace = _disc.discover_formation(training, cfg)
     template = Template.from_formation(formation) if parent is None \
         else align_template(formation, parent)
-    aligned = assign_roles(full, template, include_weights=include_weights)
+    aligned = assign_roles(full, template)
     avg_loglik = average_log_likelihood(full, formation) if key_frames_only \
         else trace.logliks[-1]
     return PipelineResult(formation=formation, template=template, trace=trace,

@@ -26,7 +26,7 @@ from .alignment import (AlignedDataset, Template, assign_roles,
 from .discovery import Formation
 from .geometry import (Gaussian2D, differential_entropy, log_mixture_density,
                        sample_covariance, split_by_label)
-from .ingest import Dataset, flatten
+from .ingest import Dataset, flatten, write_csv
 
 
 @dataclass
@@ -54,15 +54,8 @@ class HardEmTrace:
         return [r[2] for r in self.rows]
 
     def to_csv(self, path):
-        own = not hasattr(path, "write")
-        fh = open(path, "w") if own else path
-        try:
-            fh.write("iteration,total_cost,avg_loglik,changed_frames\n")
-            for it, cost, ll, ch in self.rows:
-                fh.write(f"{it},{cost!r},{ll!r},{ch}\n")
-        finally:
-            if own:
-                fh.close()
+        write_csv(path, ("iteration", "total_cost", "avg_loglik",
+                         "changed_frames"), self.rows)
 
 
 def player_identity_template(ds: Dataset) -> Template:

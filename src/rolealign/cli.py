@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -30,7 +29,8 @@ from .discovery import DiscoveryConfig, discover_formation, em_step_full
 from .geometry import kl_divergence, role_area, split_by_label
 from .ingest import (EmptySelectionError, ParseError, center_normalize,
                      filter_key_frames, filter_metadata, flatten,
-                     normalize_attack_direction, parse_tracking)
+                     normalize_attack_direction, parse_tracking, write_csv,
+                     write_json)
 from .parallel import run_tasks
 from .synth import generate_formation, sample_dataset
 from .version import __version__
@@ -50,8 +50,7 @@ class RunManifest:
     stats: dict = field(default_factory=dict)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1)
+        write_json(path, asdict(self))
 
 
 def _sha256(path):
@@ -127,8 +126,7 @@ def cmd_discover(args) -> int:
     timings["discover"] = time.perf_counter() - t1
 
     outputs = []
-    with open(out / "formation.json", "w") as fh:
-        json.dump(formation.to_dict(), fh, indent=1)
+    write_json(out / "formation.json", formation.to_dict())
     outputs.append("formation.json")
     if args.parent_template:
         parent = Template.load(args.parent_template)
@@ -247,16 +245,13 @@ def cmd_compare(args) -> int:
         "hard_converged": hard_trace.converged,
         "hard_oscillated": hard_trace.oscillated,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=1)
-    with open(out / "wce_sweep.csv", "w") as fh:
-        fh.write("k,wce_aligned,wce_identity\n")
-        for ra, ri in zip(sweep_aligned, sweep_identity):
-            fh.write(f"{ra['k']},{ra['wce']!r},{ri['wce']!r}\n")
-    with open(out / "pca.csv", "w") as fh:
-        fh.write("component,aligned_fraction,identity_fraction\n")
-        for i, (a, b) in enumerate(zip(pca_aligned, pca_identity)):
-            fh.write(f"{i},{a!r},{b!r}\n")
+    write_json(out / "report.json", report)
+    write_csv(out / "wce_sweep.csv", ("k", "wce_aligned", "wce_identity"),
+              ((ra["k"], ra["wce"], ri["wce"])
+               for ra, ri in zip(sweep_aligned, sweep_identity)))
+    write_csv(out / "pca.csv",
+              ("component", "aligned_fraction", "identity_fraction"),
+              zip(range(len(pca_aligned)), pca_aligned, pca_identity))
     res.trace.to_csv(out / "emtrace.csv")
     hard_trace.to_csv(out / "hard_trace.csv")
     timings["write"] = time.perf_counter() - t2
@@ -315,11 +310,10 @@ def cmd_bench(args) -> int:
         rows.append({"n": n, "soft": float(min(soft_times)),
                      "hard": float(min(hard_times))})
 
-    with open(out / "bench.csv", "w") as fh:
-        fh.write("n,soft_seconds,hard_seconds,ratio\n")
-        for r in rows:
-            fh.write(f"{r['n']},{r['soft']!r},{r['hard']!r},"
-                     f"{r['hard'] / r['soft']!r}\n")
+    write_csv(out / "bench.csv",
+              ("n", "soft_seconds", "hard_seconds", "ratio"),
+              ((r["n"], r["soft"], r["hard"], r["hard"] / r["soft"])
+               for r in rows))
 
     log_n = np.log([r["n"] for r in rows])
     slope_soft = float(np.polyfit(log_n, np.log([r["soft"] for r in rows]), 1)[0])
@@ -329,8 +323,7 @@ def cmd_bench(args) -> int:
     summary = {"slope_soft": slope_soft, "slope_hard": slope_hard,
                "slope_difference": slope_hard - slope_soft,
                "ratio_at_10": ratio_at_10}
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
+    write_json(out / "summary.json", summary)
 
     manifest = RunManifest(
         command="bench", version=__version__, config=_config_dict(args),
@@ -438,7 +431,6 @@ def _add_common(sp):
     sp.add_argument("--max-iters", type=int, default=500)
     sp.add_argument("--init", choices=("player-means", "random"),
                     default="player-means")
-    sp.add_argument("--key-frames-only", action="store_true")
     sp.add_argument("--parent-template", default=None,
                     help="template JSON fixing the role order")
     sp.add_argument("--filter", default=None, metavar="EXPR",
@@ -456,11 +448,13 @@ def build_parser():
 
     d = sub.add_parser("discover", help="learn a formation from one input")
     _add_common(d)
+    d.add_argument("--key-frames-only", action="store_true")
     d.set_defaults(func=cmd_discover)
 
     c = sub.add_parser("compare",
                        help="soft pipeline vs hard-assignment baseline")
     _add_common(c)
+    c.add_argument("--key-frames-only", action="store_true")
     c.set_defaults(func=cmd_compare)
 
     b = sub.add_parser("bench", help="per-iteration timing across N")

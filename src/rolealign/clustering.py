@@ -20,7 +20,7 @@ from .alignment import Template, align_template, assign_roles
 from .discovery import DiscoveryConfig, discover_formation, kmeans
 from .geometry import (NearestCenters, nearest_centers, split_by_label,
                        sq_dist_to)
-from .ingest import Dataset
+from .ingest import Dataset, write_json
 
 
 def _matrix(r):
@@ -81,9 +81,14 @@ class WceResult:
     per_player: float   # value / number of roles, for per-player comparisons
 
 
+def _mean_distance(x, centers, labels) -> float:
+    """Mean L2 distance of the rows of ``x`` to ``centers[labels]``."""
+    return float(np.sqrt(sq_dist_to(x, centers, labels)).mean())
+
+
 def within_cluster_error(r, c: ClusterSet) -> WceResult:
     x = _matrix(r)
-    value = float(np.sqrt(sq_dist_to(x, c.centroids, c.labels)).mean())
+    value = _mean_distance(x, c.centroids, c.labels)
     return WceResult(value=value, per_player=value / (x.shape[1] // 2))
 
 
@@ -212,12 +217,8 @@ def wce_sweep(r, ks) -> list:
         # distances only where two of them share a square root, which
         # leaves the row's distance, and so the WCE, unchanged
         candidates = [(init, near.labels), (km.centers, km.labels)]
-
-        def unsquared(cent, lab):
-            return float(np.sqrt(sq_dist_to(x, cent, lab)).mean())
-
-        cent, lab = min(candidates, key=lambda cl: unsquared(*cl))
-        wce = unsquared(cent, lab)
+        cent, lab = min(candidates, key=lambda cl: _mean_distance(x, *cl))
+        wce = _mean_distance(x, cent, lab)
         score, near_score = 0.0, None
         if k >= 2 and len(np.unique(lab)) == k:
             helper = ClusterSet(k=k, centroids=cent, labels=lab)
@@ -296,9 +297,7 @@ class TemplateTree:
         return {"depth": self.depth, "root": self.root.to_dict()}
 
     def save(self, path):
-        import json
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        write_json(path, self.to_dict())
 
 
 def learn_tree(ds: Dataset, g: Template | None = None,
@@ -323,8 +322,8 @@ def learn_tree(ds: Dataset, g: Template | None = None,
             else Template.from_formation(formation)
         aligned = assign_roles(sub, template)
         x = aligned.matrix
-        center = x.mean(axis=0)
-        node_wce = float(np.sqrt(((x - center) ** 2).sum(axis=1)).mean())
+        node_wce = _mean_distance(x, x.mean(axis=0, keepdims=True),
+                                  np.zeros(len(x), dtype=np.intp))
 
         if depth >= stop.max_depth or len(indices) < stop.min_node:
             return TreeNode(template=template, row_indices=tuple(indices),

@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import (Gaussian2D, covariance_eigenvalues,
                        density_coefficients, moment_features, nearest_centers,
                        posterior_moments, sample_covariance, split_by_label)
-from .ingest import Dataset, flatten
+from .ingest import Dataset, flatten, write_csv
 
 FULL_GMM = "FullGMM"
 SOFT_KMEANS = "SoftKMeans"
@@ -84,7 +84,6 @@ class DiscoveryConfig:
     eig_ratio_bound: float = 2.0
     em_tol: float = 1e-6
     max_iters: int = 500
-    kmeans_tol: float = 1e-6
     seed: int = 0
     init_mode: str = "player-means"
 
@@ -93,7 +92,7 @@ class DiscoveryConfig:
             raise ValueError("k must be >= 1")
         if self.eig_ratio_bound <= 1.0:
             raise ValueError("eig_ratio_bound must exceed 1")
-        if self.em_tol <= 0 or self.kmeans_tol <= 0:
+        if self.em_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.init_mode not in ("player-means", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
@@ -123,15 +122,10 @@ class EmTrace:
         return [r[2] for r in self.rows]
 
     def to_csv(self, path):
-        own = not hasattr(path, "write")
-        fh = open(path, "w") if own else path
-        try:
-            fh.write("iteration,loglik,update_kind,max_eig_ratio\n")
-            for it, ll, kind, ratios in self.rows:
-                fh.write(f"{it},{ll!r},{kind},{max(ratios)!r}\n")
-        finally:
-            if own:
-                fh.close()
+        write_csv(path,
+                  ("iteration", "loglik", "update_kind", "max_eig_ratio"),
+                  ((it, ll, kind, max(ratios))
+                   for it, ll, kind, ratios in self.rows))
 
 
 def _em_pass(state, pts, spherical):
@@ -194,7 +188,7 @@ class KMeansResult:
     centers: np.ndarray
     labels: np.ndarray
     inertia: tuple   # per-iteration sum of squared distances
-    searched: int = 0   # rows given to ``nearest_centers`` (D > 2 only)
+    searched: int = 0   # rows given to ``nearest_centers``
     fallback: int = 0   # of those, rows its certificate left to exact search
 
     @property
@@ -300,7 +294,7 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
         rows = rng.choice(pts.shape[0], size=cfg.k, replace=False)
         init = pts[np.sort(rows)]
 
-    km = kmeans(pts, init, tol=cfg.kmeans_tol)
+    km = kmeans(pts, init)
     state = _formation_from_clusters(pts, km.centers, km.labels)
 
     # Each pass gives the log-likelihood of ``state`` and the update from

@@ -32,7 +32,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,14 +59,14 @@ class Gaussian2D:
     """One role's generating distribution: mean, covariance, mixture weight.
 
     The covariance must be symmetric within 1e-12; it is exactly symmetrized
-    on construction and its eigenvalues are raised to ``eig_floor`` by adding
-    to the diagonal when necessary.  Arrays are copied and frozen.
+    on construction and its eigenvalues are raised to
+    DEFAULT_EIGENVALUE_FLOOR by adding to the diagonal when necessary.
+    Arrays are copied and frozen.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     weight: float = 1.0
-    eig_floor: float = field(default=DEFAULT_EIGENVALUE_FLOOR, compare=False)
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(2)
@@ -77,8 +77,8 @@ class Gaussian2D:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
         lo = _eigenvalues_2x2(cov)[1]
-        if lo < self.eig_floor:
-            cov = cov + (self.eig_floor - lo) * np.eye(2)
+        if lo < DEFAULT_EIGENVALUE_FLOOR:
+            cov = cov + (DEFAULT_EIGENVALUE_FLOOR - lo) * np.eye(2)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight {self.weight} outside [0, 1]")
         mean.flags.writeable = False

@@ -33,6 +33,12 @@ parts read on every usable CPU (``_lf_parts``, ``parallel.run_tasks``); the
 Dataset and every error are those of a serial read (see ``_parse_csv`` and
 ``_parse_jsonl``).  CSV read by csv.reader is read in one process, since a
 quoted field may hold a newline.
+
+Every file the package writes goes through the writers here:
+``write_json`` (indent 1), ``write_csv`` (unquoted cells, numbers as
+``repr(float)``), ``write_jsonl`` and the two tracking writers.  Each takes
+a path, opened as UTF-8 and closed again, or an open text file, which is
+left open.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ import io
 import json
 import csv
 import math
+import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -837,10 +846,44 @@ def _label_columns(ds):
                                   LEFT_TO_RIGHT), ds.team, ds.game, ds.period)
 
 
+@contextmanager
 def _open_output(path, **kwargs):
-    """(file object, whether this call opened it)."""
-    own = isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")
-    return (open(path, "w", **kwargs) if own else path), own
+    """A str, bytes or os.PathLike ``path`` opened for writing as UTF-8 and
+    closed afterwards; anything else is an open text file, left open."""
+    if isinstance(path, (str, bytes, os.PathLike)):
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    else:
+        yield path
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with an indent of 1."""
+    with _open_output(path) as fh:
+        json.dump(obj, fh, indent=1)
+
+
+def _cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, numbers.Integral):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line and one line per row, cells joined by commas and not
+    quoted: a str cell as is, an integer with ``str`` and any other number
+    as ``repr(float(v))``, which parses back to the same float."""
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_jsonl(path, objs) -> None:
+    """One ``json.dumps`` line per object."""
+    with _open_output(path) as fh:
+        fh.writelines(map("{}\n".format, map(json.dumps, objs)))
 
 
 def write_tracking_csv(ds: Dataset, path) -> None:
@@ -852,14 +895,11 @@ def write_tracking_csv(ds: Dataset, path) -> None:
                ds.agent_ids.ravel().tolist(), map(repr, xy[:, 0].tolist()),
                map(repr, xy[:, 1].tolist()), map(int, ev), direction, team,
                game, period)
-    fh, own = _open_output(path, newline="")
-    try:
+    # csv.writer quotes a field that holds a comma, quote or line break
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
-    finally:
-        if own:
-            fh.close()
 
 
 def write_tracking_jsonl(ds: Dataset, path) -> None:
@@ -870,13 +910,7 @@ def write_tracking_jsonl(ds: Dataset, path) -> None:
     values = zip(ds.frame_id.tolist(), ds.positions.tolist(),
                  ds.agent_ids.tolist(),
                  *(c.tolist() for c in _label_columns(ds)))
-    objs = map(dict, map(zip, repeat(keys), values))
-    fh, own = _open_output(path)
-    try:
-        fh.writelines(map("{}\n".format, map(json.dumps, objs)))
-    finally:
-        if own:
-            fh.close()
+    write_jsonl(path, map(dict, map(zip, repeat(keys), values)))
 
 
 def normalize_attack_direction(ds: Dataset) -> Dataset:

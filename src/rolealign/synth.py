@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import AlignedDataset, Template
 from .assignment import hungarian
 from .geometry import Gaussian2D
-from .ingest import Dataset, center_normalize
+from .ingest import Dataset, center_normalize, write_jsonl
 
 # Means are placed at 1.45x the promised separation floor so that the
 # closest pair sits comfortably beyond it, not exactly on it.
@@ -168,10 +168,8 @@ def sample_dataset(t: Template, s: int, swap_rate: float = 0.0,
 
 def write_truth_jsonl(truth: GroundTruth, path) -> None:
     """Sidecar file: one {"frame_id", "roles"} object per frame."""
-    with open(path, "w") as fh:
-        for s, row in enumerate(truth.true_maps):
-            fh.write(json.dumps({"frame_id": s,
-                                 "roles": [int(r) for r in row]}) + "\n")
+    write_jsonl(path, ({"frame_id": s, "roles": row} for s, row in
+                       enumerate(truth.true_maps.tolist())))
 
 
 def read_truth_maps(path) -> np.ndarray:

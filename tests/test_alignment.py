@@ -1,6 +1,5 @@
 """Template alignment, per-frame role assignment, and the full pipeline."""
 
-import io
 import json
 
 import numpy as np
@@ -169,27 +168,23 @@ def test_assign_roles_too_many_agents():
 # aligned output formats
 
 
-def test_aligned_csv_format():
+def test_aligned_csv_format(written):
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
     ds = Dataset.from_frames((
              Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
                    agent_ids=("a", "b")),))
     out = assign_roles(ds, t)
-    buf = io.StringIO()
-    out.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = written(out.to_csv).splitlines()
     assert lines[0] == "frame_id,role_0_x,role_0_y,role_1_x,role_1_y"
     assert lines[1] == "3,-2.0,-0.5,2.0,0.5"
 
 
-def test_aligned_jsonl_format():
+def test_aligned_jsonl_format(written):
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
     ds = Dataset.from_frames((
              Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
                    agent_ids=("a", "b")),))
-    buf = io.StringIO()
-    assign_roles(ds, t).to_jsonl(buf)
-    obj = json.loads(buf.getvalue().splitlines()[0])
+    obj = json.loads(written(assign_roles(ds, t).to_jsonl).splitlines()[0])
     assert obj["frame_id"] == 3
     assert obj["permutation"] == [1, 0]
     assert obj["positions"] == [[-2.0, -0.5], [2.0, 0.5]]

@@ -1,7 +1,5 @@
 """Hard-assignment EM baseline and the role-overlap diagnostic."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -258,13 +256,11 @@ def test_hard_em_is_the_reference_loop_with_a_two_member_role():
     assert not np.array_equal(once.cov, formation.components[2].cov)
 
 
-def test_hard_trace_csv_format():
+def test_hard_trace_csv_format(written):
     trace = HardEmTrace()
     trace.append(1, 250.5, -3.75, 40)
     trace.append(2, 240.25, -3.5, 0)
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = written(trace.to_csv).splitlines()
     assert lines[0] == "iteration,total_cost,avg_loglik,changed_frames"
     assert lines[1] == "1,250.5,-3.75,40"
     assert lines[2] == "2,240.25,-3.5,0"

@@ -103,6 +103,15 @@ def test_discover_key_frames_without_events(plain_csv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_context_takes_no_key_frames_flag(plain_csv, tmp_path, capsys):
+    path, _ = plain_csv
+    code = run(["context", "--input", path, "--out", str(tmp_path / "o"),
+                "--key-frames-only"])
+    assert code == 2
+    assert "--key-frames-only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_discover_k_conflicts_with_player_means(plain_csv, tmp_path, capsys):
     path, _ = plain_csv
     code = run(["discover", "--input", path, "--out", str(tmp_path / "o"),
@@ -216,6 +225,12 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     assert len(pca_lines) == 1 + 8   # 2K columns of row data
     hard_lines = (out / "hard_trace.csv").read_text().splitlines()
     assert hard_lines[0] == "iteration,total_cost,avg_loglik,changed_frames"
+    # every data cell is a plain number, e.g. not "np.float64(0.3)"
+    cells = {name: np.array([[float(c) for c in line.split(",")]
+                             for line in lines[1:]])
+             for name, lines in (("wce", wce_lines), ("pca", pca_lines),
+                                 ("hard", hard_lines))}
+    assert np.abs(cells["pca"][:, 1:].sum(axis=0) - 1.0).max() <= 1e-9
     assert (out / "emtrace.csv").exists()
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)

@@ -1,7 +1,5 @@
 """Init, K-Means, and the eigenvalue-guarded EM loop."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -558,13 +556,11 @@ def test_discovery_config_validation():
         DiscoveryConfig(init_mode="grid")
 
 
-def test_trace_csv_format():
+def test_trace_csv_format(written):
     trace = EmTrace()
     trace.append(0, -3.5, "Init", (1.2, 2.3659))
     trace.append(1, -3.25, "FullGMM", (1.1, 1.4))
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = written(trace.to_csv).splitlines()
     assert lines[0] == "iteration,loglik,update_kind,max_eig_ratio"
     assert lines[1] == "0,-3.5,Init,2.3659"
     assert lines[2] == "1,-3.25,FullGMM,1.4"

@@ -39,7 +39,7 @@ GOLDEN = {
     "compare/wce_sweep.csv":
         "c84bc6c35c5f443dba1bb4c870c9f50cbfb6145c758139c1f9820b0673ae249f",
     "compare/pca.csv":
-        "88fe1ec880a40b94efc2cef8ee4a1b7c480a8847085bfb272eccdc406070b7de",
+        "dd11d802b054190fc56c50b1d30b9214fe2ac462402505c4acc7d84bfdcec7b4",
     "compare/emtrace.csv":
         "d5d458d372de87d719e276ad51a4dddea6b702e3b705811c71b5a34ae9d906ca",
     "compare/hard_trace.csv":
