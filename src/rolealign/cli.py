@@ -148,7 +148,7 @@ def cmd_discover(args) -> int:
         stats={"total_rows": full.n_frames * full.n_agents,
                "training_rows": training.n_frames * training.n_agents,
                "em_iterations": len(trace.rows) - 1,
-               "converged": trace.converged})
+               "converged": trace.converged, "kmeans": trace.kmeans})
     manifest.save(out / "manifest.json")
     return 0
 
@@ -162,10 +162,12 @@ def _certificate(frames, certified, tied):
 
 
 def _search_totals(sweep):
-    """Rows of a WCE sweep's nearest-center searches, and how many of them
-    the certificate left to the exact search."""
+    """Rows of a WCE sweep's nearest-center searches, how many of them the
+    certificate left to the exact search, and the rows K-means settled
+    without a search."""
     return {"rows": sum(r["searched"] for r in sweep),
-            "fallback": sum(r["fallback"] for r in sweep)}
+            "fallback": sum(r["fallback"] for r in sweep),
+            "settled": sum(r["settled"] for r in sweep)}
 
 
 def _sweep_ks(frames):
@@ -351,6 +353,7 @@ def _fit(full, rows, cfg):
     return formation, {"frames": ds.n_frames,
                        "em_iterations": len(trace.rows) - 1,
                        "converged": trace.converged,
+                       "kmeans": trace.kmeans,
                        "fit_s": time.perf_counter() - t}
 
 

@@ -200,7 +200,8 @@ def wce_sweep(r, ks) -> list:
     of dicts with k, wce, per_player and score (E, 0.0 for k=1), and the
     ``searched`` rows of every nearest-center search made for that k
     (``nearest_centers`` and K-means) with the ``fallback`` rows among them
-    that its certificate left to the exact search.
+    that its certificate left to the exact search, and the rows K-means
+    ``settled`` by its bounds without a search.
     """
     x = _matrix(r)
     out = []
@@ -227,6 +228,7 @@ def wce_sweep(r, ks) -> list:
         out.append({"k": k, "wce": wce, "per_player": wce / (x.shape[1] // 2),
                     "score": score,
                     "searched": km.searched + len(x) * len(searches),
+                    "settled": km.settled,
                     "fallback": km.fallback + sum(s.fallback
                                                   for s in searches)})
         centers = cent

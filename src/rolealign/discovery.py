@@ -20,7 +20,8 @@ import numpy as np
 
 from .geometry import (Gaussian2D, covariance_eigenvalues,
                        density_coefficients, moment_features, nearest_centers,
-                       posterior_moments, sample_covariance, split_by_label)
+                       posterior_moments, rounding_gamma, sample_covariance,
+                       split_by_label, sq_dist_to)
 from .ingest import Dataset, flatten, write_csv
 
 FULL_GMM = "FullGMM"
@@ -94,6 +95,8 @@ class DiscoveryConfig:
             raise ValueError("eig_ratio_bound must exceed 1")
         if self.em_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.init_mode not in ("player-means", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -103,11 +106,14 @@ class EmTrace:
     """Per-iteration EM diagnostics.
 
     Row 0 describes the state handed to the loop (kind "Init"); row i >= 1
-    describes the state after update i.
+    describes the state after update i.  ``kmeans`` holds the counters of
+    the K-means run that gave the init: iterations, searched, settled and
+    fallback (see ``KMeansResult``).
     """
 
     rows: list = field(default_factory=list)
     converged: bool = False
+    kmeans: dict = field(default_factory=dict)
 
     def append(self, iteration, loglik, update_kind, eig_ratios):
         self.rows.append((int(iteration), float(loglik), str(update_kind),
@@ -189,7 +195,9 @@ class KMeansResult:
     labels: np.ndarray
     inertia: tuple   # per-iteration sum of squared distances
     searched: int = 0   # rows given to ``nearest_centers``
-    fallback: int = 0   # of those, rows its certificate left to exact search
+    settled: int = 0    # rows whose bound kept their label without a search
+    fallback: int = 0   # of those searched, rows its certificate left to
+    #                     the exact search
 
     @property
     def n_iterations(self):
@@ -204,27 +212,82 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     assigned center, which keeps the recorded inertia sequence
     non-increasing: the empty center served no points, so moving it is free.
     The point is never taken from a cluster whose only member it is, which
-    would leave that cluster empty.  Each iteration searches the nearest
-    centers with ``nearest_centers``, BLOCK rows at a time.
+    would leave that cluster empty.
+
+    The first iteration, and the one after a reseed, give every row to
+    ``nearest_centers``, BLOCK rows at a time.  Later iterations skip the
+    rows whose bounds settle them (Hamerly, "Making k-means even faster",
+    SDM 2010): each row keeps its label, its squared distance ``own`` to its
+    center, recomputed exactly each iteration, and ``lower``, a lower bound
+    on its distance to every other center that drops by the largest center
+    drift per iteration.  A row keeps its label unsearched when ``lower``
+    exceeds sqrt(own) by a rounding margin, which proves that the exact
+    search would pick the same center, uniquely; the rest are searched,
+    which also renews their ``lower``.  Labels, centers and inertia are
+    those of searching every row, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     centers = np.array(init, dtype=float)
     k = centers.shape[0]
     if k > pts.shape[0]:
         raise ValueError(f"k={k} exceeds point count {pts.shape[0]}")
+    # The bound test.  Let a be a row's label, d_j its exact distance to
+    # center j, and own the computed d2_a, where d2_j = fl(sum((x - c_j)^2))
+    # is the exact search's value.  Every term of d2_j is non-negative and
+    # its subtraction, square and D - 1 additions are correctly rounded, so
+    # d2_j >= (1 - gamma_{D+2}) d_j^2.  ``lower`` stays <= d_j for every
+    # j != a, up to gradual underflow, which moves no bound here by more
+    # than 2^-510 and which ``slack`` covers:
+    # - after a search it is ``nearest_centers``' lo;
+    # - after an update no center moved by more than its drift, so no d_j
+    #   fell by more (triangle inequality).  ``movement`` is at least
+    #   (1 - gamma_{D+3}) times the largest drift, so movement * widen +
+    #   slack, two roundings later, is at least it; and
+    #   fl(fl(lower (1 - 2u)) - drift) <= lower - drift, u = 2^-53, so the
+    #   subtraction rounds the bound down.
+    # A row passes when lower > r = fl(fl(fl(sqrt(own)) widen) + slack).
+    # r >= (1 - u)^3 sqrt(own) widen + (1 - u) slack, so
+    # d_j^2 > (1 - u)^6 widen^2 own, and then
+    # d2_j >= (1 - gamma_{D+2}) (1 - u)^6 widen^2 own > own = d2_a,
+    # because widen^2 > 1 + 2 gamma_{D+7} > 1 / (1 - gamma_{D+8}).  So a is
+    # the exact search's unique argmin, and a tied row (d2_j == own for
+    # some j) never passes; NaN fails every comparison.
+    widen = 1.0 + rounding_gamma(pts.shape[1] + 8)
+    slack = 2.0 ** -500
+    shrink = 1.0 - np.finfo(float).eps
+    labels = np.empty(len(pts), dtype=np.intp)
+    own = np.empty(len(pts))
+    lower = np.empty(len(pts))
     inertia = []
-    labels = None
-    searched = fallback = 0
+    searched = settled = fallback = 0
+    full = True
     for _ in range(max_iters):
-        labels = np.empty(len(pts), dtype=np.intp)
-        own = np.empty(len(pts))
-        for lo in range(0, len(pts), BLOCK):
-            block = slice(lo, lo + BLOCK)
-            labels[block], own[block], missed = nearest_centers(pts[block],
-                                                                centers)
-            fallback += missed
-        searched += len(pts)
+        if full:
+            chunks = [slice(start, start + BLOCK)
+                      for start in range(0, len(pts), BLOCK)]
+        else:
+            todo = []
+            for start in range(0, len(pts), BLOCK):
+                block = slice(start, start + BLOCK)
+                own[block] = sq_dist_to(pts[block], centers, labels[block])
+                keep = lower[block] > np.sqrt(own[block]) * widen + slack
+                todo.append(start + np.flatnonzero(~keep))
+            todo = np.concatenate(todo)
+            settled += len(pts) - len(todo)
+            chunks = [todo[start:start + BLOCK]
+                      for start in range(0, len(todo), BLOCK)]
+        # the rows left to search, BLOCK at a time
+        for rows in chunks:
+            near = nearest_centers(pts[rows], centers)
+            labels[rows] = near.labels
+            own[rows] = near.sq_dist
+            lower[rows] = near.lo
+            searched += len(near.labels)
+            fallback += near.fallback
         counts = np.bincount(labels, minlength=k)
+        # a reseed moves a center and a label outside the drift bound, so
+        # the next iteration searches every row
+        full = not counts.all()
         for empty in range(k):
             if counts[empty]:
                 continue
@@ -244,8 +307,11 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         centers = new_centers
         if movement < tol:
             break
-    return KMeansResult(centers=centers, labels=labels, inertia=tuple(inertia),
-                        searched=searched, fallback=fallback)
+        lower *= shrink
+        lower -= movement * widen + slack
+    return KMeansResult(centers=centers, labels=labels if inertia else None,
+                        inertia=tuple(inertia), searched=searched,
+                        settled=settled, fallback=fallback)
 
 
 def _formation_from_clusters(pts, centers, labels):
@@ -304,7 +370,9 @@ def discover_formation(ds: Dataset, cfg: DiscoveryConfig = DiscoveryConfig()
     # reset/recover, so judging a full step against the reset right before
     # it would never terminate.
     r = cfg.eig_ratio_bound
-    trace = EmTrace()
+    trace = EmTrace(kmeans={"iterations": km.n_iterations,
+                            "searched": km.searched, "settled": km.settled,
+                            "fallback": km.fallback})
     update, kind, last_full = state, INIT, None
     for it in range(cfg.max_iters + 1):
         state = update

@@ -26,7 +26,9 @@ matrix product), accepted for a row only when its runner-up is farther by
 more than a rounding-error bound derived from Higham section 3.1.  Rows
 that miss the bound fall back to the exact difference-of-squares search,
 so the labels and distances are those of the (P, k, D) broadcast, bit for
-bit.
+bit.  The certified gap also gives each row a lower bound on its distance
+to every other center, which lets K-means skip rows whose center cannot
+have changed.
 """
 
 from __future__ import annotations
@@ -304,9 +306,13 @@ def sq_dist_to(x: np.ndarray, centers: np.ndarray, labels) -> np.ndarray:
     The bits of ``((x - centers[labels]) ** 2).sum(axis=1)``, evaluated in
     one (P, D) temporary instead of three fresh ones.
     """
-    diff = np.asarray(centers, dtype=float)[labels]
+    diff = np.take(np.asarray(centers, dtype=float), labels, axis=0)
     np.subtract(x, diff, out=diff)
     np.square(diff, out=diff)
+    if diff.shape[1] == 2:
+        # numpy reduces rows of two one at a time, about 20x slower than
+        # adding the columns; for two terms both are one rounded addition
+        return np.add(diff[:, 0], diff[:, 1])
     return diff.sum(axis=1)
 
 
@@ -314,9 +320,11 @@ class NearestCenters(NamedTuple):
     labels: np.ndarray    # (P,) index of each row's nearest center
     sq_dist: np.ndarray   # (P,) squared distance to that center
     fallback: int         # rows that needed the exact search
+    lo: np.ndarray        # (P,) lower bound on the distance to every other
+    #                       candidate center; 0 where none is known
 
 
-def _gamma(n: int) -> float:
+def rounding_gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u), u the unit roundoff 2^-53."""
     nu = n * np.finfo(float).eps / 2
     return nu / (1.0 - nu)
@@ -330,7 +338,9 @@ def nearest_centers(x: np.ndarray, centers: np.ndarray,
     search ``d2 = ((x[:, None] - centers) ** 2).sum(axis=2)``: the first
     argmin of each row and ``d2`` at it.  ``exclude``, a (P,) index array,
     masks one center per row (its own cluster, for a neighbor distance).
-    ``fallback`` counts the rows the certificate below could not settle.
+    ``fallback`` counts the rows the certificate below could not settle,
+    and ``lo`` bounds each row's distance to every other candidate from
+    below, from the same certificate (``kmeans`` keeps it between searches).
     """
     x = np.asarray(x, dtype=float)
     centers = np.asarray(centers, dtype=float)
@@ -373,11 +383,27 @@ def nearest_centers(x: np.ndarray, centers: np.ndarray,
     # search.
     dim = x.shape[1]
     scale = np.einsum("ij,ij->i", x, x) + sq_centers.max()
-    bound = 8.0 * _gamma(dim + 3) * scale + np.finfo(float).tiny
-    bad = np.flatnonzero(~((gap > bound) & unique))
+    bound = 8.0 * rounding_gamma(dim + 3) * scale + np.finfo(float).tiny
+    certified = (gap > bound) & unique
+    bad = np.flatnonzero(~certified)
     if len(bad):
         exact = ((x[bad, None] - centers) ** 2).sum(axis=2)
         if exclude is not None:
             exact[np.arange(len(bad)), exclude[bad]] = np.inf
         labels[bad] = exact.argmin(axis=1)
-    return NearestCenters(labels, sq_dist_to(x, centers, labels), len(bad))
+    sq_dist = sq_dist_to(x, centers, labels)
+    # Lower bound on the distance d_j to every other candidate j of a
+    # certified row.  The bound above exceeds 2 gamma_{D+1} S plus the
+    # rounding of the gap, so d_j^2 - d_a^2 = h_j - h_a >= gap - bound; and
+    # sq_dist, the computed d2_a, is within gamma_{D+2} d_a^2 of d_a^2.
+    # With two roundings in forming q = sq_dist + (gap - bound) and one in
+    # its sqrt, d_j >= fl(sqrt(q)) (1 - gamma_{D+5}), which the product by
+    # 1 - gamma_{D+8} (itself rounded) stays below.  Gradual underflow adds
+    # at most 2^-1074 per square, so the bound may exceed d_j by at most
+    # 2^-510; ``kmeans`` allows for that.  Rows without a certificate or a
+    # runner-up get 0.
+    lo = sq_dist + (gap - bound)
+    lo[~certified | (gap == np.inf)] = 0.0
+    np.sqrt(lo, out=lo)
+    lo *= 1.0 - rounding_gamma(dim + 8)
+    return NearestCenters(labels, sq_dist, len(bad), lo)

@@ -69,6 +69,10 @@ def test_discover_outputs(plain_csv, tmp_path):
     assert manifest["command"] == "discover"
     assert manifest["outputs"] == ["formation.json", "emtrace.csv"]
     assert manifest["stats"]["converged"] is True
+    km = manifest["stats"]["kmeans"]
+    assert km["iterations"] >= 1
+    assert km["searched"] + km["settled"] == 80 * 4 * km["iterations"]
+    assert 0 <= km["fallback"] <= km["searched"]
     with open(path, "rb") as fh:
         assert manifest["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
@@ -118,6 +122,20 @@ def test_discover_k_conflicts_with_player_means(plain_csv, tmp_path, capsys):
                 "--k", "2"])
     assert code == 2
     assert "use random init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["discover", "compare", "context"])
+def test_negative_max_iters_is_a_usage_error(plain_csv, tmp_path, capsys,
+                                             command):
+    # discover used to exit 0 with a header-only emtrace.csv, and compare
+    # to fail with an internal error
+    path, _ = plain_csv
+    out = tmp_path / "o"
+    code = run([command, "--input", path, "--out", str(out),
+                "--max-iters", "-1"])
+    assert code == 2
+    assert "error: max_iters must be >= 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_input_file(tmp_path, capsys):
@@ -244,11 +262,13 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     # the solved frames with tied optima, refined lexicographically
     assert all(0 <= p["tied"] <= p["solved"] for p in [soft] + hard)
     assert "certified" not in json.dumps(report)
-    # per WCE sweep: rows of its nearest-center searches, and those the
-    # Gram-form certificate left to the exact search
+    # per WCE sweep: rows of its nearest-center searches, those the
+    # Gram-form certificate left to the exact search, and the rows K-means'
+    # bounds settled without a search
     for side in ("aligned", "identity"):
         near = manifest["stats"]["nearest_centers"][side]
         assert near["rows"] > 0 and 0 <= near["fallback"] <= near["rows"]
+        assert near["settled"] > 0
     assert "fallback" not in json.dumps(report)
     assert list(manifest["timings"]) == ["parse", "fits", "write"]
     for branch in ("soft", "hard"):   # timed where the branch ran
@@ -343,7 +363,12 @@ def test_context_outputs(teams_csv, tmp_path):
     assert list(manifest["stats"]["contexts"]) == names[::-1]   # file order
     for fit in [manifest["stats"]["global"],
                 *manifest["stats"]["contexts"].values()]:
-        assert set(fit) == {"frames", "em_iterations", "converged", "fit_s"}
+        assert set(fit) == {"frames", "em_iterations", "converged", "kmeans",
+                            "fit_s"}
+        km = fit["kmeans"]
+        assert km["searched"] + km["settled"] == \
+            fit["frames"] * 4 * km["iterations"]
+        assert 0 <= km["fallback"] <= km["searched"]
     assert manifest["stats"]["global"]["frames"] == 120
     assert multiprocessing.active_children() == []
 

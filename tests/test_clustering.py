@@ -1,9 +1,12 @@
 """Flat clustering of aligned rows, compression metrics, and the tree."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolealign.clustering import (
     ClusterSet,
@@ -17,9 +20,10 @@ from rolealign.clustering import (
     within_cluster_error,
 )
 from rolealign.alignment import Template, assign_roles
-from rolealign.discovery import DiscoveryConfig, kmeans
+from rolealign import discovery
+from rolealign.discovery import DiscoveryConfig, kmeans, player_mean_init
 from rolealign.geometry import Gaussian2D, nearest_centers
-from rolealign.ingest import center_normalize, concat_datasets
+from rolealign.ingest import center_normalize, concat_datasets, flatten
 from rolealign.synth import generate_formation, sample_dataset
 
 
@@ -339,19 +343,23 @@ def test_tree_nodes_assign_as_a_fresh_assign_roles(mixed_formations,
 # nearest-center searches, against the (P, k, D) broadcasts they replaced
 
 
-def reference_kmeans(pts, init, tol=1e-6, max_iters=1000):
-    """kmeans as it was with one broadcast distance tensor per iteration."""
+def reference_kmeans(pts, init, tol=1e-6, max_iters=1000, reseeds=None):
+    """kmeans as it was with one broadcast distance tensor per iteration.
+    The 0-based iteration of each empty-cluster reseed is appended to the
+    list ``reseeds`` when one is given."""
     centers = np.array(init, dtype=float)
     k = centers.shape[0]
     rows = np.arange(len(pts))
     inertia = []
-    for _ in range(max_iters):
+    for it in range(max_iters):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         for empty in range(k):
             if counts[empty]:
                 continue
+            if reseeds is not None:
+                reseeds.append(it)
             far = int(np.argmax(np.where(counts[labels] > 1, d2[rows, labels],
                                          -np.inf)))
             centers[empty] = pts[far]
@@ -448,9 +456,12 @@ def test_kmeans_44d_bit_identical_to_broadcast(case):
     assert np.array_equal(km.centers, centers)
     assert np.array_equal(km.labels, labels)
     assert km.inertia == inertia
-    assert km.searched == len(x) * km.n_iterations
-    assert (km.fallback == km.searched) if case == "offset" else \
-        (km.fallback < km.searched)
+    assert km.searched + km.settled == len(x) * km.n_iterations
+    # at 1e6 no search is certified, so no row ever has a bound to settle it
+    if case == "offset":
+        assert km.settled == 0 and km.fallback == km.searched
+    else:
+        assert km.settled > 0 and km.fallback < km.searched
 
 
 def test_kmeans_44d_empty_cluster_reseed_bit_identical():
@@ -467,6 +478,111 @@ def test_kmeans_44d_empty_cluster_reseed_bit_identical():
     assert km.inertia == inertia
     assert np.all(np.diff(km.inertia) <= 0.0)
     assert km.fallback > 0     # the duplicated centers tie exactly
+
+
+# K-means' bounds: rows they settle keep the broadcast loop's labels
+
+
+def assert_kmeans_is_the_broadcast_loop(x, init):
+    """kmeans against reference_kmeans with ==, in blocks of 7 rows and of
+    the default BLOCK; returns the default run."""
+    centers, labels, inertia = reference_kmeans(x, init)
+    for block in (7, discovery.BLOCK):
+        with mock.patch.object(discovery, "BLOCK", block):
+            km = kmeans(x, init)
+        assert np.array_equal(km.centers, centers)
+        assert np.array_equal(km.labels, labels)
+        assert km.inertia == inertia
+        assert km.searched + km.settled == len(x) * km.n_iterations
+    return km
+
+
+@st.composite
+def _lloyd_case(draw):
+    """Blobs in 2 or 44 dimensions, maybe on an integer grid (exact ties),
+    each row repeated 1 to 3 times, at a pitch-sized offset, with k of the
+    rows (duplicates among them) as init."""
+    dim = draw(st.sampled_from([2, 44]))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blobs = rng.normal(0.0, 5.0, (k, dim))
+    x = blobs[rng.integers(0, k, draw(st.integers(k, 60)))]
+    x = x + rng.normal(size=x.shape)
+    if draw(st.booleans()):
+        x = np.round(x)
+    x = np.repeat(x, draw(st.integers(1, 3)), axis=0)
+    x = x + draw(st.sampled_from([0.0, 34.0, 52.5, 105.0]))
+    return x, x[rng.choice(len(x), k, replace=False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lloyd_case())
+def test_kmeans_equals_broadcast_loop_property(case):
+    assert_kmeans_is_the_broadcast_loop(*case)
+
+
+def test_kmeans_cluster_emptied_after_the_first_iteration():
+    # cluster 1 starts between two blobs and takes the rows at x = +-3.9;
+    # once the outer centers move to about +-6 those rows leave it empty
+    rng = np.random.default_rng(73)
+    blob = rng.normal(0.0, 0.3, (150, 2))
+    x = np.concatenate([blob + [-6.0, 0.0], blob[::-1] + [6.0, 0.0],
+                        [[-3.9, 0.1], [3.9, -0.1], [-3.9, -0.1],
+                         [3.9, 0.1]]])
+    init = np.array([[-8.0, 0.0], [0.0, 0.0], [8.0, 0.0]])
+    reseeds = []
+    reference_kmeans(x, init, reseeds=reseeds)
+    assert reseeds and min(reseeds) >= 1
+    km = assert_kmeans_is_the_broadcast_loop(x, init)
+    assert km.settled > 0
+
+
+def test_kmeans_long_run_settles_most_rows():
+    # four formations pooled, from the mean of their player-mean inits
+    parts = [sample_dataset(generate_formation(10, 3.0, seed=200 + i), 300,
+                            swap_rate=0.05, seed=300 + i)[0]
+             for i in range(4)]
+    x = np.concatenate([flatten(ds) for ds in parts])
+    init = np.mean([player_mean_init(ds) for ds in parts], axis=0)
+    km = assert_kmeans_is_the_broadcast_loop(x, init)
+    assert km.n_iterations >= 20
+    assert km.settled > 2 * km.searched
+
+
+def test_kmeans_one_ulp_runner_up_goes_to_the_search():
+    # Cluster 0 starts at the origin and, in the first iteration, takes each
+    # tie row r right before -r, so their sums cancel exactly: the centers
+    # after that iteration are those of 2t zero rows in their place.  The
+    # rows r are one-ulp ties between those centers, labelled 0 by the
+    # first iteration, and the second iteration moves some of them to 1.
+    from test_geometry import _one_ulp_ties
+    rng = np.random.default_rng(74)
+    dim, t = 44, 24
+    a = rng.normal(size=dim)
+    bulk = np.concatenate([a + 0.1 * rng.normal(size=(200, dim)),
+                           -a + 0.1 * rng.normal(size=(200, dim))])
+    init = np.stack([np.zeros(dim), -a])
+    centers = reference_kmeans(np.concatenate([np.zeros((2 * t, dim)), bulk]),
+                               init, max_iters=1)[0]
+    ties, _ = _one_ulp_ties(dim, seed=75, centers=centers)
+    ties = ties[:t]
+    x = np.concatenate([np.stack([ties, -ties], axis=1).reshape(-1, dim),
+                        bulk])
+    first = reference_kmeans(x, init, max_iters=1)
+    assert np.array_equal(first[0], centers)
+    assert not first[1][:2 * t].any()
+    second = reference_kmeans(x, init, max_iters=2)[1][:2 * t:2]
+    assert 0 < second.sum() < t
+    km = assert_kmeans_is_the_broadcast_loop(x, init)
+    assert km.n_iterations > 2 and km.settled > 0
+
+
+def test_kmeans_context_sized_fit():
+    ds, _ = sample_dataset(generate_formation(10, 3.0, seed=76), 600,
+                           swap_rate=0.05, seed=76)
+    x = flatten(ds)
+    km = assert_kmeans_is_the_broadcast_loop(x, player_mean_init(ds))
+    assert len(x) == 6000 and km.n_iterations > 2 and km.settled > 0
 
 
 @pytest.mark.parametrize("case", ["random", "duplicates", "offset"])

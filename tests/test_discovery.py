@@ -202,7 +202,8 @@ def test_kmeans_bit_identical_to_reference_loop(case, monkeypatch):
         assert np.array_equal(km.centers, centers)
         assert np.array_equal(km.labels, labels)
         assert km.inertia == inertia
-        assert km.searched == len(pts) * km.n_iterations
+        assert km.searched + km.settled == len(pts) * km.n_iterations
+        assert km.settled > 0
 
 
 def test_kmeans_does_not_mutate_init():
@@ -554,6 +555,20 @@ def test_discovery_config_validation():
         DiscoveryConfig(em_tol=0.0)
     with pytest.raises(ValueError, match="unknown init_mode 'grid'"):
         DiscoveryConfig(init_mode="grid")
+    with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+        DiscoveryConfig(max_iters=-1)
+    assert DiscoveryConfig(max_iters=0).max_iters == 0
+
+
+def test_discover_formation_keeps_its_kmeans_counters(easy_tgp):
+    _, ds, _ = easy_tgp
+    _, trace = discover_formation(ds, DiscoveryConfig(k=6))
+    pts = flatten(ds)
+    km = kmeans(pts[canonical_order(pts)], player_mean_init(ds))
+    assert trace.kmeans == {"iterations": km.n_iterations,
+                            "searched": km.searched, "settled": km.settled,
+                            "fallback": km.fallback}
+    assert km.n_iterations > 1 and km.settled > 0
 
 
 def test_trace_csv_format(written):

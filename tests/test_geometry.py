@@ -3,6 +3,7 @@ quadrature, and Monte Carlo."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,13 +383,14 @@ def test_nearest_centers_duplicate_centers_first_index_wins():
     assert tied > 0 and near.fallback == tied
 
 
-def _one_ulp_ties(dim=44, n=4000, seed=7):
-    """Two random centers and rows on (a few ulp off) their bisecting
-    hyperplane, kept where the two squared distances are computed exactly
-    one ulp apart.  In general position the Gram form is off by far more
-    than an ulp, so only the exact search can order such rows."""
+def _one_ulp_ties(dim=44, n=4000, seed=7, centers=None):
+    """Two centers (random unless given) and rows on (a few ulp off) their
+    bisecting hyperplane, kept where the two squared distances are computed
+    exactly one ulp apart.  In general position the Gram form is off by far
+    more than an ulp, so only the exact search can order such rows."""
     rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(2, dim))
+    if centers is None:
+        centers = rng.normal(size=(2, dim))
     normal = centers[1] - centers[0]
     v = rng.normal(size=(n, dim))
     v -= np.outer(v @ normal, normal) / (normal @ normal)
@@ -454,6 +456,22 @@ def test_sq_dist_to_matches_the_broadcast_entry():
                           ((x - centers[labels]) ** 2).sum(axis=1))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_dist_to_matches_the_broadcast_entry_in_few_dimensions(dim):
+    # two columns are added directly, not reduced row by row
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(200, dim)) * 10.0 ** rng.integers(-3, 4, (200, 1))
+    x[0], x[1], x[2, 0] = 0.0, -0.0, np.inf
+    centers = np.concatenate([rng.normal(size=(6, dim)), np.full((1, dim),
+                                                                -0.0)])
+    labels = rng.integers(0, 7, 200)
+    labels[:3] = 6
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(sq_dist_to(x, centers, labels),
+                              ((x - centers[labels]) ** 2).sum(axis=1),
+                              equal_nan=True)
+
+
 @st.composite
 def _search_case(draw):
     p = draw(st.integers(1, 12))
@@ -479,6 +497,32 @@ def test_nearest_centers_equals_broadcast_search_property(case):
     x, centers, exclude = case
     near = assert_matches_reference(x, centers, exclude)
     assert 0 <= near.fallback <= len(x)
+    assert_lo_is_a_lower_bound(x, centers, exclude, near)
+
+
+def assert_lo_is_a_lower_bound(x, centers, exclude, near):
+    """Each row's lo, squared in exact rational arithmetic, is at most its
+    exact squared distance to every candidate but its own."""
+    assert np.all(near.lo >= 0.0)
+    for i in np.flatnonzero(near.lo):
+        bound = Fraction(float(near.lo[i])) ** 2
+        for j, c in enumerate(centers):
+            if j != near.labels[i] and (exclude is None or j != exclude[i]):
+                exact = sum((Fraction(float(a)) - Fraction(float(b))) ** 2
+                            for a, b in zip(x[i], c))
+                assert bound <= exact
+
+
+def test_nearest_centers_lo_is_zero_without_a_certificate_or_runner_up():
+    x, centers = _one_ulp_ties()
+    assert not nearest_centers(x, centers).lo.any()      # every row falls back
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(50, 3))
+    assert not nearest_centers(x, rng.normal(size=(1, 3))).lo.any()
+    centers = rng.normal(size=(4, 3)) * 5
+    near = nearest_centers(x, centers)
+    assert near.fallback == 0 and near.lo.all()
+    assert_lo_is_a_lower_bound(x, centers, None, near)
 
 
 # ------------------------------------------------------------ split_by_label
