@@ -218,8 +218,8 @@ def wce_sweep(r, ks) -> list:
         # distances only where two of them share a square root, which
         # leaves the row's distance, and so the WCE, unchanged
         candidates = [(init, near.labels), (km.centers, km.labels)]
-        cent, lab = min(candidates, key=lambda cl: _mean_distance(x, *cl))
-        wce = _mean_distance(x, cent, lab)
+        wce, cent, lab = min(((_mean_distance(x, *cl), *cl)
+                              for cl in candidates), key=lambda c: c[0])
         score, near_score = 0.0, None
         if k >= 2 and len(np.unique(lab)) == k:
             helper = ClusterSet(k=k, centroids=cent, labels=lab)

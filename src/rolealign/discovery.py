@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Gaussian2D, covariance_eigenvalues,
+from .geometry import (BLOCK, Gaussian2D, covariance_eigenvalues,
                        density_coefficients, moment_features, nearest_centers,
                        posterior_moments, rounding_gamma, sample_covariance,
                        split_by_label, sq_dist_to)
@@ -27,11 +27,6 @@ from .ingest import Dataset, flatten, write_csv
 FULL_GMM = "FullGMM"
 SOFT_KMEANS = "SoftKMeans"
 INIT = "Init"
-
-# Rows per block of the EM pass and of K-means' nearest-center search.  The
-# M-step's sums are BLAS reductions per block, so a fit depends on BLOCK in
-# its last bits; per-point densities and labels do not.
-BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -255,6 +250,9 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     widen = 1.0 + rounding_gamma(pts.shape[1] + 8)
     slack = 2.0 ** -500
     shrink = 1.0 - np.finfo(float).eps
+    # one contiguous row per coordinate, so each bincount below reads its
+    # weights in place instead of copying a strided column every iteration
+    columns = np.ascontiguousarray(pts.T)
     labels = np.empty(len(pts), dtype=np.intp)
     own = np.empty(len(pts))
     lower = np.empty(len(pts))
@@ -300,8 +298,8 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         inertia.append(float(own.sum()))
         # per-column bincount adds each cluster's points in row order, as
         # pts[labels == j].sum(axis=0) does, so the means are unchanged
-        sums = np.stack([np.bincount(labels, weights=pts[:, c], minlength=k)
-                         for c in range(pts.shape[1])], axis=1)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k)
+                         for col in columns], axis=1)
         new_centers = sums / counts[:, None]
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
@@ -325,12 +323,21 @@ def _formation_from_clusters(pts, centers, labels):
 def canonical_order(points: np.ndarray) -> np.ndarray:
     """Indices that sort rows lexicographically by (x, y), stably.
 
-    One stable sort of the rows viewed as complex numbers x + iy, which
+    When the quicksorted x values strictly increase (no NaN, and no two
+    equal, -0.0 counting as equal to 0.0) and no y is NaN, the order is
+    unique and that quicksort is it.  Otherwise, as on rounded input, it is
+    one stable sort of the rows viewed as complex numbers x + iy, which
     numpy orders by (real, imag): the same indices as ``np.lexsort`` on
     (y, x) in half the time.  Both treat -0.0 as equal to 0.0; ingest
     rejects NaN.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
+    order = np.argsort(pts[:, 0])
+    x = pts[order, 0]
+    # numpy sorts x + NaN i after every row without NaN, so a NaN y takes
+    # the stable path too
+    if np.all(x[1:] > x[:-1]) and not np.isnan(pts[:, 1]).any():
+        return order
     return np.argsort(pts.view(np.complex128)[:, 0], kind="stable")
 
 

@@ -12,13 +12,18 @@ Gaussians (log weights optionally folded into the constant row) and
 is the one kernel behind role assignment, the hard baseline and
 ``gaussian_log_pdf``; ``log_mixture_density`` is the one mixture
 log-sum-exp, and ``posterior_moments`` the E-step of one block of EM
-together with its M-step sums r' phi.  Each density is a six-term dot
-product: by Higham, *Accuracy and Stability of Numerical Algorithms*,
-section 3.1, it is within gamma_6 sum |phi_i| |c_i| of the exact value
-(plus a few roundings from forming phi and c).  That is about 1e-14 nats
-on centered data, but grows with |x|^2 / sigma^2: about 2e-6 nats for a
-1 mm wide role at 100 m from the origin, which is why discovery works on
-centered points.
+together with its M-step sums r' phi.  These two mixture kernels are
+component-major: a block's densities are held as a (K, B) array, the
+transpose of the gemm's (B, K), so the max, the exp and the sum over the
+K components run along whole rows of B points instead of over B rows of
+K.  The sum adds the K rows in the order numpy adds a contiguous row of
+K, so the densities and sums keep their bits.  Each density is a
+six-term dot product: by Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.1, it is within gamma_6 sum |phi_i| |c_i| of the
+exact value (plus a few roundings from forming phi and c).  That is about
+1e-14 nats on centered data, but grows with |x|^2 / sigma^2: about 2e-6
+nats for a 1 mm wide role at 100 m from the origin, which is why
+discovery works on centered points.
 
 It also holds the one nearest-center search of the clustering layer,
 ``nearest_centers``: labels from the Gram form |x|^2 + |c|^2 - 2 x.c (one
@@ -46,6 +51,11 @@ DEFAULT_EIGENVALUE_FLOOR = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 
 _SYMMETRY_TOL = 1e-12
+
+# Rows per block of the mixture kernels, and of discovery's EM pass and
+# K-means search.  The M-step's sums are BLAS reductions per block, so a fit
+# depends on BLOCK in its last bits; per-point densities and labels do not.
+BLOCK = 8192
 
 
 def _eigenvalues_2x2(cov: np.ndarray) -> tuple[float, float]:
@@ -174,22 +184,85 @@ def component_log_pdfs(gaussians, pts: np.ndarray) -> np.ndarray:
     return _gemm(moment_features(pts), density_coefficients(gaussians))
 
 
-def _log_sum_exp(joint):
-    """(P, 1) log of the row sums of exp(joint); ``joint`` is left holding
-    exp(joint - row max) and the (P, 1) row sums of that are returned too."""
-    top = joint.max(axis=1, keepdims=True)
-    joint -= top
-    np.exp(joint, out=joint)
-    total = joint.sum(axis=1, keepdims=True)
+def _pairwise_rows(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the K >= 8 rows of a (K, B) array, each
+    column on its own: up to 128 rows, eight running sums over each run of
+    eight rows, folded as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the remaining rows in order; above, the sum of two halves, the
+    first a multiple of eight rows long."""
+    k = a.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+    tail = k - k % 8
+    if k < 16:
+        runs = a[:8]
+    else:
+        runs = a[:8] + a[8:16]
+        for lo in range(16, tail, 8):
+            runs += a[lo:lo + 8]
+    pairs = runs[0::2] + runs[1::2]
+    halves = pairs[0::2] + pairs[1::2]
+    total = halves[0] + halves[1]
+    for row in a[tail:]:
+        total += row
+    return total
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """(B,) sums of the K rows of a (K, B) array: the bits of numpy's
+    ``sum(axis=1)`` of the contiguous (B, K) transpose, without reducing
+    B short rows one at a time.  numpy adds a contiguous row of fewer than
+    8 entries in sequence from 0.0, and a longer one pairwise
+    (``_pairwise_rows``) and then to 0.0."""
+    if len(a) < 8:
+        total = np.zeros(a.shape[1])
+        for row in a:
+            total += row
+        return total
+    total = _pairwise_rows(a)
+    total += 0.0   # turns -0.0, the sum of -0.0 alone, into 0.0
+    return total
+
+
+def _log_sum_exp(joint_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) log of the column sums of exp(joint_t), for (K, B) joint log
+    densities; ``joint_t`` is left holding exp(joint_t - column max), and
+    the (B,) column sums of that are returned too."""
+    top = joint_t.max(axis=0)
+    joint_t -= top
+    np.exp(joint_t, out=joint_t)
+    total = _row_sums(joint_t)
     return np.log(total) + top, total
+
+
+def _joint_t(phi: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The (K, B) joint log densities of a block, the transpose of the
+    (B, K) gemm ``phi @ coef``, so that every reduction over the K
+    components runs along whole rows of B."""
+    joint_t = np.empty((coef.shape[1], len(phi)))
+    # 512 rows at a time (each gemm entry depends on its own row and column
+    # alone, so the bits are one gemm's): a short tile stays in cache while
+    # numpy copies its transpose column by column, and no second (B, K)
+    # array is made
+    for lo in range(0, len(phi), 512):
+        joint_t[:, lo:lo + 512] = _gemm(phi[lo:lo + 512], coef).T
+    return joint_t
 
 
 def log_mixture_density(gaussians, weights, pts: np.ndarray) -> np.ndarray:
     """(P,) log density of every point under the mixture of ``gaussians``
-    with mixture ``weights``; its mean is the average log-likelihood."""
-    log_mix, _ = _log_sum_exp(_gemm(moment_features(pts),
-                                    density_coefficients(gaussians, weights)))
-    return log_mix[:, 0]
+    with mixture ``weights``; its mean is the average log-likelihood.
+    Evaluated BLOCK rows at a time; each point's value depends on that
+    point alone."""
+    pts = np.asarray(pts, dtype=float)
+    coef = density_coefficients(gaussians, weights)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), BLOCK):
+        block = slice(lo, lo + BLOCK)
+        out[block] = _log_sum_exp(
+            _joint_t(moment_features(pts[block]), coef))[0]
+    return out
 
 
 def posterior_moments(phi: np.ndarray, coef: np.ndarray
@@ -203,10 +276,10 @@ def posterior_moments(phi: np.ndarray, coef: np.ndarray
     the sums holds the responsibility mass, 3 and 4 the first moments,
     0 to 2 the second.
     """
-    joint = _gemm(phi, coef)
-    log_mix, total = _log_sum_exp(joint)
+    joint_t = _joint_t(phi, coef)
+    log_mix, total = _log_sum_exp(joint_t)
     # r = exp(joint - max) / total, the division moved onto phi's B x 6
-    return log_mix[:, 0], _gemm(joint.T, phi / total)
+    return log_mix, _gemm(joint_t, phi / total[:, None])
 
 
 def gaussian_log_pdf(g: Gaussian2D, x) -> np.ndarray | float:

@@ -26,6 +26,8 @@ from rolealign.geometry import (
 )
 from rolealign.ingest import Dataset, Frame, flatten
 
+from oracles import reference_kmeans
+
 
 def frames_from_points(pts, per_frame):
     pts = np.asarray(pts)
@@ -146,34 +148,6 @@ def test_kmeans_reseed_never_empties_a_singleton_cluster():
     assert sorted(np.bincount(km.labels, minlength=3).tolist())[0] >= 1
 
 
-def reference_lloyd(pts, init, tol=1e-6, max_iters=1000):
-    """The straightforward per-cluster Lloyd loop kmeans must match bit for
-    bit: a broadcast distance reduction, an any() check per cluster, and a
-    boolean-mask mean per cluster."""
-    centers = np.array(init, dtype=float)
-    k = centers.shape[0]
-    inertia = []
-    for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        for empty in range(k):
-            if not np.any(labels == empty):
-                mine = d2[np.arange(len(pts)), labels]
-                far = int(np.argmax(mine))
-                centers[empty] = pts[far]
-                labels[far] = empty
-                d2[:, empty] = ((pts - centers[empty]) ** 2).sum(axis=1)
-        inertia.append(float(d2[np.arange(len(pts)), labels].sum()))
-        new_centers = np.stack([pts[labels == j].mean(axis=0)
-                                for j in range(k)])
-        movement = float(np.sqrt(((new_centers - centers) ** 2)
-                                 .sum(axis=1)).max())
-        centers = new_centers
-        if movement < tol:
-            break
-    return centers, labels, tuple(inertia)
-
-
 def _kmeans_case(name):
     rng = np.random.default_rng(41)
     if name == "2d":
@@ -194,7 +168,7 @@ def _kmeans_case(name):
 @pytest.mark.parametrize("case", ["2d", "44d", "reseed"])
 def test_kmeans_bit_identical_to_reference_loop(case, monkeypatch):
     pts, init = _kmeans_case(case)
-    centers, labels, inertia = reference_lloyd(pts, init)
+    centers, labels, inertia = reference_kmeans(pts, init)
     for block in (discovery.BLOCK, 7):   # one block, then many
         monkeypatch.setattr(discovery, "BLOCK", block)
         km = kmeans(pts, init)
@@ -237,6 +211,49 @@ def test_canonical_order_is_lexsort_with_ties_and_signed_zeros():
     wide = np.zeros((5000, 4))
     wide[:, ::2] = pts
     assert np.array_equal(canonical_order(wide[:, ::2]), expected)
+
+
+def stable_complex_order(pts):
+    """canonical_order as it was: one stable sort of x + iy."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    return np.argsort(pts.view(np.complex128)[:, 0], kind="stable")
+
+
+def _order_cases():
+    rng = np.random.default_rng(17)
+    pts = rng.normal(0.0, 20.0, (20000, 2))
+    yield "unique x", pts
+    for decimals in range(4):
+        rounded = np.round(pts, decimals)
+        yield f"{decimals} decimals", rounded - rounded.mean(axis=0)
+    signed = pts[:2000].copy()
+    signed[::3, 0] = 0.0
+    signed[1::3, 0] = -0.0
+    signed[::5, 1] = -0.0
+    yield "signed zeros", signed
+    yield "duplicate points", np.concatenate([pts[:500], pts[:500][::-1],
+                                              pts[250:300]])
+    nan_rows = pts[:1000].copy()
+    nan_rows[::7] = np.nan
+    nan_rows[3::11, 0] = np.nan
+    yield "NaN rows", nan_rows
+    yield "one point", pts[:1]
+    yield "no points", pts[:0]
+
+
+@pytest.mark.parametrize("name, pts", list(_order_cases()))
+def test_canonical_order_is_lexsort(name, pts):
+    order = canonical_order(pts)
+    assert np.array_equal(order, np.lexsort((pts[:, 1], pts[:, 0])))
+    assert np.array_equal(order, stable_complex_order(pts))
+
+
+def test_canonical_order_keeps_the_complex_order_of_nan_y():
+    # numpy sorts x + NaN i after every row without NaN; with unique x the
+    # quicksort of x alone would not, so such rows take the stable sort
+    pts = np.array([[1.0, np.nan], [0.5, 3.0], [2.0, 1.0], [1.5, 2.0]])
+    assert np.array_equal(canonical_order(pts), [1, 3, 2, 0])
+    assert np.array_equal(canonical_order(pts), stable_complex_order(pts))
 
 
 # EM updates

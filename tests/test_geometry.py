@@ -15,6 +15,9 @@ from rolealign import (Gaussian2D, bhattacharyya_distance,
                        differential_entropy, gaussian_log_pdf, kl_divergence,
                        log_mixture_density, mahalanobis_between_means,
                        nearest_centers, role_area, split_by_label, sq_dist_to)
+from rolealign import geometry
+from rolealign.geometry import (_gemm, _row_sums, density_coefficients,
+                                moment_features, posterior_moments)
 
 LOG_2PI = 1.8378770664093453
 
@@ -141,6 +144,94 @@ def test_component_log_pdfs_entries_do_not_depend_on_shape():
     for lo, hi in ((0, 1), (17, 18), (36, 37), (0, 2), (5, 36)):
         assert np.array_equal(log_mixture_density(gaussians, weights,
                                                   pts[lo:hi]), mix[lo:hi])
+
+
+# ------------------------------------------ component-major mixture kernels
+
+
+def test_row_sums_are_numpys_contiguous_row_sums():
+    # signed terms from 1e-300 to 1e300, -0.0 among them, and columns of
+    # -0.0 alone (numpy's sum of those is 0.0)
+    rng = np.random.default_rng(8)
+    for k in [*range(1, 131), 135, 200, 256, 300, 1031]:
+        a = rng.standard_normal((k, 301)) \
+            * 10.0 ** rng.integers(-300, 300, (k, 301))
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a[:, :3] = -0.0
+        a[:, 3] = 0.0
+        before = a.copy()
+        got = _row_sums(a)
+        want = np.ascontiguousarray(a.T).sum(axis=1)
+        assert got.shape == (301,)
+        assert np.array_equal(got, want), k
+        assert np.array_equal(np.signbit(got), np.signbit(want)), k
+        assert np.array_equal(a, before)
+        # one column, as numpy adds a block of one row
+        assert np.array_equal(_row_sums(a[:, 5:6]), want[5:6]), k
+
+
+def reference_log_sum_exp(joint):
+    """The mixture log-sum-exp as it was, over (P, K) rows: the (P, 1) log
+    of the row sums of exp(joint), with ``joint`` left holding
+    exp(joint - row max), and the (P, 1) row sums of that."""
+    top = joint.max(axis=1, keepdims=True)
+    joint -= top
+    np.exp(joint, out=joint)
+    total = joint.sum(axis=1, keepdims=True)
+    return np.log(total) + top, total
+
+
+def reference_posterior_moments(phi, coef):
+    joint = _gemm(phi, coef)
+    log_mix, total = reference_log_sum_exp(joint)
+    return log_mix[:, 0], _gemm(joint.T, phi / total)
+
+
+def _mixture(rng, k):
+    gaussians = [random_gaussian(rng, spread=6.0) for _ in range(k)]
+    return gaussians, rng.dirichlet(np.ones(k))
+
+
+KERNEL_KS = [1, 2, 7, 8, 9, 10, 16, 22, 129]
+KERNEL_BLOCKS = [1, 7, 8191, 8192, 8193]
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+def test_posterior_moments_equal_the_row_major_kernel(k):
+    rng = np.random.default_rng(100 + k)
+    gaussians, weights = _mixture(rng, k)
+    coef = density_coefficients(gaussians, weights)
+    for b in KERNEL_BLOCKS:
+        # points out to 10 sigma of the spread, so responsibilities
+        # underflow to subnormals and to 0
+        phi = moment_features(rng.normal(0.0, 8.0, (b, 2)))
+        log_mix, sums = posterior_moments(phi, coef)
+        want_mix, want_sums = reference_posterior_moments(phi, coef)
+        assert log_mix.shape == (b,) and sums.shape == (k, 6)
+        assert np.array_equal(log_mix, want_mix)
+        assert np.array_equal(sums, want_sums)
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+def test_log_mixture_density_equals_the_row_major_kernel(k, monkeypatch):
+    rng = np.random.default_rng(200 + k)
+    gaussians, weights = _mixture(rng, k)
+    coef = density_coefficients(gaussians, weights)
+    for p in KERNEL_BLOCKS:
+        pts = rng.normal(0.0, 8.0, (p, 2))
+        want = reference_log_sum_exp(_gemm(moment_features(pts), coef))[0]
+        for block in (geometry.BLOCK, 7):   # one or two blocks, then many
+            monkeypatch.setattr(geometry, "BLOCK", block)
+            got = log_mixture_density(gaussians, weights, pts)
+            assert got.shape == (p,)
+            assert np.array_equal(got, want[:, 0])
+        monkeypatch.undo()
+
+
+def test_log_mixture_density_of_no_points_is_empty():
+    gaussians, weights = _mixture(np.random.default_rng(3), 4)
+    assert log_mixture_density(gaussians, weights,
+                               np.zeros((0, 2))).shape == (0,)
 
 
 def test_log_pdf_integrates_to_one():
