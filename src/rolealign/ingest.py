@@ -13,26 +13,36 @@ column check fails does a line-by-line scan run, to name the first bad line.
 Parsing is canonical: agents within a frame are ordered by agent_id, frames
 by frame_id, so any row order on disk yields the same Dataset.
 
-CSV text is tokenized one of two ways, chosen from the text alone.  Text
-without a double quote whose lines end in LF or CRLF is split with
-``str.split``: every line is one record, and its fields are the line, its
-end dropped, split at commas, which is exactly what csv.reader reads
-there.  Any other text goes through csv.reader, the one tokenizer for
-quoted fields.  Both hand the same per-chunk columns to the same
-conversions and checks, so values and messages do not depend on the
-tokenizer.  Line numbers count physical lines (a record's first one).  A
-field longer than ``csv.field_size_limit()``, a CR that does not end a
-line and any other csv.reader error (before Python 3.11, a NUL character)
-raise a ParseError naming the line, as does a byte that is not UTF-8.
+CSV input is tokenized one of two ways, chosen from its bytes alone.
+Input without a double quote whose lines end in LF or CRLF is read as
+bytes (a str source is encoded once): every line is one record, and its
+fields are the line, its end dropped, split at commas, which is exactly
+what csv.reader reads there.  One numpy scan per chunk finds the commas
+and LFs (``_byte_chunks``).  The frame_id, agent_id and frame-level
+(is_event to period) fields of printable ASCII are told apart by keys
+made of their bytes, and each distinct value is decoded and converted
+once (``_distinct``); ``float`` reads each coordinate's bytes.  A field
+holding any other byte is decoded first, so it converts as its text
+would.  Any other input goes through csv.reader, the one tokenizer for
+quoted fields, whose columns reach the same distinct-value conversion
+(``_csv_rows``), so values and messages do not depend on the tokenizer.
+Line numbers count physical lines (a record's first one).  A field
+longer than ``csv.field_size_limit()`` characters, a CR that does not end
+a line and any other csv.reader error (before Python 3.11, a NUL
+character) raise a ParseError naming the line, as do a byte that is not
+UTF-8 and a leading byte-order mark.
 
 JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw inside
 a JSON string, and the CR of a CRLF is JSON whitespace.
 
-Quote-free CSV text and JSONL text of more than one chunk are cut at LF into
-parts read on every usable CPU (``_lf_parts``, ``parallel.run_tasks``); the
-Dataset and every error are those of a serial read (see ``_parse_csv`` and
-``_parse_jsonl``).  CSV read by csv.reader is read in one process, since a
-quoted field may hold a newline.
+Quote-free CSV input and JSONL text of more than one chunk are cut at LF
+into parts read on every usable CPU (``_lf_parts``,
+``parallel.run_tasks``); the Dataset and every error are those of a
+serial read (see ``_parse_csv`` and ``_parse_jsonl``).  Parts send back
+numeric arrays: each row's line, frame id and coordinates, and codes into
+tables of distinct agent ids and frame labels (``_group_rows``).  CSV
+read by csv.reader is read in one process, since a quoted field may hold
+a newline.
 
 Every file the package writes goes through the writers here:
 ``write_json`` (indent 1), ``write_csv`` (unquoted cells, numbers as
@@ -274,16 +284,18 @@ class Dataset:
                                   by_agent[:, :, None], axis=1)
 
 
-def _read_text(source):
-    """The text of a path or file-like source; bytes are decoded as UTF-8,
-    and a byte that does not decode raises a ParseError naming its line."""
+def _read(source):
+    """The contents of a path or file-like source as read: bytes, or the
+    str of a text source."""
     if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    if isinstance(data, str):
-        return data
+        return source.read()
+    with open(source, "rb") as fh:
+        return fh.read()
+
+
+def _utf8(data):
+    """``data`` decoded as UTF-8; a byte that does not decode raises a
+    ParseError naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -320,15 +332,14 @@ def _drop_blank(recs, lines, keep=None):
 
 
 def _merge_chunks(chunks):
-    """One set of row columns from per-chunk ones (None for none), agent
-    codes merged; a None chunk holds no row."""
+    """One set of row columns from per-chunk ones (None for none), each
+    (table, codes) pair merged into one table; a None chunk holds no row."""
     chunks = [c for c in chunks if c is not None]
     if len(chunks) < 2:   # nothing to merge (or to copy)
         return chunks[0] if chunks else None
-    rows = {k: np.concatenate([c[k] for c in chunks])
-            for k in chunks[0] if k != "agent"}
-    rows["agent"] = _merge_codes([c["agent"] for c in chunks])
-    return rows
+    return {k: _merge_codes([c[k] for c in chunks]) if isinstance(v, tuple)
+            else np.concatenate([c[k] for c in chunks])
+            for k, v in chunks[0].items()}
 
 
 def _scan(check, items, lines):
@@ -370,34 +381,46 @@ def _check_csv_row(line, rec):
     _check_int(period_s, "period", line)
 
 
-def _per_string(values, convert, dtype):
-    """``convert`` of every value, called once per distinct string (for the
-    frame-level columns, which repeat one string on every agent's row)."""
-    table, codes = _codes(values)
-    return np.fromiter(map(convert, table), dtype, len(table))[codes]
+def _csv_rows(lines, fid, agent, tail, coords):
+    """Row columns of one chunk of non-blank CSV records, or None when a
+    value does not convert (the line-by-line check then names it).
 
-
-def _csv_rows(cols, lines):
-    """Row columns of one chunk of non-blank CSV records, given as its nine
-    columns of field strings (either tokenizer's) and physical lines."""
-    fid_s, aid, x_s, y_s, ev_s, direction, team, game, period_s = cols
-    n = len(lines)
+    ``fid``, ``agent`` and ``tail`` are (distinct values, each row's index
+    into them) pairs: of the frame_id fields, the agent_id fields (a
+    sorted table) and the frame-level fields (is_event to period, a tuple
+    of five strings).  Each distinct value is converted once.  ``coords``
+    holds every row's x and y fields in turn, as str or bytes.  The frame
+    labels come back as one pair, ``labels``, whose table holds (is_event,
+    right_to_left, team, game, period) tuples."""
+    flags = {"0": False, "1": True}
+    directions = {LEFT_TO_RIGHT: False, RIGHT_TO_LEFT: True}
     try:
-        rows = {"line": lines, "frame_id": _per_string(fid_s, int, np.int64),
-                "xy": np.stack([np.fromiter(map(float, x_s), float, n),
-                                np.fromiter(map(float, y_s), float, n)], 1),
-                "is_event": _per_string(
-                    ev_s, {"0": False, "1": True}.__getitem__, bool),
-                "right_to_left": _per_string(
-                    direction, {LEFT_TO_RIGHT: False,
-                                RIGHT_TO_LEFT: True}.__getitem__, bool),
-                "period": _per_string(period_s, int, np.int64)}
+        fids = np.fromiter(map(int, fid[0]), np.int64, len(fid[0]))
+        ev, direction, team, game, period = zip(*tail[0])
+        labels = list(zip(map(flags.__getitem__, ev),
+                          map(directions.__getitem__, direction), team, game,
+                          np.fromiter(map(int, period), np.int64,
+                                      len(period)).tolist()))
+        xy = np.fromiter(map(float, coords), float, 2 * len(lines))
     except (ValueError, OverflowError, KeyError):
-        rows = None
-    if rows is None or not np.isfinite(rows["xy"]).all():
-        _scan(_check_csv_row, zip(*cols), lines)
-    rows.update(agent=_codes(aid), team=np.array(team, dtype=object),
-                game=np.array(game, dtype=object))
+        return None
+    if not np.isfinite(xy).all():
+        return None
+    table, codes = _codes(labels)
+    return {"line": lines, "frame_id": fids[fid[1]], "xy": xy.reshape(-1, 2),
+            "agent": agent, "labels": (table, codes[tail[1]])}
+
+
+def _reader_rows(recs, lines):
+    """Row columns of one chunk of csv.reader records (see ``_csv_rows``);
+    the first malformed record raises."""
+    from itertools import chain
+
+    fid, agent, x, y, *tail = zip(*recs)
+    rows = _csv_rows(lines, _codes(fid), _codes(agent),
+                     _codes(list(zip(*tail))), chain.from_iterable(zip(x, y)))
+    if rows is None:
+        _scan(_check_csv_row, recs, lines)
     return rows
 
 
@@ -406,85 +429,186 @@ def _long_field(line):
                       f"{csv.field_size_limit()} characters", line)
 
 
-def _text_lines(text, start, end, size):
-    """Lists of ``size`` lines (the last may be shorter) of
-    ``text[start:end]``, without their "\\n" or "\\r\\n".  The text is split
-    one block of about 64 * size characters at a time, so no list of every
-    line is built."""
-    pending = []
+# the low k bytes of a little-endian uint64, for k = 0, ..., 8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _fields(block, starts, ends, odd=None):
+    """The fields ``block[s:e]`` as bytes, or decoded where ``odd`` is set:
+    a field holding a byte outside printable ASCII may convert differently
+    as bytes (``float(b"\\xc2\\xa01")`` fails, ``float("\\xa01")`` is 1.0;
+    numpy's S dtype would drop a trailing NUL)."""
+    fields = [block[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    if odd is not None:
+        for i in np.flatnonzero(odd).tolist():
+            fields[i] = fields[i].decode()
+    return fields
+
+
+def _distinct(block, words, starts, ends, odd):
+    """(distinct strings, each field's index into them) of the fields
+    ``block[s:e]``.
+
+    A field of printable ASCII is keyed by its bytes packed into uint64
+    words, zeros after them: no such field holds a zero byte, so the keys
+    of two fields are equal only when their bytes are.  Each distinct key
+    is decoded once.  Fields marked ``odd`` (see ``_fields``) are decoded
+    one by one.  ``words[p]`` is the 8 bytes of ``block`` from p on."""
+    codes = np.empty(len(starts), dtype=np.intp)
+    keyed = np.flatnonzero(~odd) if odd is not None else \
+        np.arange(len(starts))
+    table = []
+    if len(keyed):
+        at, size = starts[keyed], ends[keyed] - starts[keyed]
+        width = max(1, -(-int(size.max()) // 8))
+        key = np.stack([words[np.minimum(at + 8 * j, len(words) - 1)]
+                        & _LOW_BYTES[np.clip(size - 8 * j, 0, 8)]
+                        for j in range(width)], axis=1)
+        key = key[:, 0] if width == 1 else \
+            key.view(f"S{8 * width}").ravel()
+        _, first, codes[keyed] = np.unique(key, return_index=True,
+                                           return_inverse=True)
+        table = [f.decode() for f in _fields(block, at[first],
+                                              at[first] + size[first])]
+    if odd is not None and odd.any():
+        rest = np.flatnonzero(odd)
+        more, codes[rest] = _codes([f.decode() for f in _fields(
+            block, starts[rest], ends[rest])])
+        codes[rest] += len(table)
+        table += more
+    return table, codes
+
+
+def _count_lf(data, start, end):
+    """``data.count(b"\\n", start, end)``, counted by numpy 1 MiB at a time:
+    1.7 ms against 7.5 ms for an 11 MB file on a 2-vCPU VM."""
+    buf = np.frombuffer(data, np.uint8)
+    return sum(int(np.count_nonzero(buf[i:min(i + (1 << 20), end)] == 10))
+               for i in range(start, end, 1 << 20))
+
+
+def _byte_chunks(data, start, end, size):
+    """The chunks of up to ``size`` lines of ``data[start:end]``, which
+    starts at a line's start, as (block, offset, delimiters, lf, line): the
+    chunk is ``block[offset:delimiters[-1] + 1]``, its commas and LFs are
+    at ``delimiters``, its LFs at ``delimiters[lf]``, and its first line
+    has number ``line`` in ``data``.
+
+    ``data`` is copied one block of whole lines, about 64 * size bytes, at
+    a time, with an LF after a last line that lacks one and 8 zero bytes
+    (for ``_distinct``'s words); one numpy scan finds its delimiters.  The
+    lines after a block's last whole chunk start the next block, unless
+    the block holds no whole chunk or ends the part."""
+    line = _count_lf(data, 0, start) + 1
     while start < end:
-        stop = text.find("\n", start + 64 * size, end) + 1 or end
-        block = text[start:stop]
-        if "\r" in block:
-            block = block.replace("\r\n", "\n")
-        pending += block.split("\n")
-        if block.endswith("\n"):
-            pending.pop()
-        start = stop
-        while len(pending) >= size or (pending and start == end):
-            yield pending[:size]
-            del pending[:size]
+        stop = data.find(b"\n", start + 64 * size, end) + 1 or end
+        block = b"".join((memoryview(data)[start:stop],
+                          b"" if data[stop - 1] == 10 else b"\n", bytes(8)))
+        buf = np.frombuffer(block, np.uint8, len(block) - 8)
+        delims = np.flatnonzero((buf == 44) | (buf == 10))
+        lf = np.flatnonzero(buf[delims] == 10)
+        take = len(lf) if stop == end or len(lf) < size else \
+            len(lf) - len(lf) % size
+        for j in range(0, take, size):
+            lo = lf[j - 1] + 1 if j else 0
+            yield (block, delims[lo - 1] + 1 if j else 0,
+                   delims[lo:lf[min(j + size, take) - 1] + 1],
+                   lf[j:min(j + size, take)] - lo, line + j)
+        line += take
+        start += int(delims[lf[take - 1]]) + 1   # past end after an added LF
 
 
-def _too_long(rec, limit):
-    """Whether a quote-free line holds a field over ``limit`` characters
-    (only a line over the limit can)."""
-    return len(rec) > limit and max(map(len, rec.split(","))) > limit
-
-
-def _split_header(text):
-    """The header record of text for ``_split_tokens``, and the offset of
-    the line after it."""
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    header = text[:end].removesuffix("\r")
-    if _too_long(header, csv.field_size_limit()):
-        raise _long_field(1)
-    return (header.split(",") if header else []), min(end + 1, len(text))
-
-
-def _split_tokens(text, start, end, size):
-    """The CSV tokenizer for text without a quote whose every CR ends a line
-    (CRLF): each line is one record and its fields are ``line.split(",")``
-    once the line end is gone, as csv.reader would read them.  Yields the
-    (columns, lines) of each chunk of up to ``size`` lines of
-    ``text[start:end]``, which starts at a line's start, numbered as lines
-    of ``text``; a field over the csv module's field limit raises once the
-    lines before it have been yielded.  ``_split_header`` reads the
-    header."""
-    from itertools import repeat
-
+def _byte_rows(block, offset, delims, lf, line):
+    """Row columns of one chunk of quote-free CSV lines (see
+    ``_byte_chunks``); the first malformed line raises."""
+    buf = np.frombuffer(block, np.uint8)
+    end = delims[lf]
+    begin = np.concatenate(([offset], end[:-1] + 1))
+    cr = (end > begin) & (buf[end - 1] == 13)
+    end = end - cr   # the CR of a CRLF dropped
+    kept = end > begin   # a blank line counts but holds no record
+    if not kept.any():
+        return None
+    lines = line + np.flatnonzero(kept)
     limit = csv.field_size_limit()
-    line = text.count("\n", 0, start) + 1
-    for chunk in _text_lines(text, start, end, size):
-        first, fault = line, None
-        line += len(chunk)
-        if max(map(len, chunk)) > limit:
-            bad = next((j for j, rec in enumerate(chunk)
-                        if _too_long(rec, limit)), None)
-            if bad is not None:
-                chunk, fault = chunk[:bad], _long_field(first + bad)
-        chunk, lines = _drop_blank(chunk,
-                                   np.arange(first, first + len(chunk)))
-        if chunk:
-            if set(map(str.count, chunk, repeat(","))) != \
-                    {len(CSV_COLUMNS) - 1}:
-                _scan(_check_csv_row, [r.split(",") for r in chunk], lines)
-            fields = ",".join(chunk).split(",")
-            yield [fields[i::len(CSV_COLUMNS)]
-                   for i in range(len(CSV_COLUMNS))], lines
-        if fault:
-            raise fault
+    rows = None
+    if (np.diff(lf, prepend=-1)[kept] == len(CSV_COLUMNS)).all():
+        # the bytes outside printable ASCII are the line ends alone
+        plain = np.count_nonzero(np.subtract(
+            buf[offset:delims[-1] + 1], 32, dtype=np.uint8) > 94) == \
+            len(lf) + np.count_nonzero(cr)
+        rows = _field_rows(block, (delims if kept.all() else np.delete(
+            delims, lf[~kept])).reshape(-1, len(CSV_COLUMNS)), begin[kept],
+            end[kept], lines, plain, limit)
+    if rows is None:
+        def check(line, rec):
+            if max(map(len, rec)) > limit:
+                raise _long_field(line)
+            _check_csv_row(line, rec)
+        _scan(check, [rec.decode().split(",") for rec in _fields(
+            block, begin[kept], end[kept])], lines)
+    return rows
+
+
+def _field_rows(block, ends, begin, end, lines, plain, limit):
+    """``_csv_rows`` of the lines ``block[begin:end]``, field j of each
+    ending at ``ends[:, j]`` (the last at ``end``), or None when a field
+    holds more than ``limit`` characters or a value does not convert.
+    Unless ``plain``, the fields holding a byte outside printable ASCII
+    are decoded one by one."""
+    def fields(a, b=None):
+        """The starts and ends of the spans of fields a to b."""
+        b = a if b is None else b
+        return (begin if a == 0 else ends[:, a - 1] + 1,
+                end if b == len(CSV_COLUMNS) - 1 else ends[:, b])
+
+    odd = None
+    if not plain or (end - begin).max() > limit:
+        starts, stops = np.stack([fields(j) for j in range(ends.shape[1])],
+                                 axis=2)
+        over = stops - starts > limit   # in bytes; the limit is characters
+        if any(len(f.decode()) > limit
+               for f in _fields(block, starts[over], stops[over])):
+            return None
+        seen = np.concatenate(([0], np.cumsum(np.subtract(np.frombuffer(
+            block, np.uint8), 32, dtype=np.uint8) > 94, dtype=np.int32)))
+        odd = seen[stops] > seen[starts]
+    words = np.ndarray((len(block) - 7,), "<u8", block, 0, (1,))
+
+    def column(a, b=None):
+        return _distinct(block, words, *fields(a, b), None if odd is None
+                         else odd[:, a:(b or a) + 1].any(axis=1))
+    tail, codes = column(4, 8)
+    x_start, y_stop = fields(2, 3)
+    return _csv_rows(lines, column(0), _merge_codes([column(1)]),
+                     ([tuple(t.split(",")) for t in tail], codes),
+                     _fields(block, np.stack((x_start, ends[:, 2] + 1),
+                                             axis=1).ravel(),
+                             np.stack((ends[:, 2], y_stop), axis=1).ravel(),
+                             None if odd is None else odd[:, 2:4].ravel()))
+
+
+def _split_header(data):
+    """The header fields of quote-free CSV bytes, and the offset of the
+    line after it."""
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    header = data[:end].removesuffix(b"\r").decode()
+    fields = header.split(",") if header else []
+    if fields and max(map(len, fields)) > csv.field_size_limit():
+        raise _long_field(1)
+    return fields, min(end + 1, len(data))
 
 
 def _reader_tokens(text, size):
-    """The CSV tokenizer for any other text: csv.reader, whose quoted fields
-    may hold commas, doubled quotes and newlines.  Yields what
-    ``_split_tokens`` yields, for up to ``size`` records at a time; a
-    record's line is its first physical line.  A csv.reader error raises a
-    ParseError at the first line of the record it stopped in, once the
-    records before it have been yielded."""
+    """The CSV tokenizer for text with a quote or a CR that does not end a
+    line: csv.reader, whose quoted fields may hold commas, doubled quotes
+    and newlines.  Yields the header, then (records, their lines) for up
+    to ``size`` non-blank records at a time; a record's line is its first
+    physical line.  A csv.reader error raises a ParseError at the first
+    line of the record it stopped in, once the records before it have
+    been yielded."""
     from itertools import islice, repeat
 
     def fault(exc, line):
@@ -520,49 +644,66 @@ def _reader_tokens(text, size):
         if kept:
             if set(map(len, kept)) != {len(CSV_COLUMNS)}:
                 _scan(_check_csv_row, kept, kept_lines)
-            yield list(zip(*kept)), kept_lines
+            yield kept, kept_lines
         if error:
             raise fault(error, int(lines[-1]))
 
 
 def _lf_parts(text, start, chunk_lines):
-    """(start, end) offsets that cut ``text[start:]`` after an LF into one
-    part per usable CPU, but no more parts than it has chunks of
-    ``chunk_lines`` lines; a parser reads them with ``parallel.run_tasks``.
-    """
-    parts = min(parallel.usable_cpus(),
-                -(-(text.count("\n", start) + 1) // chunk_lines))
-    ends = sorted({text.find("\n", start + (len(text) - start) * j // parts)
+    """(start, end) offsets that cut ``text[start:]`` (str or bytes) after
+    an LF into one part per usable CPU, but no more parts than it has
+    chunks of ``chunk_lines`` lines; a parser reads them with
+    ``parallel.run_tasks``."""
+    if isinstance(text, str):
+        lf, lines = "\n", text.count("\n", start) + 1
+    else:
+        lf, lines = b"\n", _count_lf(text, start, len(text)) + 1
+    parts = min(parallel.usable_cpus(), -(-lines // chunk_lines))
+    ends = sorted({text.find(lf, start + (len(text) - start) * j // parts)
                    + 1 or len(text) for j in range(1, parts)} | {len(text)})
     return list(zip([start, *ends[:-1]], ends))
 
 
-def _csv_part(text, start, end):
+def _csv_part(data, start, end):
     """The row columns (None for no record) of the quote-free CSV lines in
-    ``text[start:end]``, with their line numbers in ``text``."""
-    return _merge_chunks([_csv_rows(cols, lines) for cols, lines in
-                          _split_tokens(text, start, end, CSV_CHUNK_ROWS)])
+    ``data[start:end]``, with their line numbers in ``data``."""
+    return _merge_chunks([_byte_rows(*chunk) for chunk in _byte_chunks(
+        data, start, end, CSV_CHUNK_ROWS)])
 
 
-def _parse_csv(text):
-    """Quote-free text (``_split_tokens``) is cut at LF into parts read on
+def _parse_csv(data):
+    """CSV bytes (or str, read encoded) without a quote whose every CR ends
+    a line are read by the byte tokenizer, cut at LF into parts read on
     every usable CPU, each part's errors being those of a serial read of
     it, so the first failing part's error is a serial read's.  Duplicate
-    and label checks run once, on the merged rows.  Text read by
-    csv.reader, whose quoted fields may hold a newline, is read in this
-    process."""
+    and label checks run once, on the merged rows.  Other text goes
+    through csv.reader in this process, since a quoted field may hold a
+    newline."""
     from functools import partial
 
-    if not text:
+    text = None   # for csv.reader
+    if isinstance(data, str):
+        text = data
+        try:
+            data = text.encode()
+        except UnicodeEncodeError:   # a lone surrogate: read as text
+            data = None
+    elif not data.isascii():
+        text = _utf8(data)
+    if not (data or text):
         raise ParseError("empty input", 1)
-    split = '"' not in text and ("\r" not in text or
-                                 text.count("\r") == text.count("\r\n"))
+    split = data is not None and b'"' not in data and (
+        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
     if split:
-        header, start = _split_header(text)
+        header, start = _split_header(data)
     else:
-        tokens = _reader_tokens(text, CSV_CHUNK_ROWS)
+        tokens = _reader_tokens(data.decode() if text is None else text,
+                                CSV_CHUNK_ROWS)
         header = next(tokens)
     if tuple(header) != CSV_COLUMNS:
+        if header and header[0].startswith("\ufeff"):
+            raise ParseError("the file starts with a UTF-8 byte-order mark "
+                             "(U+FEFF); save it without one", 1)
         missing = set(CSV_COLUMNS) - set(header)
         detail = f"missing columns {sorted(missing)}" if missing else \
             f"got {header!r}"
@@ -570,11 +711,11 @@ def _parse_csv(text):
                          f"{','.join(CSV_COLUMNS)}; {detail}", 1)
     if split:
         parts = parallel.run_tasks([
-            partial(_csv_part, text, a, b)
-            for a, b in _lf_parts(text, start, CSV_CHUNK_ROWS)])
+            partial(_csv_part, data, a, b)
+            for a, b in _lf_parts(data, start, CSV_CHUNK_ROWS)])
     else:
-        parts = [_merge_chunks([_csv_rows(cols, lines)
-                                for cols, lines in tokens])]
+        parts = [_merge_chunks([_reader_rows(recs, lines)
+                                for recs, lines in tokens])]
     rows = _merge_chunks(parts)
     if rows is None:
         raise ParseError("no data rows")
@@ -584,22 +725,31 @@ def _parse_csv(text):
 def _group_rows(rows):
     """The Dataset of per-agent rows (in file order), canonically ordered.
 
-    The first row that disagrees with its frame's first row on a frame
-    label, or repeats an agent of its frame, raises (the label check goes
-    first on one row); then uneven agent counts do.
+    ``rows`` holds ``line``, ``frame_id`` and ``xy`` arrays and two
+    (table, codes) pairs: ``agent``, whose table is sorted, and
+    ``labels``, whose table holds (is_event, right_to_left, team, game,
+    period) tuples.  Rows already in canonical order (frame ids
+    non-decreasing, agent codes increasing within a frame, as the writers
+    here write them) are taken as they stand; others are sorted.  The
+    first row that disagrees with its frame's first row on a frame label,
+    or repeats an agent of its frame, raises (the label check goes first
+    on one row); then uneven agent counts do.
     """
     fid, line = rows["frame_id"], rows["line"]
     table, agent = rows["agent"]
-    frame_ids, first, frame_of = np.unique(fid, return_index=True,
-                                           return_inverse=True)
-    labels = {name: rows[name][first] for name, _, _ in LABELS
-              if name != "frame_id"}
-    disagree = np.zeros(len(fid), dtype=bool)
-    for name, value in labels.items():
-        disagree |= rows[name] != value[frame_of]
-    order = np.lexsort((agent, fid))
-    dup = order[1:][(fid[order][1:] == fid[order][:-1])
-                    & (agent[order][1:] == agent[order][:-1])]
+    label_table, label = rows["labels"]
+    new = fid[1:] != fid[:-1]
+    if (fid[1:] >= fid[:-1]).all() and (agent[1:] > agent[:-1])[~new].all():
+        order, dup = slice(None), np.empty(0, dtype=np.intp)
+        first = np.flatnonzero(np.concatenate(([True], new)))
+        frame_ids, frame_of = fid[first], np.cumsum(np.concatenate(([0], new)))
+    else:
+        frame_ids, first, frame_of = np.unique(fid, return_index=True,
+                                               return_inverse=True)
+        order = np.lexsort((agent, fid))
+        dup = order[1:][(fid[order][1:] == fid[order][:-1])
+                        & (agent[order][1:] == agent[order][:-1])]
+    disagree = label != label[first][frame_of]
     bad = disagree.argmax() if disagree.any() else len(fid)
     if dup.size and dup.min() < bad:
         r = dup.min()
@@ -614,6 +764,9 @@ def _group_rows(rows):
         raise ParseError(f"frame {frame_ids[i]} has {counts[i]} agents; "
                          f"other frames have {counts.max()}")
     shape = (len(frame_ids), counts[0])
+    labels = {name: np.array(values, dtype=dtype)[label[first]]
+              for (name, dtype, _), values in zip(LABELS[1:],
+                                                  zip(*label_table))}
     return Dataset(positions=rows["xy"][order].reshape(shape + (2,)),
                    agent_codes=agent[order].reshape(shape), agent_table=table,
                    frame_id=frame_ids, **labels)
@@ -683,8 +836,9 @@ def _check_jsonl_line(line, raw, seen):
 def _jsonl_rows(objs, lines):
     """Row columns of decoded JSONL frames, or None when a value is
     malformed (the line-by-line check then names it).  ``xy`` and ``agent``
-    hold one row per agent; the line, the frame labels and ``agents`` (the
-    frame's agent count) one row per frame (see ``_per_agent``)."""
+    hold one row per agent; the line, the frame id, the frame labels (a
+    pair as ``_csv_rows`` makes it) and ``agents`` (the frame's agent
+    count) one row per frame (see ``_per_agent``)."""
     from itertools import chain, compress, repeat
     from operator import methodcaller
 
@@ -718,7 +872,7 @@ def _jsonl_rows(objs, lines):
     try:
         xy = np.fromiter(coords, float, len(coords)).reshape(-1, 2)
         fid = np.array(col["frame_id"], dtype=np.int64)
-        period = np.array(col["period"], dtype=np.int64)
+        np.array(col["period"], dtype=np.int64)   # each one in range
     except OverflowError:
         return None
     if not np.isfinite(xy).all():
@@ -733,20 +887,22 @@ def _jsonl_rows(objs, lines):
         names = np.array([f"a{i}" for i in range(per_frame.max())],
                          dtype=object)
         agent[~point_given] = names[within[~point_given]]
-    return {"line": lines, "frame_id": fid, "period": period,
-            "is_event": np.array(col["is_event"], dtype=bool),
-            "right_to_left": np.array(col["attack_direction"])
-            == RIGHT_TO_LEFT, "team": np.array(col["team"], dtype=object),
-            "game": np.array(col["game"], dtype=object), "agents": per_frame,
-            "xy": xy, "agent": _codes(agent.tolist())}
+    labels = zip(col["is_event"], map(RIGHT_TO_LEFT.__eq__,
+                                       col["attack_direction"]),
+                 col["team"], col["game"], col["period"])
+    return {"line": lines, "frame_id": fid, "labels": _codes(list(labels)),
+            "agents": per_frame, "xy": xy, "agent": _codes(agent.tolist())}
 
 
 def _per_agent(rows):
-    """``_jsonl_rows``' columns with one row per agent: each frame's line
-    and labels repeated once per agent of the frame."""
+    """``_jsonl_rows``' columns with one row per agent: each frame's line,
+    frame id and label code repeated once per agent of the frame."""
     agents = rows.pop("agents")
-    return {k: v if k in ("xy", "agent") else np.repeat(v, agents)
+    table, codes = rows.pop("labels")
+    rows = {k: v if k in ("xy", "agent") else np.repeat(v, agents)
             for k, v in rows.items()}
+    rows["labels"] = table, np.repeat(codes, agents)
+    return rows
 
 
 _scan_object = json.JSONDecoder().scan_once
@@ -832,11 +988,11 @@ def parse_tracking(source, format: str = "csv") -> Dataset:
     format is "csv" or "jsonl".  Errors raise ParseError with the 1-based
     line number of the offending record where applicable.
     """
-    text = _read_text(source)
+    data = _read(source)
     if format == "csv":
-        return _parse_csv(text)
+        return _parse_csv(data)
     if format == "jsonl":
-        return _parse_jsonl(text)
+        return _parse_jsonl(data if isinstance(data, str) else _utf8(data))
     raise ValueError(f"unknown format {format!r}")
 
 

@@ -16,13 +16,16 @@ a 2-vCPU VM, and both processes then ran at half speed for the whole task.
 The ``compare`` command's soft and hard branches, the ``context`` command's
 fits, and the CSV and JSONL parsers' parts run through ``run_tasks``.
 
-``multiprocessing`` is imported only when a worker is started, so that
-importing the package does not pay for it.
+Workers are started with ``os.fork`` and send their pickled outcomes
+through an ``os.pipe``: ``multiprocessing`` (about 9 ms to import and set
+up, on every run that forks) is not used.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import struct
 import sys
 import threading
 
@@ -35,10 +38,9 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _work(conn, tasks, share, cpu):
+def _work(tasks, share, cpu):
     """Worker body, on CPU ``cpu``: for i in ``share``, (True, tasks[i]())
-    or (False, the exception it raised), sent to the parent as one
-    message."""
+    or (False, the exception it raised)."""
     os.sched_setaffinity(0, {cpu})
     outcomes = {}
     for i in share:
@@ -46,31 +48,75 @@ def _work(conn, tasks, share, cpu):
             outcomes[i] = True, tasks[i]()
         except Exception as exc:   # noqa: BLE001 - raised by the parent
             outcomes[i] = False, exc
-    conn.send(outcomes)
-    conn.close()
+    return outcomes
+
+
+def _send(fd, obj):
+    """``obj`` pickled to the pipe ``fd``: the number and sizes of the
+    parts, then the pickle and the buffers it holds out of band (numpy
+    arrays, written without a copy: a 4.8 MB result then takes half the
+    time)."""
+    buffers = []
+    parts = [pickle.dumps(obj, 5, buffer_callback=buffers.append)]
+    parts += [b.raw() for b in buffers]
+    with os.fdopen(fd, "wb") as pipe:
+        pipe.write(struct.pack(f"<{len(parts) + 1}Q", len(parts),
+                               *map(len, parts)))
+        for part in parts:
+            pipe.write(part)
+
+
+def _receive(fd):
+    """What ``_send`` wrote to the pipe ``fd``, read into one buffer, or
+    None when the pipe ends sooner."""
+    with os.fdopen(fd, "rb", closefd=False) as pipe:
+        head = pipe.read(8)
+        count = int.from_bytes(head, "little")
+        head += pipe.read(8 * count)
+        if not count or len(head) < 8 * (count + 1):
+            return None
+        sizes = struct.unpack_from(f"<{count}Q", head, 8)
+        data = memoryview(bytearray(sum(sizes)))
+        if pipe.readinto(data) < len(data):
+            return None
+    parts, at = [], 0
+    for size in sizes:
+        parts.append(data[at:at + size])
+        at += size
+    return pickle.loads(parts[0], buffers=parts[1:])
 
 
 def _start(tasks, share, cpu):
-    """A forked worker running ``share`` of ``tasks`` on CPU ``cpu``, and
-    the read end of its result pipe."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_work, args=(writer, tasks, share, cpu))
-    proc.start()
-    writer.close()   # the worker holds the only write end: EOF if it dies
-    return proc, reader
-
-
-def _receive(proc, reader):
+    """A forked worker running ``share`` of ``tasks`` on CPU ``cpu``: its
+    pid and the read end of its result pipe.  The worker holds the only
+    write end, so the parent reads EOF once it has exited; it exits with
+    code 1, its traceback on stderr, when it cannot send its outcomes."""
+    reader, writer = os.pipe()
+    sys.stdout.flush()   # or the worker would write the buffers out again
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(writer)
+        return pid, reader
+    code = 1
     try:
-        return reader.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"a worker process exited with code "
-                           f"{proc.exitcode} before sending its "
-                           f"results") from None
+        os.close(reader)
+        _send(writer, _work(tasks, share, cpu))
+        code = 0
+    except Exception:   # noqa: BLE001 - the worker's boundary
+        import traceback
+
+        traceback.print_exc()
+    finally:   # never return into the caller's code
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _exit_code(pid):
+    """Wait for worker ``pid``; its exit code, or -N if signal N ended
+    it."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def run_tasks(tasks) -> list:
@@ -90,6 +136,7 @@ def run_tasks(tasks) -> list:
     n = len(tasks)
     w = min(usable_cpus(), n)
     results, outcomes, workers, waiting = [None] * n, {}, [], []
+    exited = {}   # worker pid: exit code, once waited for
     cpus = sorted(os.sched_getaffinity(0)) if w > 1 else []
     try:
         if cpus:
@@ -103,14 +150,24 @@ def run_tasks(tasks) -> list:
         for i in range(n) if w < 2 else (0,):
             results[i] = tasks[i]()
         while waiting:
-            outcomes.update(_receive(*waiting[0]))
-            waiting.pop(0)
+            pid, reader = waiting.pop(0)
+            received = _receive(reader)
+            if received is None:
+                exited[pid] = _exit_code(pid)
+                raise RuntimeError(f"a worker process exited with code "
+                                   f"{exited[pid]} before sending its "
+                                   f"results")
+            outcomes.update(received)
     finally:
-        for proc, _ in waiting:
-            proc.terminate()
-        for proc, reader in workers:
-            proc.join()
-            reader.close()
+        if waiting:
+            import signal
+
+            for pid, _ in waiting:
+                os.kill(pid, signal.SIGTERM)
+        for pid, reader in workers:
+            os.close(reader)   # a worker still writing now fails and exits
+            if pid not in exited:
+                exited[pid] = _exit_code(pid)
         if cpus:
             os.sched_setaffinity(0, cpus)
     for i in sorted(outcomes):

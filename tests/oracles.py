@@ -1,7 +1,19 @@
 """Reference loops that more than one test file checks the package
-against."""
+against, and a check that no forked worker is left behind."""
+
+import os
 
 import numpy as np
+
+
+def no_child_process():
+    """Whether every child process of this one has been waited for (a
+    zombie is reaped here, and counts as left behind)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def reference_kmeans(pts, init, tol=1e-6, max_iters=1000, reseeds=None):

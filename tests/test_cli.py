@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import multiprocessing
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,6 +20,8 @@ from rolealign.ingest import (center_normalize, concat_datasets,
                               normalize_attack_direction, parse_tracking,
                               write_tracking_csv)
 from rolealign.synth import generate_formation, sample_dataset
+
+from oracles import no_child_process
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +276,7 @@ def test_compare_report_and_files(plain_csv, tmp_path):
         assert list(manifest["stats"][branch]) == ["fit_s"]
         assert 0 < manifest["stats"][branch]["fit_s"] <= \
             manifest["timings"]["fits"]
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -292,7 +293,7 @@ def test_compare_whose_soft_branch_fails_writes_no_report(
     assert capsys.readouterr().err == \
         "error: k=6 exceeds total point count 4\n"
     assert list(out.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 # bench
@@ -370,7 +371,7 @@ def test_context_outputs(teams_csv, tmp_path):
             fit["frames"] * 4 * km["iterations"]
         assert 0 <= km["fallback"] <= km["searched"]
     assert manifest["stats"]["global"]["frames"] == 120
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -393,7 +394,7 @@ def test_context_with_fewer_points_than_k_fails_after_the_earlier_ones(
         "error: k=6 exceeds total point count 4\n"
     assert sorted(p.name for p in out.iterdir()) == [
         "context_a_any_1.template.json", "global.template.json"]
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 @pytest.mark.parametrize("teams", [("a b", "a-b"), ("", "any")])

@@ -13,13 +13,14 @@ OpenBLAS on x86-64; another BLAS may round differently.
 
 import hashlib
 import json
-import multiprocessing
 
 import numpy as np
 
 from rolealign import cli, ingest, parallel
 from rolealign.cli import main
 from rolealign.synth import generate_formation, sample_dataset
+
+from oracles import no_child_process
 
 PITCH = np.array([105.0, 68.0])
 
@@ -154,7 +155,7 @@ def runs_on_one_and_three_cpus(monkeypatch, root, name, argv):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         out = root / f"{name}{cpus}"
         assert main(argv + ["--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         assert {f"{name}/{p.name}": _sha(p) for p in out.iterdir()
                 if p.name != "manifest.json"} == \
             {k: v for k, v in GOLDEN.items() if k.startswith(f"{name}/")}

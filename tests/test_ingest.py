@@ -240,6 +240,20 @@ def test_csv_bad_header(monkeypatch):
         assert exc.value.line == 1
 
 
+def test_csv_leading_byte_order_mark_is_named(monkeypatch):
+    # as Excel writes UTF-8 CSV; the format itself does not change
+    text = header("1,a,1.0,2.0,0,LR,,,1").getvalue()
+    quoted = '"frame_id"' + text[len("frame_id"):]   # read by csv.reader
+    for _ in csv_reads(monkeypatch):
+        for src in (io.StringIO("\ufeff" + text),
+                    io.BytesIO(("\ufeff" + text).encode()),
+                    io.StringIO("\ufeff" + quoted)):
+            with pytest.raises(ParseError, match="starts with a UTF-8 "
+                                                 "byte-order mark") as exc:
+                parse_tracking(src)
+            assert exc.value.line == 1
+
+
 def test_csv_empty_and_headerless(monkeypatch):
     for _ in csv_reads(monkeypatch):
         with pytest.raises(ParseError, match="empty input"):
@@ -657,19 +671,28 @@ def parse_or_error(text):
 
 
 # odd field values by column: some are malformed, some are valid spellings
-# that Python's int/float accept (" 3", "+2", "1_0", "1e-400")
+# that Python's int/float accept (" 3", "+2", "1_0", "1e-400", "١٢"); some
+# hold bytes that convert differently undecoded (non-ASCII digits and
+# spaces, C0 controls, NULs), fields of 8 and 9 bytes (one or two uint64
+# words of the byte tokenizer's keys) and fields over the 16-character
+# limit in bytes but not in characters ("ü" * 9)
 ODD_FIELDS = [
     ["x", "1.5", "", " 3", "+2", "1_0", "99999999999999999999",
-     "-9223372036854775809", "9223372036854775807"],
-    ["", "p0", " p0", "q", "t" * 17],
+     "-9223372036854775809", "9223372036854775807", "١٢", "\x1c1", "1\x00",
+     "12345678", "123456789"],
+    ["", "p0", " p0", "q", "t" * 17, "München", "p0\x00", "\x00", "abcdefgh",
+     "abcdefghi", "\x1cp0", "ü" * 9, "ü" * 17],
     ["nope", "nan", "inf", "-inf", "1e999", "", " 2.5", "1_0.5", "1e-400",
-     "12.500000000000001"],
-    ["nan", "Infinity", "x", "0x1", "-0.0"],
-    ["0", "1", "2", "yes", " 1", ""],
-    ["LR", "RL", "lr", "UP", ""],
-    ["", "home", "away", " x", "a;b", "t" * 17],
-    ["", "g1", "g2", "t" * 17],
-    ["1", "2", "x", "", "99999999999999999999", "1.0"],
+     "12.500000000000001", "٣.٥", "\x1c1.5", "1.5\x00", "\x851.5",
+     "\xa02.5", "12345678", "1234567.9"],
+    ["nan", "Infinity", "x", "0x1", "-0.0", "٣.٥", "1.5\x00", "\x00"],
+    ["0", "1", "2", "yes", " 1", "", "١", "1\x00"],
+    ["LR", "RL", "lr", "UP", "", "LR\x00", "ＬＲ"],
+    ["", "home", "away", " x", "a;b", "t" * 17, "München", "home\x00",
+     "a\u2028b", "ü" * 9],
+    ["", "g1", "g2", "t" * 17, "München", "g1\x00", "ü" * 9],
+    ["1", "2", "x", "", "99999999999999999999", "1.0", "١٢", "1\x00",
+     "\x1c1"],
 ]
 
 
@@ -951,6 +974,99 @@ def test_shuffled_rows_parse_to_equal_arrays(ds, rnd):
         assert_columns_equal(
             parse_tracking(io.StringIO(buf.getvalue()), format=fmt),
             parse_tracking(io.StringIO(shuffled), format=fmt))
+
+
+def reference_group_rows(rows):
+    """``ingest._group_rows`` as it was: every input sorted, by np.unique
+    and np.lexsort."""
+    fid, line = rows["frame_id"], rows["line"]
+    table, agent = rows["agent"]
+    label_table, label = rows["labels"]
+    frame_ids, first, frame_of = np.unique(fid, return_index=True,
+                                           return_inverse=True)
+    order = np.lexsort((agent, fid))
+    dup = order[1:][(fid[order][1:] == fid[order][:-1])
+                    & (agent[order][1:] == agent[order][:-1])]
+    disagree = label != label[first][frame_of]
+    bad = disagree.argmax() if disagree.any() else len(fid)
+    if dup.size and dup.min() < bad:
+        r = dup.min()
+        raise ParseError(f"duplicate agent {table[agent[r]]!r} in frame "
+                         f"{fid[r]}", int(line[r]))
+    if bad < len(fid):
+        raise ParseError(f"frame {fid[bad]}: frame-level fields disagree "
+                         f"with an earlier row", int(line[bad]))
+    counts = np.bincount(frame_of)
+    if counts.min() != counts.max():
+        i = counts.argmin()
+        raise ParseError(f"frame {frame_ids[i]} has {counts[i]} agents; "
+                         f"other frames have {counts.max()}")
+    shape = (len(frame_ids), counts[0])
+    names = ("is_event", "right_to_left", "team", "game", "period")
+    labels = {name: np.array(values, dtype=object if name in ("team", "game")
+                             else None)[label[first]]
+              for name, values in zip(names, zip(*label_table))}
+    return Dataset(positions=rows["xy"][order].reshape(shape + (2,)),
+                   agent_codes=agent[order].reshape(shape), agent_table=table,
+                   frame_id=frame_ids, **labels)
+
+
+def canonical_rows(ds):
+    """The row columns a parser hands ``_group_rows`` for ``ds``, in
+    (frame_id, agent) order."""
+    n = ds.n_agents
+    table, codes = ingest._codes(list(zip(
+        ds.is_event.tolist(), ds.right_to_left.tolist(), ds.team.tolist(),
+        ds.game.tolist(), ds.period.tolist())))
+    rows = {"line": np.arange(2, 2 + ds.n_frames * n),
+            "frame_id": np.repeat(ds.frame_id, n),
+            "xy": ds.positions.reshape(-1, 2),
+            "agent": (ds.agent_table, ds.agent_codes.ravel()),
+            "labels": (table, np.repeat(codes, n))}
+    order = np.lexsort((rows["agent"][1], rows["frame_id"]))
+    return {k: (v[0], v[1][order]) if isinstance(v, tuple) else v[order]
+            for k, v in rows.items()}
+
+
+def grouped(group, rows):
+    try:
+        ds = group(rows)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return (ds.positions.tobytes(), ds.agent_table, ds.agent_codes.tobytes(),
+            ds.frame_id.tobytes(), ds.is_event.tobytes(),
+            ds.right_to_left.tobytes(), ds.team.tolist(), ds.game.tolist(),
+            ds.period.tobytes(), ds.positions.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.randoms(use_true_random=False),
+       st.sampled_from(["sorted", "shuffled", "swapped", "duplicate",
+                        "label"]))
+def test_group_rows_skips_the_sort_only_where_it_changes_nothing(ds, rnd,
+                                                                  kind):
+    rows = canonical_rows(ds)
+    fid, (table, agent) = rows["frame_id"], rows["agent"]
+    order = np.arange(len(fid))
+    if kind == "shuffled":
+        rnd.shuffle(order)
+    elif kind == "swapped" and len(fid) > 1:   # a pair of neighbours
+        i = rnd.randrange(len(fid) - 1)
+        order[[i, i + 1]] = order[[i + 1, i]]
+    rows = {k: (v[0], v[1][order]) if isinstance(v, tuple) else v[order]
+            for k, v in rows.items()}
+    if kind in ("duplicate", "label") and len(fid) > 1:
+        i = rnd.randrange(1, len(fid))
+        key = "agent" if kind == "duplicate" else "labels"
+        codes = rows[key][1].copy()
+        codes[i] = codes[i - 1] if kind == "duplicate" else \
+            rnd.randrange(len(rows[key][0]))
+        rows[key] = rows[key][0], codes
+    assert grouped(ingest._group_rows, rows) == \
+        grouped(reference_group_rows, rows)
+    if kind == "sorted":   # taken as it stands: the positions are not copied
+        assert np.shares_memory(ingest._group_rows(rows).positions,
+                                rows["xy"])
 
 
 # within about a pitch, the residual mean of a centered frame is far below

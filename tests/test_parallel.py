@@ -1,6 +1,5 @@
 """run_tasks: results in task order, errors raised here, no worker left."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +12,8 @@ import pytest
 
 from rolealign import parallel
 from rolealign.parallel import run_tasks
+
+from oracles import no_child_process
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,7 +35,7 @@ def test_results_come_back_in_task_order(cpus):
     assert pids[0] == os.getpid()   # the first task runs here
     assert len(set(pids)) == cpus   # one process per usable CPU
     assert run_tasks([]) == []
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 def test_the_first_failing_task_in_task_order_raises(cpus):
@@ -42,7 +43,7 @@ def test_the_first_failing_task_in_task_order_raises(cpus):
              partial(int, "3"), partial(fail, KeyError("fourth"))]
     with pytest.raises(ValueError, match="second"):
         run_tasks(tasks)
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 def test_an_error_here_stops_the_workers(monkeypatch):
@@ -52,7 +53,7 @@ def test_an_error_here_stops_the_workers(monkeypatch):
     with pytest.raises(KeyError):
         run_tasks([partial(fail, KeyError("here")), partial(time.sleep, 60)])
     assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
     assert os.sched_getaffinity(0) == mask
 
 
@@ -71,7 +72,28 @@ def test_a_worker_that_dies_is_an_error(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="exited with code 3"):
         run_tasks([partial(int, "0"), partial(os._exit, 3)])
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
+
+
+def test_a_message_cut_short_reads_as_none():
+    # as from a worker that died while it wrote its results
+    import numpy as np
+
+    reader, writer = os.pipe()
+    parallel._send(writer, {3: (True, np.arange(5.0))})
+    whole = os.read(reader, 1 << 16)
+    os.close(reader)
+    for cut in (0, 5, 8, 16, len(whole) - 1, len(whole)):
+        reader, writer = os.pipe()
+        os.write(writer, whole[:cut])
+        os.close(writer)
+        got = parallel._receive(reader)
+        os.close(reader)
+        if cut < len(whole):
+            assert got is None
+        else:
+            assert list(got) == [3] and got[3][0] is True
+            assert np.array_equal(got[3][1], np.arange(5.0))
 
 
 def test_one_cpu_while_another_thread_runs():
@@ -97,3 +119,30 @@ def test_importing_the_cli_does_not_load_multiprocessing():
          "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_cli_run_that_forks_workers_does_not_load_multiprocessing(
+        tmp_path):
+    # workers are forked with os.fork and answer through an os.pipe
+    from rolealign import generate_formation, sample_dataset
+    from rolealign.ingest import write_tracking_csv
+
+    ds, _ = sample_dataset(generate_formation(3, seed=5), 40, seed=5)
+    path = tmp_path / "in.csv"
+    write_tracking_csv(ds, path)
+    script = (
+        "import os, sys\n"
+        "from rolealign import cli, ingest, parallel\n"
+        "ingest.CSV_CHUNK_ROWS = 8\n"   # the parse runs in parts
+        "parallel.usable_cpus = lambda: 2\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+        f"code = cli.main(['discover', '--input', {str(path)!r}, '--k', "
+        f"'3', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, len(forks), "
+        "sorted(m for m in sys.modules if 'multiprocessing' in m))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 1 []"
