@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -53,14 +54,6 @@ class RunManifest:
         write_json(path, asdict(self))
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _parse_filter(expr):
     """EXPR like "team=home;period=1" with keys team, game, period."""
     out = {}
@@ -85,8 +78,10 @@ def _parse_filter(expr):
 
 
 def _load_and_prepare(args):
-    """Parse input, apply the metadata filter, and normalize."""
-    ds = parse_tracking(args.input, args.format)
+    """Parse input, apply the metadata filter, and normalize; with the
+    SHA-256 of the bytes parsed, read once."""
+    data = Path(args.input).read_bytes()
+    ds = parse_tracking(io.BytesIO(data), args.format)
     if getattr(args, "filter", None):
         clauses = _parse_filter(args.filter)
         try:
@@ -94,7 +89,8 @@ def _load_and_prepare(args):
         except EmptySelectionError:
             raise EmptySelectionError(
                 f"no frames match filter {args.filter!r}") from None
-    return center_normalize(normalize_attack_direction(ds))
+    return center_normalize(normalize_attack_direction(ds)), \
+        hashlib.sha256(data).hexdigest()
 
 
 def _config_dict(args, cfg=None):
@@ -116,7 +112,7 @@ def cmd_discover(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
-    full = _load_and_prepare(args)
+    full, digest = _load_and_prepare(args)
     timings["parse"] = time.perf_counter() - t0
 
     training = filter_key_frames(full) if args.key_frames_only else full
@@ -143,7 +139,7 @@ def cmd_discover(args) -> int:
     manifest = RunManifest(
         command="discover", version=__version__,
         config=_config_dict(args, cfg), input=args.input,
-        input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
+        input_sha256=digest, seed=args.seed, timings=timings,
         warnings=warnings_list, outputs=outputs,
         stats={"total_rows": full.n_frames * full.n_agents,
                "training_rows": training.n_frames * training.n_agents,
@@ -206,7 +202,7 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
-    full = _load_and_prepare(args)
+    full, digest = _load_and_prepare(args)
     timings["parse"] = time.perf_counter() - t0
 
     cfg = _make_config(args, full.n_agents)
@@ -261,7 +257,7 @@ def cmd_compare(args) -> int:
     manifest = RunManifest(
         command="compare", version=__version__,
         config=_config_dict(args, cfg), input=args.input,
-        input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
+        input_sha256=digest, seed=args.seed, timings=timings,
         outputs=["report.json", "wce_sweep.csv", "pca.csv", "emtrace.csv",
                  "hard_trace.csv"],
         stats={"delta_avg_loglik": report["delta_avg_loglik"],
@@ -368,7 +364,7 @@ def cmd_context(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
-    full = _load_and_prepare(args)
+    full, digest = _load_and_prepare(args)
     timings["parse"] = time.perf_counter() - t0
 
     # distinct (team, game, period) in order of first appearance, each
@@ -414,7 +410,7 @@ def cmd_context(args) -> int:
     manifest = RunManifest(
         command="context", version=__version__,
         config=_config_dict(args, cfg), input=args.input,
-        input_sha256=_sha256(args.input), seed=args.seed, timings=timings,
+        input_sha256=digest, seed=args.seed, timings=timings,
         outputs=outputs, stats={"n_contexts": len(names),
                                 "global": global_stats, "contexts": stats})
     manifest.save(out / "manifest.json")

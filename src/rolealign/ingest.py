@@ -32,11 +32,15 @@ a line and any other csv.reader error (before Python 3.11, a NUL
 character) raise a ParseError naming the line, as do a byte that is not
 UTF-8 and a leading byte-order mark.
 
-JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw inside
-a JSON string, and the CR of a CRLF is JSON whitespace.
+JSONL is read as bytes too.  A chunk of lines shaped as
+``write_tracking_jsonl`` writes them is read by one numpy scan and
+``int``/``float`` on the bytes of each number (``_writer_rows``); any
+other chunk is decoded and read by json.loads.  JSONL lines end at LF
+alone: U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and
+the CR of a CRLF is JSON whitespace.
 
-Quote-free CSV input and JSONL text of more than one chunk are cut at LF
-into parts read on every usable CPU (``_lf_parts``,
+Quote-free CSV input and JSONL input of more than one chunk are cut at
+LF into parts read on every usable CPU (``_lf_parts``,
 ``parallel.run_tasks``); the Dataset and every error are those of a
 serial read (see ``_parse_csv`` and ``_parse_jsonl``).  Parts send back
 numeric arrays: each row's line, frame id and coordinates, and codes into
@@ -302,20 +306,6 @@ def _utf8(data):
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
                          f"({exc.reason})",
                          data.count(b"\n", 0, exc.start) + 1) from None
-
-
-def _chunks(records, keep, size, line=1):
-    """(non-blank records, their line numbers) for ``size`` records at a
-    time, the first on ``line``; see ``_drop_blank`` for ``keep``."""
-    from itertools import islice
-
-    records = iter(records)
-    while chunk := list(islice(records, size)):
-        kept, lines = _drop_blank(chunk, np.arange(line, line + len(chunk)),
-                                  keep)
-        if kept:
-            yield kept, lines
-        line += len(chunk)
 
 
 def _drop_blank(recs, lines, keep=None):
@@ -649,18 +639,15 @@ def _reader_tokens(text, size):
             raise fault(error, int(lines[-1]))
 
 
-def _lf_parts(text, start, chunk_lines):
-    """(start, end) offsets that cut ``text[start:]`` (str or bytes) after
-    an LF into one part per usable CPU, but no more parts than it has
-    chunks of ``chunk_lines`` lines; a parser reads them with
+def _lf_parts(data, start, chunk_lines):
+    """(start, end) offsets that cut ``data[start:]`` after an LF into one
+    part per usable CPU, but no more parts than it has chunks of
+    ``chunk_lines`` lines; a parser reads them with
     ``parallel.run_tasks``."""
-    if isinstance(text, str):
-        lf, lines = "\n", text.count("\n", start) + 1
-    else:
-        lf, lines = b"\n", _count_lf(text, start, len(text)) + 1
+    lines = _count_lf(data, start, len(data)) + 1
     parts = min(parallel.usable_cpus(), -(-lines // chunk_lines))
-    ends = sorted({text.find(lf, start + (len(text) - start) * j // parts)
-                   + 1 or len(text) for j in range(1, parts)} | {len(text)})
+    ends = sorted({data.find(b"\n", start + (len(data) - start) * j // parts)
+                   + 1 or len(data) for j in range(1, parts)} | {len(data)})
     return list(zip([start, *ends[:-1]], ends))
 
 
@@ -905,68 +892,207 @@ def _per_agent(rows):
     return rows
 
 
-_scan_object = json.JSONDecoder().scan_once
+def _jsonl_blocks(data, start, end):
+    """(block, lf, line) for each JSONL_CHUNK_LINES lines of
+    ``data[start:end]``, which starts at a line's start: the lines' bytes
+    with an LF after a last line that lacks one; the offsets of the
+    block's LFs; and the number of its first line in ``data``.  LFs are
+    found 1 MiB at a time."""
+    if start >= end:
+        return
+    buf = np.frombuffer(data, np.uint8)
+    lf = np.concatenate([np.flatnonzero(buf[i:min(i + (1 << 20), end)] == 10)
+                         + i for i in range(start, end, 1 << 20)])
+    if data[end - 1] != 10:
+        lf = np.append(lf, end)
+    line = _count_lf(data, 0, start) + 1
+    for j in range(0, len(lf), JSONL_CHUNK_LINES):
+        at = lf[j:j + JSONL_CHUNK_LINES]
+        stop = int(at[-1])
+        yield b"".join((memoryview(data)[start:stop], b"\n")), \
+            at - start, line + j
+        start = stop + 1
 
 
-def _decode(line):
-    """``json.loads(line)``.  A line that is exactly one object, "{" to
-    "}", is read by the decoder's scanner alone, skipping json.loads'
-    whitespace handling; any other line, and any error, is json.loads'."""
-    if line.startswith("{") and line.endswith("}"):
-        try:
-            obj, end = _scan_object(line, 0)
-        except (json.JSONDecodeError, StopIteration):
-            pass
+# the structural JSON characters, 1 in a translate table
+_STRUCTURAL = bytes(b in b"{}[],:" for b in range(256))
+
+
+def _skeleton(n):
+    """The structural characters of a JSONL line of n agents up to the end
+    of its positions, as write_tracking_jsonl writes it, and the gap after
+    each but the last as [literal bytes, whether a number ("#") follows
+    them]."""
+    shape = ('{"frame_id": #, "positions": [' + ", ".join(["[#, #]"] * n)
+             + "]")
+    chars, gaps = "", []
+    for ch in shape:
+        if ch in "{}[],:":
+            chars += ch
+            gaps.append([b"", False])
+        elif ch == "#":
+            gaps[-1][1] = True
         else:
-            if end == len(line):
-                return obj
-    return json.loads(line)
+            gaps[-1][0] += ch.encode()
+    return np.frombuffer(chars.encode(), np.uint8), gaps[:-1]
 
 
-def _jsonl_part(text, start, end):
+def _json_numbers(buf, at, end):
+    """Whether each token ``buf[a:e]`` is a JSON number, given that it
+    holds no "_", ".e" or ".E" and that float() (or int()) reads it: it
+    starts with a digit, or "-" and a digit, has no leading zero and ends
+    with a digit.  float() also reads "+1", ".5", "1.", "01", " 1", "1_0",
+    "1.e5", "nan" and "inf"; these checks leave JSON's grammar alone."""
+    def digit(p):
+        return np.subtract(buf[p], 48, dtype=np.uint8) < 10
+
+    first = at + (buf[at] == 45)
+    return bool((digit(first) & digit(end - 1)
+                 & ((buf[first] != 48) | ~digit(first + 1))).all())
+
+
+def _writer_rows(block, lf, line):
+    """``_jsonl_rows`` of the lines of a block (see ``_jsonl_blocks``)
+    read from its bytes, or None unless every non-blank line starts as
+    ``write_tracking_jsonl`` writes it: up to the first "]]", which ends
+    its positions, exactly '{"frame_id": ' and an integer, then
+    ', "positions": [' and [x, y] numbers with json.dumps' separators.
+    The rest of a line, from the agent ids on, is read by json.loads once
+    per distinct value and must hold the other six keys of
+    ``JSONL_KEYS``, in order.  A coordinate is float() of its bytes, but
+    an integer zero ("-0") is +0.0, as json.loads reads it; a frame id is
+    int() of them."""
+    buf = np.frombuffer(block, np.uint8)
+    begin = np.concatenate(([0], lf[:-1] + 1))
+    end = lf - (buf[lf - 1] == 13)
+    kept = np.flatnonzero(end > begin)   # a blank line holds no frame
+    begin, end = begin[kept], end[kept]
+    pairs = np.flatnonzero((buf[:-1] == 93) & (buf[1:] == 93))
+    pair = np.searchsorted(pairs, begin)   # each line's first "]]"
+    if not len(kept) or (pair == len(pairs)).any() or \
+            (pairs[np.minimum(pair, len(pairs) - 1)] >= end).any():
+        return None
+    stop = pairs[pair]
+    # the lines' heads, from their start to their first "]]", in a row
+    head = b"".join(_fields(block, begin, stop + 2))
+    at = np.cumsum(stop + 2 - begin) - (stop + 2 - begin)   # head starts
+    buf = np.frombuffer(head, np.uint8)
+    s = np.flatnonzero(np.frombuffer(head.translate(_STRUCTURAL), bool))
+    count = np.diff(np.searchsorted(s, at), append=len(s))
+    n = (int(count[0]) - 5) // 4
+    if n < 1 or not (count == 4 * n + 5).all():
+        return None
+    chars, gaps = _skeleton(n)
+    s = s.reshape(len(kept), len(chars))
+    slot, offset, value = map(np.array, zip(*[
+        (j, k, b) for j, (text, _) in enumerate(gaps)
+        for k, b in enumerate(text)]))
+    width = np.array([len(text) for text, _ in gaps])
+    token = np.array([number for _, number in gaps])
+    size = np.diff(s, axis=1) - 1
+    first = s[:, :-1][:, token] + 1 + width[token]
+    last = s[:, 1:][:, token]
+    if not ((buf[s] == chars).all() and (s[:, 0] == at).all()
+            and (s[:, -1] == at + stop + 1 - begin).all()
+            and (buf[s[:, slot] + 1 + offset] == value).all()
+            and (size[:, ~token] == width[~token]).all()
+            and (size[:, token] > width[token]).all()
+            and _json_numbers(buf, first, last)):
+        return None
+    # the rest of each line, keyed by its bytes: its values are checked
+    # as json.loads and _jsonl_rows read them, once per distinct value
+    rest, which = _codes(_fields(block, stop + 2, end))
+    try:
+        objs = [json.loads("{" + r[1:].decode("utf-8", "surrogatepass"))
+                for r in rest if r[:1] == b","]
+    except json.JSONDecodeError:
+        return None
+    if len(objs) < len(rest) or \
+            any(list(obj) != list(JSONL_KEYS)[2:] for obj in objs):
+        return None   # a key of its own, or one missing, repeated or moved
+    distinct = _jsonl_rows([{"frame_id": 0, "positions": [[0, 0]] * n,
+                             **obj} for obj in objs], None)
+    if distinct is None:
+        return None
+    fids = _fields(head, first[:, 0], last[:, 0])
+    # each line's "x, y], [x, y" with the brackets deleted
+    coords = b", ".join(_fields(head, first[:, 1], last[:, -1])).translate(
+        None, b"[]")
+    # float() and int() read "1_0"; float() reads "1.e5" (a search for
+    # ".e" takes 0.7 ms a block, one for "e" next to nothing)
+    if b"_" in coords or b"_" in b"".join(fids) or (
+            b"e" in coords or b"E" in coords) and (
+            b".e" in coords or b".E" in coords):
+        return None
+    coords = coords.split(b", ")
+    try:
+        fid = np.fromiter(map(int, fids), np.int64, len(kept))
+        xy = np.fromiter(map(float, coords), float, len(coords))
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(xy).all():
+        return None
+    xy[(xy == 0) & (last[:, 1:] - first[:, 1:] == 2).ravel()] = 0.0  # "-0"
+    (table, label), (ids, agent) = distinct["labels"], distinct["agent"]
+    return {"line": line + kept, "frame_id": fid,
+            "labels": (table, label[which]),
+            "agents": np.full(len(kept), n), "xy": xy.reshape(-1, 2),
+            "agent": (ids, agent.reshape(-1, n)[which].ravel())}
+
+
+def _jsonl_part(data, start, end):
     """The ``_jsonl_rows`` columns (None for no frame) and sorted frame ids
-    of the JSONL lines in ``text[start:end]``, with their line numbers in
-    ``text``.  Raises the ParseError of its first bad line, a frame id
-    counting as repeated only within these lines."""
-    from operator import itemgetter
-
+    of the JSONL lines in ``data[start:end]``, with their line numbers in
+    ``data``.  A chunk is read from its bytes (``_writer_rows``) or else
+    decoded and read by json.loads.  Raises the ParseError of the first
+    bad line, a frame id counting as repeated only within these lines."""
     chunks, seen = [], np.empty(0, dtype=np.int64)   # sorted, so far
-    for raw, lines in _chunks(text[start:end].split("\n"), str.strip,
-                              JSONL_CHUNK_LINES,
-                              text.count("\n", 0, start) + 1):
-        try:
-            objs = list(map(_decode, raw))
-        except json.JSONDecodeError:
-            rows = None
-        else:
-            rows = _jsonl_rows(objs, lines)
-        if rows is not None:
-            ids = np.sort(np.concatenate([seen, np.fromiter(
-                map(itemgetter("frame_id"), objs), np.int64, len(objs))]),
-                kind="stable")
-        if rows is None or (ids[1:] == ids[:-1]).any():
-            earlier = set(seen.tolist())
-            _scan(lambda line, r: _check_jsonl_line(line, r, earlier), raw,
-                  lines)
+
+    def more(rows):
+        """The frame ids seen and those of ``rows``, sorted, or None when
+        one repeats (or ``rows`` is None)."""
+        if rows is None:
+            return None
+        ids = np.sort(np.concatenate([seen, rows["frame_id"]]), kind="stable")
+        return None if (ids[1:] == ids[:-1]).any() else ids
+
+    for block, lf, line in _jsonl_blocks(data, start, end):
+        rows = _writer_rows(block, lf, line)
+        ids = more(rows)
+        if ids is None:
+            raw, lines = _drop_blank(
+                block[:lf[-1]].decode("utf-8", "surrogatepass").split("\n"),
+                np.arange(line, line + len(lf)), str.strip)
+            if not raw:
+                continue
+            try:
+                rows = _jsonl_rows(list(map(json.loads, raw)), lines)
+            except json.JSONDecodeError:
+                rows = None
+            ids = more(rows)
+            if ids is None:
+                earlier = set(seen.tolist())
+                _scan(lambda line, r: _check_jsonl_line(line, r, earlier),
+                      raw, lines)
         seen = ids
         chunks.append(rows)
     return _merge_chunks(chunks), seen
 
 
-def _parse_jsonl(text):
-    """Text of two or more chunks of lines is cut at LF into parts
+def _parse_jsonl(data):
+    """JSONL bytes of two or more chunks of lines are cut at LF into parts
     (``_lf_parts``), each read like the whole.  When a part fails, or
-    repeats a frame id of another, the whole text is read in one part, so
+    repeats a frame id of another, the whole is read in one part, so
     errors and their lines are those of a serial read.  Parts send their
     frame labels once per frame; they are repeated per agent here."""
     from functools import partial
 
-    parts = _lf_parts(text, 0, JSONL_CHUNK_LINES)
+    parts = _lf_parts(data, 0, JSONL_CHUNK_LINES)
     try:
-        read = parallel.run_tasks([partial(_jsonl_part, text, a, b)
+        read = parallel.run_tasks([partial(_jsonl_part, data, a, b)
                                    for a, b in parts])
     except ParseError:
-        if len(parts) == 1:   # that part was the whole text
+        if len(parts) == 1:   # that part was the whole input
             raise
         read = None
     if read is not None:
@@ -975,7 +1101,7 @@ def _parse_jsonl(text):
         if (ids[1:] == ids[:-1]).any():
             read = None
     if read is None:
-        read = [_jsonl_part(text, 0, len(text))]
+        read = [_jsonl_part(data, 0, len(data))]
     rows = _merge_chunks([r for r, _ in read])
     if rows is None:
         raise ParseError("no frames")
@@ -992,7 +1118,11 @@ def parse_tracking(source, format: str = "csv") -> Dataset:
     if format == "csv":
         return _parse_csv(data)
     if format == "jsonl":
-        return _parse_jsonl(data if isinstance(data, str) else _utf8(data))
+        if isinstance(data, str):   # lone surrogates pass, as in json.loads
+            data = data.encode("utf-8", "surrogatepass")
+        elif not data.isascii():
+            _utf8(data)   # a byte that is not UTF-8 raises, naming its line
+        return _parse_jsonl(data)
     raise ValueError(f"unknown format {format!r}")
 
 

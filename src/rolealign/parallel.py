@@ -1,13 +1,16 @@
 """Independent tasks on every CPU this process may use.
 
 ``run_tasks`` runs its first task in this process while forked worker
-processes run the others.  A worker inherits what its tasks read (a parsed
-dataset, the input text) through fork, so nothing is pickled on the way
-in; only each task's result, or its exception, is pickled back through a
-pipe.  Where fork is unavailable or unsafe (anywhere but Linux, or in a
-process running a second Python thread, which a fork would leave holding
-whatever locks it held), and where one CPU is usable, every task runs in
-this process, in order.
+processes start on the others; from then on each process, this one
+included, claims the next unclaimed task whenever it is free, so a long
+first task does not leave the workers a fixed share.  A worker inherits
+what its tasks read (a parsed dataset, the input bytes) through fork, so
+nothing is pickled on the way in; only each task's result, or its
+exception, is pickled back through a pipe.  Where fork is unavailable
+or unsafe (anywhere but Linux, or in a process running a second Python
+thread, which a fork would leave holding whatever locks it held), where
+one CPU is usable, and for more than 1025 tasks (``QUEUE_BYTES``), every
+task runs in this process, in order.
 
 Each process is pinned to its own CPU while the tasks run.  Left to the
 scheduler, a forked worker stayed on its parent's CPU in 8 of 20 trials on
@@ -30,6 +33,12 @@ import sys
 import threading
 
 
+# the task indices a pipe is sure to hold before any is read: one page,
+# the least a Linux pipe holds (64 KiB unless the user's pipes exceed
+# their limit)
+QUEUE_BYTES = 4096
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask); 1 where workers
     are not forked: anywhere but Linux, and while another thread runs."""
@@ -38,16 +47,29 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _work(tasks, share, cpu):
-    """Worker body, on CPU ``cpu``: for i in ``share``, (True, tasks[i]())
-    or (False, the exception it raised)."""
-    os.sched_setaffinity(0, {cpu})
+def _claim(queue):
+    """The index of the next unclaimed task in the pipe ``queue``, or None
+    once it is empty.  Every index is written before the first is claimed
+    and a read of at most PIPE_BUF bytes is atomic, so each index goes to
+    exactly one reader."""
+    record = os.read(queue, 4)
+    return int.from_bytes(record, "little") if record else None
+
+
+def _work(tasks, queue):
+    """For each task index claimed from ``queue`` until it is empty, (True,
+    its result) or (False, the exception it raised).  After a failure the
+    rest of the queue is emptied unclaimed: every task before it was
+    claimed already, and no later one can change which error is
+    raised."""
     outcomes = {}
-    for i in share:
+    while (i := _claim(queue)) is not None:
         try:
             outcomes[i] = True, tasks[i]()
         except Exception as exc:   # noqa: BLE001 - raised by the parent
             outcomes[i] = False, exc
+            while os.read(queue, 1 << 16):
+                pass
     return outcomes
 
 
@@ -86,11 +108,12 @@ def _receive(fd):
     return pickle.loads(parts[0], buffers=parts[1:])
 
 
-def _start(tasks, share, cpu):
-    """A forked worker running ``share`` of ``tasks`` on CPU ``cpu``: its
-    pid and the read end of its result pipe.  The worker holds the only
-    write end, so the parent reads EOF once it has exited; it exits with
-    code 1, its traceback on stderr, when it cannot send its outcomes."""
+def _start(tasks, queue, cpu):
+    """A forked worker, on CPU ``cpu``, running the ``tasks`` it claims from
+    ``queue``: its pid and the read end of its result pipe.  The worker
+    holds the only write end, so the parent reads EOF once it has exited;
+    it exits with code 1, its traceback on stderr, when it cannot send its
+    outcomes."""
     reader, writer = os.pipe()
     sys.stdout.flush()   # or the worker would write the buffers out again
     sys.stderr.flush()
@@ -101,7 +124,8 @@ def _start(tasks, share, cpu):
     code = 1
     try:
         os.close(reader)
-        _send(writer, _work(tasks, share, cpu))
+        os.sched_setaffinity(0, {cpu})
+        _send(writer, _work(tasks, queue))
         code = 0
     except Exception:   # noqa: BLE001 - the worker's boundary
         import traceback
@@ -119,36 +143,50 @@ def _exit_code(pid):
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+def _queue(n):
+    """The read end of a pipe holding the task indices 1 to n - 1, each in
+    4 bytes, its write end closed.  At most ``QUEUE_BYTES`` are written,
+    so the write never waits for a reader."""
+    reader, writer = os.pipe()
+    with os.fdopen(writer, "wb") as pipe:
+        pipe.write(struct.pack(f"<{n - 1}I", *range(1, n)))
+    return reader
+
+
 def run_tasks(tasks) -> list:
     """``[task() for task in tasks]``, the tasks spread over W processes.
 
-    W is ``usable_cpus()`` capped by the number of tasks.  This process
-    runs the first task while W - 1 forked workers run the rest, worker j
-    (from 1) the tasks j, j + W - 1, j + 2 (W - 1), ...; with W = 1 this
-    process runs every task.  While they run, this process and each worker
-    keep to one CPU of this process's affinity mask, a different one each
-    while the mask has enough; the mask is restored on return.  Tasks are
-    called without arguments and must not depend on each other's side
-    effects.  If any task raises, the exception of the first such task in
-    task order is raised here, once every worker has exited.
+    W is ``usable_cpus()`` capped by the number of tasks, and 1 for more
+    than 1025 tasks (their indices would not fit the queue).  This process
+    runs the first task while W - 1 forked workers claim the others, one
+    at a time and in task order; once its first task is done, this
+    process claims tasks too.  So the work is shared by demand: which
+    process runs which task depends on how long each takes.  With W = 1
+    this process runs every task.  While they run, this process and each
+    worker keep to one CPU of this process's affinity mask, a different
+    one each while the mask has enough; the mask is restored on return.
+    Tasks are called without arguments and must not depend on each
+    other's side effects.  If any task raises, the exception of the first
+    such task in task order is raised here, once every worker has exited.
     """
     tasks = list(tasks)
     n = len(tasks)
     w = min(usable_cpus(), n)
-    results, outcomes, workers, waiting = [None] * n, {}, [], []
+    if w < 2 or 4 * (n - 1) > QUEUE_BYTES:
+        return [task() for task in tasks]
+    queue = _queue(n)
+    results, workers, waiting = [None] * n, [], []
     exited = {}   # worker pid: exit code, once waited for
-    cpus = sorted(os.sched_getaffinity(0)) if w > 1 else []
+    cpus = sorted(os.sched_getaffinity(0))
     try:
-        if cpus:
-            os.sched_setaffinity(0, cpus[:1])
+        os.sched_setaffinity(0, cpus[:1])
         for j in range(1, w):
-            workers.append(_start(tasks, range(j, n, w - 1),
-                                  cpus[j % len(cpus)]))
+            workers.append(_start(tasks, queue, cpus[j % len(cpus)]))
             waiting.append(workers[-1])
-        # this process's tasks come first in task order, so an exception
-        # of theirs is the one to raise, and the workers are stopped
-        for i in range(n) if w < 2 else (0,):
-            results[i] = tasks[i]()
+        # the first task in task order: its exception is the one to raise,
+        # and the workers are stopped
+        results[0] = tasks[0]()
+        outcomes = _work(tasks, queue)
         while waiting:
             pid, reader = waiting.pop(0)
             received = _receive(reader)
@@ -159,6 +197,7 @@ def run_tasks(tasks) -> list:
                                    f"results")
             outcomes.update(received)
     finally:
+        os.close(queue)
         if waiting:
             import signal
 
@@ -168,8 +207,7 @@ def run_tasks(tasks) -> list:
             os.close(reader)   # a worker still writing now fails and exits
             if pid not in exited:
                 exited[pid] = _exit_code(pid)
-        if cpus:
-            os.sched_setaffinity(0, cpus)
+        os.sched_setaffinity(0, cpus)
     for i in sorted(outcomes):
         ok, results[i] = outcomes[i]
         if not ok:

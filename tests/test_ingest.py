@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from dataclasses import replace
 from functools import partial
 
@@ -927,6 +928,215 @@ def test_jsonl_chunks_join_seamlessly(monkeypatch):
                 parse_tracking(io.StringIO("\n".join(bad) + "\n"),
                                format="jsonl")
             assert exc.value.line == 10
+
+
+# the JSONL byte path (``_writer_rows``) against json.loads
+
+
+def outcome(text):
+    """The Dataset read from JSONL text, as comparable values, or the
+    ParseError's message and line."""
+    try:
+        ds = parse_tracking(io.StringIO(text), format="jsonl")
+    except ParseError as exc:
+        return str(exc), exc.line
+    return (ds.positions.tobytes(), ds.positions.shape, ds.agent_table,
+            ds.agent_codes.tobytes(), ds.frame_id.tobytes(),
+            ds.is_event.tobytes(), ds.right_to_left.tobytes(),
+            ds.team.tolist(), ds.game.tolist(), ds.period.tobytes())
+
+
+def byte_and_json_paths(text):
+    """``outcome`` of the text read as it is, then with every chunk read by
+    json.loads, and whether the byte path read every chunk."""
+    from unittest import mock
+
+    data = text.encode("utf-8", "surrogatepass")
+    read = all(ingest._writer_rows(*block) is not None
+               for block in ingest._jsonl_blocks(data, 0, len(data)))
+    by_bytes = outcome(text)
+    with mock.patch.object(ingest, "_writer_rows", lambda *a: None):
+        by_json = outcome(text)
+    return by_bytes, by_json, read
+
+
+def writer_line(fid, points, ids, event=False, direction="LR", team="",
+                game="", period=1):
+    return json.dumps({"frame_id": fid, "positions": points,
+                       "agent_ids": ids, "is_event": event,
+                       "attack_direction": direction, "team": team,
+                       "game": game, "period": period})
+
+
+# strings that hold the structural characters and spaces
+LABELS = ["", "home", "a, b", "x]y", "k: v", "{t}", " s p ", "[", "\u00e9"]
+COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+                     -1e+16, 1.5e-7]),
+    st.integers(-10 ** 20, 10 ** 20))
+# replacements for a number token: each reads differently, or not at all,
+# under float() and json.loads
+TOKENS = ["-0", "0", "1_0", "01", "-01", "1.", ".5", "-.5", "+1", "1.e5",
+          "1E5", "1e+5", "NaN", "Infinity", "-Infinity", "1e999", " 1",
+          "1 ", "1 2", '"1"', "true", "null", "0x1", "9" * 25, "-0.0",
+          "1e-400", "99999999999999999999"]
+
+
+@st.composite
+def writer_jsonl(draw):
+    """JSONL text as write_tracking_jsonl writes it (with any JSON numbers
+    as coordinates), then at most one mutation."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from(["p0", "p1", "a b", "c,d", "]",
+                                         "e:f", "{", "p\u00e9"]),
+                        min_size=n, max_size=n, unique=True))
+    fids = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                         max_size=5, unique=True))
+    lines = [writer_line(fid, [[draw(COORDS), draw(COORDS)]
+                               for _ in range(n)], ids,
+                         draw(st.booleans()), rnd.choice(["LR", "RL"]),
+                         rnd.choice(LABELS), rnd.choice(LABELS),
+                         draw(st.integers(-3, 3)))
+             for fid in fids]
+    kind = draw(st.sampled_from(["none", "char", "char", "token", "token",
+                                 "line"]))
+    i = rnd.randrange(len(lines))
+    if kind == "char":   # one character replaced, inserted or deleted
+        at = rnd.randrange(len(lines[i]) + 1)
+        ch = rnd.choice(list('" \\,][:{}-+.e_0123x\t\r\u00e9'))
+        lines[i] = lines[i][:at] + rnd.choice(["", ch]) + \
+            lines[i][at + rnd.choice([0, 1]):]
+    elif kind == "token":   # one number replaced
+        import re
+
+        spans = [m.span() for m in re.finditer(r"-?[0-9][-+.eE0-9]*",
+                                               lines[i])]
+        a, b = rnd.choice(spans)
+        lines[i] = lines[i][:a] + rnd.choice(TOKENS) + lines[i][b:]
+    elif kind == "line":
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(
+            ["", " ", "\r", lines[i]]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol * draw(st.integers(0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(writer_jsonl(), st.sampled_from([1, 2, 1 << 11]),
+       st.sampled_from([1, 3]))
+def test_the_jsonl_byte_path_reads_what_json_loads_reads(text, chunk_lines,
+                                                         cpus):
+    from unittest import mock
+
+    with mock.patch.object(ingest, "JSONL_CHUNK_LINES", chunk_lines), \
+            mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+        by_bytes, by_json, _ = byte_and_json_paths(text)
+    assert by_bytes == by_json
+
+
+def test_the_jsonl_byte_path_reads_writer_output():
+    rng = np.random.default_rng(19)
+    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)) * 50,
+                    agent_ids=("p2", "p0", "p1"), team="home, away",
+                    game="g]1", period=2) for i in range(5)]
+    buf = io.StringIO()
+    write_tracking_jsonl(Dataset.from_frames(frames), buf)
+    by_bytes, by_json, read = byte_and_json_paths(buf.getvalue())
+    assert read and by_bytes == by_json
+
+
+@pytest.mark.parametrize("token,read", [
+    ("-0", True), ("1e+16", True), ("5e-324", True), ("12", True),
+    ("-0.0", True), ("1E5", True), ("0e0", True),
+    ("1_0", False), ("01", False), ("1.", False), (".5", False),
+    ("+1", False), ("NaN", False), ("Infinity", False), ("1e999", False),
+    ("1.e5", False), ("1.E5", False), ("-01", False), ("- 1", False)])
+def test_jsonl_number_tokens(token, read, monkeypatch):
+    text = "\n".join([writer_line(0, [[1.5, 2.5]], ["p0"]),
+                      writer_line(1, [[float(token) if read else 0.0, 7.0]],
+                                  ["p0"]).replace(
+                          '"positions": [[' + repr(float(token) if read
+                                                   else 0.0),
+                          '"positions": [[' + token)]) + "\n"
+    assert token in text
+    for _ in jsonl_reads(monkeypatch):
+        by_bytes, by_json, byte_read = byte_and_json_paths(text)
+        assert by_bytes == by_json and byte_read == read
+    if token == "-0":   # the int 0, as json.loads reads it: +0.0
+        ds = parse_tracking(io.StringIO(text), format="jsonl")
+        assert np.signbit(ds.positions[1, 0, 0]) == np.False_
+
+
+def utf16_rests(text):
+    import re
+
+    return re.sub(r"\]\],( .*)", lambda m: "]],\0" + m.group(1).encode(
+        "utf-16-le").decode("ascii"), text)
+
+
+@pytest.mark.parametrize("edit,read", [
+    # frame ids: int64's range, and JSON integers only
+    (lambda t: t.replace('"frame_id": 1,',
+                         '"frame_id": 9223372036854775808,'), False),
+    (lambda t: t.replace('"frame_id": 1,',
+                         '"frame_id": -9223372036854775808,'), True),
+    (lambda t: t.replace('"frame_id": 1,', '"frame_id": 1.0,'), False),
+    (lambda t: t.replace('"frame_id": 1,', '"frame_id": 01,'), False),
+    (lambda t: t.replace('"frame_id": 1,', '"frame_id": 1_0,'), False),
+    (lambda t: t.replace('"frame_id": 1,', '"frame_id": -0,'), True),
+    # keys swapped, repeated or spaced otherwise; after the positions,
+    # what json.loads reads the same as the whole line is read
+    (lambda t: t.replace('"team": "home", "game": "g1"',
+                         '"game": "g1", "team": "home"'), False),
+    (lambda t: t.replace('"team": "home"', '"frame_id": 7'), False),
+    (lambda t: t.replace('"team": "home"', '"team": "home", "team": "x"'),
+     True),
+    (lambda t: t.replace('"frame_id": 1, "positions"',
+                         '"positions": [[0, 0]], "frame_id": 1, '
+                         '"positions"'), False),
+    (lambda t: t.replace('"period": 1}', '"period": 1, "period": 2}'),
+     True),
+    (lambda t: t.replace('{"frame_id": 1', '{ "frame_id": 1'), False),
+    (lambda t: t.replace('[[1.5, 2.5]]', '[[1.5,2.5]]'), False),
+    (lambda t: t.replace('[[1.5, 2.5]]', '[1.5, 2.5]'), False),   # no "]]"
+    (lambda t: t.replace('[[1.5, 2.5]]', '[[1.5, 2.5], [3, 4]]'), False),
+    (lambda t: t.replace('"team": "home"', '"team":  "home"'), True),
+    (lambda t: t.replace('"period": 1}', '"period": 1} '), True),
+    (lambda t: t.replace(']], "agent', ']] , "agent'), False),
+    (lambda t: t.replace('"p0"]', '"p0" ]'), True),
+    # escaped and non-ASCII ids, CRLF line ends
+    (lambda t: t.replace('"p0"', '"p\\u0030"'), True),
+    (lambda t: t.replace('"p0"', '"p\u00e9"'), True),
+    (lambda t: t.replace('"frame_id": 1,', '"frame_id": \u0661,'), False),
+    (lambda t: t.replace("\n", "\r\n"), True),
+    (lambda t: t.replace("\n", "\r"), False),
+    # labels of the wrong type, and agent ids that do not match
+    (lambda t: t.replace('"is_event": false', '"is_event": 0'), False),
+    (lambda t: t.replace('"period": 1}', '"period": 1.0}'), False),
+    (lambda t: t.replace('"period": 1}', '"period": 9223372036854775808}'),
+     False),
+    (lambda t: t.replace('"attack_direction": "LR"',
+                         '"attack_direction": "lr"'), False),
+    (lambda t: t.replace('["p0"]', '["p0", "p1"]'), False),
+    (lambda t: t.replace('["p0"]', '[7]'), False),
+    # the rest after "]]," as UTF-16-LE (a NUL after each character) past
+    # a NUL: not JSON in UTF-8, though "{" and it are JSON in UTF-16-LE
+    (lambda t: utf16_rests(t), False),
+])
+def test_jsonl_lines_the_byte_path_reads_or_leaves(edit, read, monkeypatch):
+    good = "\n".join([writer_line(0, [[0.5, 0.25]], ["p0"], team="home",
+                                  game="g1"),
+                      writer_line(1, [[1.5, 2.5]], ["p0"], team="home",
+                                  game="g1")]) + "\n"
+    text = edit(good)
+    assert text != good
+    for _ in jsonl_reads(monkeypatch):
+        by_bytes, by_json, byte_read = byte_and_json_paths(text)
+        assert by_bytes == by_json and byte_read == read
+    if "u0030" in text:   # "p\u0030" is "p0"
+        assert parse_tracking(io.StringIO(text),
+                              format="jsonl").agent_table == ("p0",)
 
 
 # properties

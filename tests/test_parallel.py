@@ -1,6 +1,7 @@
 """run_tasks: results in task order, errors raised here, no worker left."""
 
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -28,13 +29,83 @@ def fail(exc):
     raise exc
 
 
-def test_results_come_back_in_task_order(cpus):
+def slow(seconds, fn, *args):
+    time.sleep(seconds)
+    return fn(*args)
+
+
+def test_results_come_back_in_task_order(cpus, monkeypatch):
     assert run_tasks([partial(pow, i, 2) for i in range(7)]) == \
         [i * i for i in range(7)]
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     pids = run_tasks([os.getpid] * 5)
     assert pids[0] == os.getpid()   # the first task runs here
-    assert len(set(pids)) == cpus   # one process per usable CPU
+    assert len(forks) == cpus - 1   # one process per usable CPU
+    assert len(set(pids)) <= cpus   # each task in one of them
     assert run_tasks([]) == []
+    assert no_child_process()
+
+
+def after_a_task_here(parent, reader, writer):
+    """This process's pid.  Here it first marks the pipe readable; in a
+    worker it waits (up to 10 s) until a task has run here."""
+    if os.getpid() == parent:
+        os.write(writer, b"x")
+    else:
+        select.select([reader], [], [], 10)
+    return os.getpid()
+
+
+def test_a_process_that_is_free_claims_the_next_task(monkeypatch):
+    # a fast first task leaves this process to run more than one task,
+    # rather than a fixed share of the others going to the worker: the
+    # worker holds one task at a time until this process has run one
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    reader, writer = os.pipe()
+    try:
+        pids = run_tasks([os.getpid] + [partial(
+            after_a_task_here, os.getpid(), reader, writer)] * 4)
+    finally:
+        os.close(reader)
+        os.close(writer)
+    assert pids[0] == os.getpid()
+    assert pids.count(os.getpid()) > 1
+    assert no_child_process()
+
+
+def logged(fd, i):
+    os.write(fd, i.to_bytes(4, "little"))   # appended at once
+    return i
+
+
+def test_every_task_is_claimed_exactly_once(monkeypatch, tmp_path):
+    # more processes than CPUs and as many tasks as the queue holds: a
+    # claim lost or made twice would leave an index out of the log or
+    # write it twice
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 5)
+    n = parallel.QUEUE_BYTES // 4 + 1
+    fd = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        start = time.perf_counter()
+        assert run_tasks([partial(logged, fd, i) for i in range(n)]) == \
+            list(range(n))
+        assert time.perf_counter() - start < 60
+    finally:
+        os.close(fd)
+    log = (tmp_path / "log").read_bytes()
+    assert sorted(int.from_bytes(log[k:k + 4], "little")
+                  for k in range(0, len(log), 4)) == list(range(n))
+    assert no_child_process()
+
+
+def test_more_tasks_than_the_queue_holds_run_here(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    n = parallel.QUEUE_BYTES // 4 + 2
+    assert run_tasks([os.getpid] * n) == [os.getpid()] * n
+    assert not forks
     assert no_child_process()
 
 
@@ -59,19 +130,37 @@ def test_an_error_here_stops_the_workers(monkeypatch):
 
 def test_each_process_keeps_to_one_cpu_while_the_tasks_run(cpus):
     mask = os.sched_getaffinity(0)
-    seen = run_tasks([partial(os.sched_getaffinity, 0)] * 4)
+    seen = run_tasks([partial(slow, 0.05, lambda: (
+        os.getpid(), frozenset(os.sched_getaffinity(0))))] * 6)
     assert os.sched_getaffinity(0) == mask   # restored here
     if cpus == 1:
-        assert seen == [mask] * 4
-    else:   # worker 1 runs tasks 1 and 3; CPUs are reused past the mask
+        assert seen == [(os.getpid(), mask)] * 6
+    else:   # process j on CPU j; CPUs are reused past the mask
         order = sorted(mask)
-        assert seen == [{order[j % len(order)]} for j in (0, 1, 2, 1)]
+        assert seen[0] == (os.getpid(), {order[0]})
+        assert len(dict(seen)) == len(set(seen))   # one CPU per process
+        assert {cpu for _, cpu in seen} <= \
+            {frozenset({order[j % len(order)]}) for j in range(cpus)}
+
+
+def exit_in_a_worker(parent, writer, code):
+    if os.getpid() != parent:   # never end the test's own process
+        os.write(writer, b"x")
+        os._exit(code)
 
 
 def test_a_worker_that_dies_is_an_error(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        run_tasks([partial(int, "0"), partial(os._exit, 3)])
+    # this process's first task waits (up to 10 s) until the worker has
+    # claimed the second, which ends the worker
+    reader, writer = os.pipe()
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_tasks([partial(select.select, [reader], [], [], 10),
+                       partial(exit_in_a_worker, os.getpid(), writer, 3)])
+    finally:
+        os.close(reader)
+        os.close(writer)
     assert no_child_process()
 
 
