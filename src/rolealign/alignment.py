@@ -116,7 +116,8 @@ class AlignedDataset:
     whose mapping the row-argmin certificate settled without a solve, and
     ``n_tied`` the solved frames with more than one optimum, whose mapping
     was refined lexicographically from the lockstep duals.  ``totals[s]``
-    is the total cost of frame s's mapping.
+    is the total cost of frame s's mapping.  Arrays are stored read-only,
+    uncopied, as in a Dataset.
     """
 
     matrix: np.ndarray
@@ -129,7 +130,7 @@ class AlignedDataset:
     def __post_init__(self):
         for name, dtype in (("matrix", float), ("mappings", int),
                             ("frame_id", np.int64), ("totals", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
+            value = np.asarray(getattr(self, name), dtype=dtype).view()
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -98,43 +98,18 @@ class EmptySelectionError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
-    """Positions of all agents at one instant, plus frame-level labels."""
+    """One frame of a Dataset as a record: its agents' positions (a
+    read-only view of the Dataset's), their ids and the frame's labels.
+    Only ``Dataset.frames`` builds one; it checks nothing."""
 
     frame_id: int
     positions: np.ndarray
     agent_ids: tuple
-    is_event: bool = False
-    attack_direction: str = LEFT_TO_RIGHT
-    team: str = ""
-    game: str = ""
-    period: int = 1
-
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValueError(f"positions must be (N, 2), got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError(f"frame {self.frame_id}: non-finite position")
-        for agent in self.agent_ids:
-            if not isinstance(agent, str):
-                raise ValueError(f"frame {self.frame_id}: agent ids must be "
-                                 f"strings, got {agent!r}")
-        ids = tuple(map(str, self.agent_ids))   # plain str, not np.str_
-        if len(ids) != pos.shape[0]:
-            raise ValueError(f"frame {self.frame_id}: {len(ids)} agent ids "
-                             f"for {pos.shape[0]} positions")
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"frame {self.frame_id}: duplicate agent ids")
-        if self.attack_direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
-            raise ValueError(f"frame {self.frame_id}: bad attack_direction "
-                             f"{self.attack_direction!r}")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "agent_ids", ids)
-
-    @property
-    def n_agents(self):
-        return self.positions.shape[0]
+    is_event: bool
+    attack_direction: str
+    team: str
+    game: str
+    period: int
 
 
 def _codes(values):
@@ -164,9 +139,11 @@ LABELS = (("frame_id", np.int64, None), ("is_event", bool, False),
 class Dataset:
     """S frames of N agents each, held column by column.
 
-    ``positions[s, i]`` belongs to agent ``agent_table[agent_codes[s, i]]``;
-    the table is sorted, so code order is id order.  Each label holds one
-    value per frame (team and game as object arrays of str, the attack
+    ``positions[s, i]`` belongs to agent ``agent_table[agent_codes[s, i]]``.
+    The table holds str ids in strictly increasing order, so code order is
+    id order, and each frame's codes index into it without a repeat; a
+    ValueError names the first frame that breaks this.  Each label holds
+    one value per frame (team and game as object arrays of str, the attack
     direction as ``right_to_left``); one value, or one agent-code row, is
     broadcast to every frame.  Arrays are stored read-only, uncopied.
     """
@@ -194,35 +171,38 @@ class Dataset:
             value = default if value is None else value
             columns[name] = np.broadcast_to(np.asarray(value, dtype=dtype),
                                             pos.shape[:1])
+        fid, table = columns["frame_id"], tuple(self.agent_table)
         bad = ~np.isfinite(pos).all(axis=(1, 2))
         if bad.any():
-            raise ValueError(f"frame {columns['frame_id'][bad.argmax()]}: "
-                             f"non-finite position")
+            raise ValueError(f"frame {fid[bad.argmax()]}: non-finite position")
+        # each frame's codes in order (a broadcast row once): the first and
+        # last must be in the table, and no two neighbours equal
+        codes = columns["agent_codes"]
+        ranked = np.sort(codes[:1] if codes.strides[0] == 0 else codes, axis=1)
+        outside = ((ranked[:, :1] < 0)
+                   | (ranked[:, -1:] >= len(table))).any(axis=1)
+        repeat = ranked[:, 1:] == ranked[:, :-1]
+        if outside.any() or repeat.any():
+            s = (outside | repeat.any(axis=1)).argmax()
+            code = ranked[s, 0] if ranked[s, 0] < 0 else ranked[s, -1]
+            raise ValueError(f"frame {fid[s]}: " + (
+                f"agent code {code} is not in the table of {len(table)} ids"
+                if outside[s] else "duplicate agent ids"))
+        for code, agent in enumerate(table):
+            if not isinstance(agent, str):
+                bad = (ranked == code).any(axis=1)
+                where = f"frame {fid[bad.argmax()]}: " if bad.any() else ""
+                raise ValueError(f"{where}agent ids must be strings, got "
+                                 f"{agent!r}")
+        if any(a >= b for a, b in zip(table, table[1:])):
+            raise ValueError(f"agent table {table!r} is not strictly "
+                             f"increasing")
         for name, value in columns.items():
             value = value.view()
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "agent_table", tuple(self.agent_table))
-
-    @classmethod
-    def from_frames(cls, frames) -> "Dataset":
-        """Build the columns from Frame records, keeping their order."""
-        frames = tuple(frames)
-        if not frames:
-            raise ValueError("Dataset needs at least one frame")
-        n = frames[0].n_agents
-        for f in frames:
-            if f.n_agents != n:
-                raise ValueError(f"frame {f.frame_id} has {f.n_agents} "
-                                 f"agents, expected {n}")
-        table, codes = _codes([a for f in frames for a in f.agent_ids])
-        labels = {name: [getattr(f, name) for f in frames]
-                  for name, _, _ in LABELS if name != "right_to_left"}
-        return cls(positions=np.stack([f.positions for f in frames]),
-                   agent_codes=codes.reshape(len(frames), n),
-                   agent_table=table,
-                   right_to_left=[f.attack_direction == RIGHT_TO_LEFT
-                                  for f in frames], **labels)
+        # plain str, not np.str_
+        object.__setattr__(self, "agent_table", tuple(map(str, table)))
 
     @property
     def n_frames(self):
@@ -239,24 +219,23 @@ class Dataset:
 
     @property
     def frames(self) -> tuple:
-        """The frames as Frame records, built on each access (for building
-        and inspecting; no hot path reads it)."""
-        return tuple(map(self.frame, range(self.n_frames)))
-
-    def frame(self, s) -> Frame:
-        """Frame s as a Frame record."""
-        return Frame(frame_id=int(self.frame_id[s]),
-                     positions=self.positions[s],
-                     agent_ids=tuple(map(self.agent_table.__getitem__,
-                                         self.agent_codes[s].tolist())),
-                     is_event=bool(self.is_event[s]),
-                     attack_direction=RIGHT_TO_LEFT if self.right_to_left[s]
-                     else LEFT_TO_RIGHT, team=self.team[s],
-                     game=self.game[s], period=int(self.period[s]))
+        """The frames as Frame records, built on each access.  No program
+        path reads them; kept only for the benchmark's workload builder
+        (``perfbench/workloads.py:_sample``)."""
+        return tuple(
+            Frame(int(fid), pos,
+                  tuple(map(self.agent_table.__getitem__, row.tolist())),
+                  bool(event), RIGHT_TO_LEFT if rtl else LEFT_TO_RIGHT, team,
+                  game, int(period))
+            for fid, pos, row, event, rtl, team, game, period in zip(
+                self.frame_id, self.positions, self.agent_codes,
+                self.is_event, self.right_to_left, self.team, self.game,
+                self.period))
 
     def stacked(self) -> np.ndarray:
         """``positions``, under the name the benchmark's workload builder
-        (``perfbench/workloads.py``) still calls; read ``positions``."""
+        (``perfbench/workloads.py:_sample``) calls; kept only for it, so
+        read ``positions``."""
         return self.positions
 
     def take(self, rows) -> "Dataset":

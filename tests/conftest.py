@@ -3,7 +3,20 @@ import io
 import numpy as np
 import pytest
 
-from rolealign import generate_formation, sample_dataset
+from rolealign import Dataset, generate_formation, sample_dataset
+
+
+def make_dataset(positions, agent_ids, **labels):
+    """A Dataset from (S, N, 2) positions and agent ids, one row for every
+    frame or one row per frame, keeping each frame's agent order as given.
+    ``labels`` are Dataset label columns; ``frame_id`` defaults to 0..S-1.
+    """
+    pos = np.asarray(positions, dtype=float)
+    ids = np.array(agent_ids, dtype=object)
+    table, codes = np.unique(ids, return_inverse=True)
+    labels.setdefault("frame_id", np.arange(len(pos)))
+    return Dataset(positions=pos, agent_codes=codes.reshape(ids.shape),
+                   agent_table=tuple(table), **labels)
 
 
 @pytest.fixture(scope="session")

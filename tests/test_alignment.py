@@ -16,8 +16,9 @@ from rolealign.alignment import (
 )
 from rolealign.discovery import DiscoveryConfig, Formation
 from rolealign.geometry import LOG_2PI, Gaussian2D
-from rolealign.ingest import Dataset, Frame
 from rolealign.synth import recovery_score, sample_dataset, generate_formation
+
+from conftest import make_dataset
 
 
 def gauss(mx, my, weight, cov=None):
@@ -115,14 +116,12 @@ def shuffled_frames(template, s, noise, seed):
     """Frames whose agents sit near role means but in a per-frame order."""
     rng = np.random.default_rng(seed)
     k = template.k
-    frames, perms = [], []
+    positions, perms = [], []
     for i in range(s):
         perm = rng.permutation(k)
-        pos = template.means[perm] + rng.normal(0, noise, (k, 2))
-        frames.append(Frame(frame_id=i, positions=pos,
-                            agent_ids=[f"a{j}" for j in range(k)]))
+        positions.append(template.means[perm] + rng.normal(0, noise, (k, 2)))
         perms.append(perm)
-    return Dataset.from_frames(tuple(frames)), perms
+    return make_dataset(positions, [f"a{j}" for j in range(k)]), perms
 
 
 def test_assign_roles_recovers_shuffles():
@@ -138,8 +137,7 @@ def test_assign_roles_recovers_shuffles():
 def test_assign_roles_weight_term_flips_a_tie():
     # the point is nearer role 0, but role 0's prior is tiny
     t = Template(roles=(gauss(-1, 0, 0.001), gauss(1, 0, 0.999)))
-    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[-0.2, 0.0]],
-                                    agent_ids=("a",)),))
+    ds = make_dataset([[[-0.2, 0.0]]], ("a",))
     with_w = assign_roles(ds, t, include_weights=True)
     without = assign_roles(ds, t, include_weights=False)
     assert with_w.mappings[0, 0] == 1
@@ -148,8 +146,7 @@ def test_assign_roles_weight_term_flips_a_tie():
 
 def test_assign_roles_nan_for_unfilled_slots():
     t = square_template()
-    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[-3.0, -3.0]],
-                                    agent_ids=("a",)),))
+    ds = make_dataset([[[-3.0, -3.0]]], ("a",))
     out = assign_roles(ds, t)
     assert np.array_equal(out.matrix[0, :2], [-3.0, -3.0])
     assert np.isnan(out.matrix[0, 2:]).all()
@@ -158,9 +155,7 @@ def test_assign_roles_nan_for_unfilled_slots():
 
 def test_assign_roles_too_many_agents():
     t = Template(roles=(gauss(0, 0, 1.0),))
-    ds = Dataset.from_frames((Frame(frame_id=0,
-                                    positions=[[0.0, 0.0], [1.0, 1.0]],
-                                    agent_ids=("a", "b")),))
+    ds = make_dataset([[[0.0, 0.0], [1.0, 1.0]]], ("a", "b"))
     with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
         assign_roles(ds, t)
 
@@ -170,9 +165,7 @@ def test_assign_roles_too_many_agents():
 
 def test_aligned_csv_format(written):
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = Dataset.from_frames((
-             Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
-                   agent_ids=("a", "b")),))
+    ds = make_dataset([[[2.0, 0.5], [-2.0, -0.5]]], ("a", "b"), frame_id=[3])
     out = assign_roles(ds, t)
     lines = written(out.to_csv).splitlines()
     assert lines[0] == "frame_id,role_0_x,role_0_y,role_1_x,role_1_y"
@@ -181,9 +174,7 @@ def test_aligned_csv_format(written):
 
 def test_aligned_jsonl_format(written):
     t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = Dataset.from_frames((
-             Frame(frame_id=3, positions=[[2.0, 0.5], [-2.0, -0.5]],
-                   agent_ids=("a", "b")),))
+    ds = make_dataset([[[2.0, 0.5], [-2.0, -0.5]]], ("a", "b"), frame_id=[3])
     obj = json.loads(written(assign_roles(ds, t).to_jsonl).splitlines()[0])
     assert obj["frame_id"] == 3
     assert obj["permutation"] == [1, 0]
@@ -204,10 +195,7 @@ def test_aligned_matrix_frozen():
 
 def test_average_log_likelihood_single_gaussian():
     f = Formation(components=(gauss(1.0, 2.0, 1.0),))
-    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[1.0, 2.0]],
-                                    agent_ids=("a",)),
-                              Frame(frame_id=1, positions=[[2.0, 2.0]],
-                                    agent_ids=("a",))))
+    ds = make_dataset([[[1.0, 2.0]], [[2.0, 2.0]]], ("a",))
     # log N(0) = -log 2pi, log N at distance 1 adds -1/2; average them
     expect = -LOG_2PI - 0.25
     assert average_log_likelihood(ds, f) == pytest.approx(expect, abs=1e-12)
@@ -215,8 +203,7 @@ def test_average_log_likelihood_single_gaussian():
 
 def test_average_log_likelihood_mixture_logsumexp():
     f = Formation(components=(gauss(-1.0, 0.0, 0.5), gauss(1.0, 0.0, 0.5)))
-    ds = Dataset.from_frames((Frame(frame_id=0, positions=[[0.0, 0.0]],
-                                    agent_ids=("a",)),))
+    ds = make_dataset([[[0.0, 0.0]]], ("a",))
     expect = np.log(2 * 0.5 * np.exp(-LOG_2PI - 0.5))
     assert average_log_likelihood(ds, f) == pytest.approx(expect, abs=1e-12)
 

@@ -14,8 +14,10 @@ from rolealign.baseline import (
 from rolealign.discovery import Formation
 from rolealign.geometry import (Gaussian2D, component_log_pdfs,
                                 log_mixture_density, sample_covariance)
-from rolealign.ingest import Dataset, Frame, flatten
+from rolealign.ingest import flatten
 from rolealign.synth import generate_formation, recovery_score, sample_dataset
+
+from conftest import make_dataset
 
 LN2 = 0.6931471805599453
 
@@ -29,11 +31,9 @@ def gauss(mx, my, weight=0.5, cov=None):
 
 
 def test_player_identity_template_hand_fit():
-    f0 = Frame(frame_id=0, positions=[[0.0, 0.0], [10.0, 0.0]],
-               agent_ids=("a", "b"))
-    f1 = Frame(frame_id=1, positions=[[12.0, 2.0], [2.0, 2.0]],
-               agent_ids=("b", "a"))
-    t = player_identity_template(Dataset.from_frames((f0, f1)))
+    t = player_identity_template(make_dataset(
+        [[[0.0, 0.0], [10.0, 0.0]], [[12.0, 2.0], [2.0, 2.0]]],
+        [("a", "b"), ("b", "a")]))
     assert t.k == 2
     # role 0 is agent "a": (0,0) and (2,2); role 1 is "b": (10,0) and (12,2)
     assert np.array_equal(t.roles[0].mean, [1.0, 1.0])
@@ -50,14 +50,14 @@ def test_player_identity_template_bit_identical_to_reference_loop():
     frames = []
     for fid in rng.permutation(200):
         order = rng.permutation(5)
-        frames.append(Frame(frame_id=int(fid),
-                            positions=rng.normal(50.0, 30.0, (5, 2)),
-                            agent_ids=[f"p{j}" for j in order]))
-    t = player_identity_template(Dataset.from_frames(frames))
-    ordered = sorted(frames, key=lambda f: f.frame_id)
+        frames.append((int(fid), rng.normal(50.0, 30.0, (5, 2)),
+                       [f"p{j}" for j in order]))
+    fids, positions, ids = zip(*frames)
+    t = player_identity_template(make_dataset(positions, ids, frame_id=fids))
+    ordered = sorted(frames, key=lambda f: f[0])
     for j, role in enumerate(t.roles):
-        pts = np.stack([f.positions[f.agent_ids.index(f"p{j}")]
-                        for f in ordered])
+        pts = np.stack([pos[agents.index(f"p{j}")]
+                        for _, pos, agents in ordered])
         ref = Gaussian2D(mean=pts.mean(axis=0), cov=np.cov(pts.T, bias=True),
                          weight=0.2)
         assert np.array_equal(role.mean, ref.mean)
@@ -65,10 +65,9 @@ def test_player_identity_template_bit_identical_to_reference_loop():
 
 
 def test_player_identity_template_missing_agent():
-    f0 = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
-    f1 = Frame(frame_id=1, positions=[[1.0, 1.0]], agent_ids=("b",))
+    ds = make_dataset([[[0.0, 0.0]], [[1.0, 1.0]]], [("a",), ("b",)])
     with pytest.raises(ValueError, match="agent 'a' missing from frame 1"):
-        player_identity_template(Dataset.from_frames((f0, f1)))
+        player_identity_template(ds)
 
 
 # hard EM
@@ -109,9 +108,7 @@ def test_hard_em_max_iters_zero_still_runs_one_pass(tiny_tgp):
 
 def test_hard_em_empty_role_keeps_its_gaussian():
     rng = np.random.default_rng(30)
-    frames = tuple(Frame(frame_id=i, positions=rng.normal(0, 0.5, (2, 2)),
-                         agent_ids=("a", "b")) for i in range(30))
-    ds = Dataset.from_frames(frames)
+    ds = make_dataset(rng.normal(0, 0.5, (30, 2, 2)), ("a", "b"))
     init = Template(roles=(gauss(-0.5, 0.0, 1 / 3), gauss(0.5, 0.0, 1 / 3),
                            gauss(100.0, 100.0, 1 / 3)))
     formation, aligned, trace = hard_assignment_em(ds, init)
@@ -121,9 +118,7 @@ def test_hard_em_empty_role_keeps_its_gaussian():
 
 
 def test_hard_em_too_many_agents():
-    ds = Dataset.from_frames((Frame(frame_id=0,
-                                    positions=[[0.0, 0.0], [1.0, 0.0]],
-                                    agent_ids=("a", "b")),))
+    ds = make_dataset([[[0.0, 0.0], [1.0, 0.0]]], ("a", "b"))
     with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
         hard_assignment_em(ds, Template(roles=(gauss(0, 0, 1.0),)))
 
@@ -206,9 +201,7 @@ def two_member_role_case():
                     rng.normal((1.0, 0.0), 0.3, (30, 2))], axis=1)
     pos[[7, 19], 1] = [10.0, 10.0] + np.random.default_rng(0).normal(
         0.0, 0.5, (2, 2))
-    ds = Dataset.from_frames(tuple(
-        Frame(frame_id=i, positions=p, agent_ids=("a", "b"))
-        for i, p in enumerate(pos)))
+    ds = make_dataset(pos, ("a", "b"))
     init = Template(roles=(gauss(-1.0, 0.0, 1 / 3), gauss(1.0, 0.0, 1 / 3),
                            gauss(10.0, 10.0, 1 / 3)))
     return ds, init
@@ -235,11 +228,10 @@ def test_hard_em_is_the_reference_loop_when_cut_by_max_iters():
 
 def test_hard_em_is_the_reference_loop_with_an_empty_role():
     rng = np.random.default_rng(30)
-    frames = tuple(Frame(frame_id=i, positions=rng.normal(0, 0.5, (2, 2)),
-                         agent_ids=("a", "b")) for i in range(30))
+    ds = make_dataset(rng.normal(0, 0.5, (30, 2, 2)), ("a", "b"))
     init = Template(roles=(gauss(-0.5, 0.0, 1 / 3), gauss(0.5, 0.0, 1 / 3),
                            gauss(100.0, 100.0, 1 / 3)))
-    assert_same_as_reference(Dataset.from_frames(frames), init)
+    assert_same_as_reference(ds, init)
 
 
 def test_hard_em_is_the_reference_loop_with_a_two_member_role():

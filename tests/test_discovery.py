@@ -24,18 +24,17 @@ from rolealign.geometry import (
     gaussian_log_pdf,
     log_mixture_density,
 )
-from rolealign.ingest import Dataset, Frame, flatten
+from rolealign.ingest import flatten
 
+from conftest import make_dataset
 from oracles import reference_kmeans
 
 
 def frames_from_points(pts, per_frame):
     pts = np.asarray(pts)
-    ids = tuple(str(i) for i in range(per_frame))
-    return Dataset.from_frames(tuple(
-        Frame(frame_id=i, positions=pts[i * per_frame:(i + 1) * per_frame],
-              agent_ids=ids)
-        for i in range(len(pts) // per_frame)))
+    s = len(pts) // per_frame
+    return make_dataset(pts[:s * per_frame].reshape(s, per_frame, 2),
+                        [str(i) for i in range(per_frame)])
 
 
 def random_formation(rng, k):
@@ -49,45 +48,43 @@ def random_formation(rng, k):
 
 
 def test_player_mean_init_hand_values():
-    f0 = Frame(frame_id=0, positions=[[0.0, 0.0], [2.0, 2.0]],
-               agent_ids=("b", "a"))
-    f1 = Frame(frame_id=1, positions=[[4.0, 0.0], [2.0, 0.0]],
-               agent_ids=("a", "b"))
-    init = player_mean_init(Dataset.from_frames((f0, f1)))
+    init = player_mean_init(make_dataset(
+        [[[0.0, 0.0], [2.0, 2.0]], [[4.0, 0.0], [2.0, 0.0]]],
+        [("b", "a"), ("a", "b")]))
     # sorted ids (a, b); a averages (2,2) and (4,0), b averages (0,0) and (2,0)
     assert np.array_equal(init, [[3.0, 1.0], [1.0, 0.0]])
 
 
-def reference_player_mean_init(frames):
+def reference_player_mean_init(frame_ids, positions, agent_ids):
     """The per-frame dict loop player_mean_init replaced."""
-    frames = sorted(frames, key=lambda f: f.frame_id)
-    ids = sorted(frames[0].agent_ids)
+    order = sorted(range(len(frame_ids)), key=frame_ids.__getitem__)
+    ids = sorted(agent_ids[order[0]])
     sums = {a: np.zeros(2) for a in ids}
-    for f in frames:
-        index = {a: i for i, a in enumerate(f.agent_ids)}
+    for s in order:
+        index = {a: i for i, a in enumerate(agent_ids[s])}
         for a in ids:
-            sums[a] = sums[a] + f.positions[index[a]]
-    return np.stack([sums[a] / len(frames) for a in ids])
+            sums[a] = sums[a] + positions[s][index[a]]
+    return np.stack([sums[a] / len(order) for a in ids])
 
 
 def test_player_mean_init_bit_identical_to_reference_loop():
     # frames out of frame_id order, agents listed in a different order each
     rng = np.random.default_rng(12)
-    frames = []
+    fids, positions, ids = [], [], []
     for fid in rng.permutation(300):
         order = rng.permutation(7)
-        frames.append(Frame(frame_id=int(fid),
-                            positions=rng.normal(50.0, 30.0, (7, 2)),
-                            agent_ids=[f"p{j}" for j in order]))
-    got = player_mean_init(Dataset.from_frames(frames))
-    assert np.array_equal(got, reference_player_mean_init(frames))
+        fids.append(int(fid))
+        positions.append(rng.normal(50.0, 30.0, (7, 2)))
+        ids.append([f"p{j}" for j in order])
+    got = player_mean_init(make_dataset(positions, ids, frame_id=fids))
+    assert np.array_equal(got,
+                          reference_player_mean_init(fids, positions, ids))
 
 
 def test_player_mean_init_missing_agent():
-    f0 = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
-    f1 = Frame(frame_id=1, positions=[[1.0, 1.0]], agent_ids=("b",))
+    ds = make_dataset([[[0.0, 0.0]], [[1.0, 1.0]]], [("a",), ("b",)])
     with pytest.raises(ValueError, match="agent 'a' missing from frame 1"):
-        player_mean_init(Dataset.from_frames((f0, f1)))
+        player_mean_init(ds)
 
 
 # K-Means
@@ -465,16 +462,13 @@ def test_row_permutation_cannot_change_the_result():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(40, 2)) * 5
     ids = ("p0", "p1", "p2", "p3")
-    frames_a, frames_b = [], []
-    for i in range(10):
-        block = pts[4 * i:4 * i + 4]
-        perm = rng.permutation(4)
-        frames_a.append(Frame(frame_id=i, positions=block, agent_ids=ids))
-        frames_b.append(Frame(frame_id=i, positions=block[perm],
-                              agent_ids=tuple(ids[j] for j in perm)))
+    blocks = pts.reshape(10, 4, 2)
+    perms = [rng.permutation(4) for _ in range(10)]
     cfg = DiscoveryConfig(k=4, max_iters=60)
-    fa, ta = discover_formation(Dataset.from_frames(tuple(frames_a)), cfg)
-    fb, tb = discover_formation(Dataset.from_frames(tuple(frames_b)), cfg)
+    fa, ta = discover_formation(make_dataset(blocks, ids), cfg)
+    fb, tb = discover_formation(make_dataset(
+        [b[p] for b, p in zip(blocks, perms)],
+        [[ids[j] for j in p] for p in perms]), cfg)
     assert fa.to_dict() == fb.to_dict()   # bit-identical, not just close
     assert ta.logliks == tb.logliks
 
@@ -488,17 +482,15 @@ def test_shuffled_frames_and_agents_give_the_same_fit(n, s, seed, init_mode,
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(s, n, 2)) + 4 * rng.normal(size=(n, 2))
     ids = [f"p{j}" for j in range(n)]
-    frames = [Frame(frame_id=i, positions=pts[i], agent_ids=ids)
-              for i in range(s)]
-    shuffled = []
-    for f in rnd.sample(frames, s):
-        perm = rnd.sample(range(n), n)
-        shuffled.append(Frame(frame_id=f.frame_id, positions=f.positions[perm],
-                              agent_ids=[ids[j] for j in perm]))
+    frames = rnd.sample(range(s), s)
+    perms = [rnd.sample(range(n), n) for _ in frames]
+    shuffled = make_dataset([pts[i][p] for i, p in zip(frames, perms)],
+                            [[ids[j] for j in p] for p in perms],
+                            frame_id=frames)
     cfg = DiscoveryConfig(k=n, max_iters=30, init_mode=init_mode,
                           seed=seed % 7)
-    fa, ta = discover_formation(Dataset.from_frames(frames), cfg)
-    fb, tb = discover_formation(Dataset.from_frames(shuffled), cfg)
+    fa, ta = discover_formation(make_dataset(pts, ids), cfg)
+    fb, tb = discover_formation(shuffled, cfg)
     assert fa.to_dict() == fb.to_dict()   # bit-identical, not just close
     assert ta.rows == tb.rows
 

@@ -16,7 +16,6 @@ from rolealign.ingest import (
     CSV_COLUMNS,
     Dataset,
     EmptySelectionError,
-    Frame,
     ParseError,
     center_normalize,
     concat_datasets,
@@ -30,15 +29,16 @@ from rolealign.ingest import (
     write_tracking_jsonl,
 )
 
+from conftest import make_dataset
+
 
 def small_dataset():
     # ids already in sorted order so parser canonicalization is a no-op
-    f0 = Frame(frame_id=0, positions=[[0.1, -3.7e-05], [1 / 3, 2.0]],
-               agent_ids=("p0", "p1"), is_event=True,
-               attack_direction="RL", team="home", game="g1", period=2)
-    f1 = Frame(frame_id=7, positions=[[-4.25, 0.0], [9.5, -9.5]],
-               agent_ids=("a", "b"), team="away", game="g1")
-    return Dataset.from_frames((f0, f1))
+    return make_dataset([[[0.1, -3.7e-05], [1 / 3, 2.0]],
+                         [[-4.25, 0.0], [9.5, -9.5]]],
+                        [("p0", "p1"), ("a", "b")], frame_id=[0, 7],
+                        is_event=[True, False], right_to_left=[True, False],
+                        team=["home", "away"], game="g1", period=[2, 1])
 
 
 def roundtrip_csv(ds):
@@ -53,15 +53,15 @@ def roundtrip_jsonl(ds):
     return parse_tracking(io.StringIO(buf.getvalue()), format="jsonl")
 
 
-def assert_datasets_equal(a, b):
-    assert a.n_frames == b.n_frames
-    for fa, fb in zip(a.frames, b.frames):
-        assert fa.frame_id == fb.frame_id
-        assert fa.agent_ids == fb.agent_ids
-        assert np.array_equal(fa.positions, fb.positions)  # repr is exact
-        assert (fa.is_event, fa.attack_direction) == \
-            (fb.is_event, fb.attack_direction)
-        assert (fa.team, fa.game, fa.period) == (fb.team, fb.game, fb.period)
+def assert_columns_equal(a, b):
+    """Every column equal: agent ids, each label, and the bits of every
+    position (repr is exact, so round trips keep them)."""
+    assert a.positions.shape == b.positions.shape
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert np.array_equal(a.agent_ids, b.agent_ids)
+    for name in ("frame_id", "is_event", "right_to_left", "team", "game",
+                 "period"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # round trips
@@ -69,7 +69,7 @@ def assert_datasets_equal(a, b):
 
 def test_csv_roundtrip_exact():
     ds = small_dataset()
-    assert_datasets_equal(ds, roundtrip_csv(ds))
+    assert_columns_equal(ds, roundtrip_csv(ds))
 
 
 def test_csv_write_is_stable(written):
@@ -81,7 +81,7 @@ def test_csv_write_is_stable(written):
 
 def test_jsonl_roundtrip_exact():
     ds = small_dataset()
-    assert_datasets_equal(ds, roundtrip_jsonl(ds))
+    assert_columns_equal(ds, roundtrip_jsonl(ds))
 
 
 def test_jsonl_write_is_stable(written):
@@ -95,21 +95,21 @@ def test_roundtrips_random_datasets():
     for _ in range(20):
         s = int(rng.integers(1, 6))
         n = int(rng.integers(1, 8))
-        frames = []
+        fids, pos, labels = [], [], []
         fid = 0
         for i in range(s):
             fid += int(rng.integers(1, 50))  # increasing: parser sorts by id
-            frames.append(Frame(
-                frame_id=fid,
-                positions=rng.normal(size=(n, 2)) * 30,
-                agent_ids=[f"id{j}" for j in range(n)],
-                is_event=bool(rng.integers(0, 2)),
-                attack_direction="LR" if rng.integers(0, 2) else "RL",
-                team=str(rng.integers(0, 3)), game="g",
-                period=int(rng.integers(1, 3))))
-        ds = Dataset.from_frames(tuple(frames))
-        assert_datasets_equal(ds, roundtrip_csv(ds))
-        assert_datasets_equal(ds, roundtrip_jsonl(ds))
+            fids.append(fid)
+            pos.append(rng.normal(size=(n, 2)) * 30)
+            labels.append((bool(rng.integers(0, 2)),
+                           not rng.integers(0, 2),   # "LR" if drawn nonzero
+                           str(rng.integers(0, 3)), int(rng.integers(1, 3))))
+        event, rtl, team, period = zip(*labels)
+        ds = make_dataset(pos, [f"id{j}" for j in range(n)], frame_id=fids,
+                          is_event=event, right_to_left=rtl, team=team,
+                          game="g", period=period)
+        assert_columns_equal(ds, roundtrip_csv(ds))
+        assert_columns_equal(ds, roundtrip_jsonl(ds))
 
 
 # canonical ordering
@@ -122,13 +122,12 @@ def test_csv_row_order_is_irrelevant():
     lines = buf.getvalue().strip().splitlines()
     header, body = lines[0], lines[1:]
     shuffled = "\r\n".join([header] + body[::-1]) + "\r\n"
-    assert_datasets_equal(ds, parse_tracking(io.StringIO(shuffled)))
+    assert_columns_equal(ds, parse_tracking(io.StringIO(shuffled)))
 
 
 def test_agents_sorted_by_id_within_frame():
-    f = Frame(frame_id=0, positions=[[1.0, 2.0], [3.0, 4.0]],
-              agent_ids=("z", "a"))  # Frame keeps the given order
-    ds = Dataset.from_frames((f,))
+    # the builder keeps the given order
+    ds = make_dataset([[[1.0, 2.0], [3.0, 4.0]]], ("z", "a"))
     rt = roundtrip_csv(ds)
     assert rt.frames[0].agent_ids == ("a", "z")  # parser canonicalizes
     assert np.array_equal(rt.frames[0].positions, [[3.0, 4.0], [1.0, 2.0]])
@@ -455,36 +454,31 @@ def test_attack_direction_idempotent():
 
 def test_center_normalize_zeroes_means():
     rng = np.random.default_rng(9)
-    frames = tuple(Frame(frame_id=i, positions=rng.normal(2.0, 5.0, (6, 2)),
-                         agent_ids=[str(j) for j in range(6)])
-                   for i in range(4))
-    out = center_normalize(Dataset.from_frames(frames))
+    out = center_normalize(make_dataset(rng.normal(2.0, 5.0, (4, 6, 2)),
+                                        [str(j) for j in range(6)]))
     for f in out.frames:
         assert np.abs(f.positions.mean(axis=0)).max() < 1e-12
 
 
 def test_center_normalize_idempotent():
     rng = np.random.default_rng(10)
-    frames = tuple(Frame(frame_id=i, positions=rng.normal(size=(5, 2)),
-                         agent_ids=[str(j) for j in range(5)])
-                   for i in range(3))
-    once = center_normalize(Dataset.from_frames(frames))
+    once = center_normalize(make_dataset(rng.normal(size=(3, 5, 2)),
+                                         [str(j) for j in range(5)]))
     # already-centered frames are passed through, not re-subtracted
     assert center_normalize(once) is once
 
 
 def test_normalization_bit_identical_to_per_frame_loop():
     rng = np.random.default_rng(15)
-    frames = [Frame(frame_id=i, positions=rng.normal(50.0, 30.0, (7, 2)),
-                    agent_ids=[str(j) for j in range(7)],
-                    attack_direction="RL" if i % 3 else "LR")
-              for i in range(200)]
-    frames.append(Frame(frame_id=200, positions=[[-1.0, 2.0], [1.0, -2.0]] * 3
-                        + [[0.0, -0.0]], agent_ids=[str(j) for j in range(7)]))
-    out = center_normalize(normalize_attack_direction(
-        Dataset.from_frames(frames)))
-    for f, got in zip(frames, out.positions):
-        pos = -f.positions if f.attack_direction == "RL" else f.positions
+    positions = np.concatenate([rng.normal(50.0, 30.0, (200, 7, 2)),
+                                [[[-1.0, 2.0], [1.0, -2.0]] * 3
+                                 + [[0.0, -0.0]]]])
+    rtl = np.arange(201) % 3 != 0
+    rtl[200] = False
+    out = center_normalize(normalize_attack_direction(make_dataset(
+        positions, [str(j) for j in range(7)], right_to_left=rtl)))
+    for pos, flip, got in zip(positions, rtl, out.positions):
+        pos = -pos if flip else pos
         mean = pos.mean(axis=0)
         ref = pos if np.hypot(mean[0], mean[1]) <= 1e-12 else pos - mean
         assert got.tobytes() == ref.tobytes()
@@ -495,7 +489,7 @@ def test_filter_key_frames():
     kept = filter_key_frames(ds)
     assert [f.frame_id for f in kept.frames] == [0]
     with pytest.raises(EmptySelectionError, match="no event frames"):
-        filter_key_frames(Dataset.from_frames((ds.frames[1],)))
+        filter_key_frames(ds.take([1]))
 
 
 def test_filter_metadata():
@@ -523,7 +517,7 @@ def test_flatten_row_order():
 def test_unflatten_inverts_flatten():
     ds = small_dataset()
     back = unflatten(flatten(ds), like=ds)
-    assert_datasets_equal(ds, back)
+    assert_columns_equal(ds, back)
 
 
 def test_unflatten_borrows_labels():
@@ -545,50 +539,67 @@ def test_unflatten_shape_check():
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError, match=r"positions must be \(N, 2\)"):
-        Frame(frame_id=0, positions=[1.0, 2.0], agent_ids=("a",))
-    with pytest.raises(ValueError, match="non-finite"):
-        Frame(frame_id=0, positions=[[np.nan, 0.0]], agent_ids=("a",))
-    with pytest.raises(ValueError, match="2 agent ids for 1 positions"):
-        Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a", "b"))
+    with pytest.raises(ValueError, match=r"positions must be \(S, N, 2\)"):
+        make_dataset([[1.0, 2.0]], ("a",))
+    with pytest.raises(ValueError, match="frame 0: non-finite"):
+        make_dataset([[[np.nan, 0.0]]], ("a",))
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        make_dataset([[[0.0, 0.0]]], ("a", "b"))   # 2 ids for 1 position
     with pytest.raises(ValueError, match="duplicate agent ids"):
-        Frame(frame_id=0, positions=[[0.0, 0.0], [1.0, 1.0]],
-              agent_ids=("a", "a"))
-    with pytest.raises(ValueError, match="bad attack_direction"):
-        Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",),
-              attack_direction="UP")
+        make_dataset([[[0.0, 0.0], [1.0, 1.0]]], ("a", "a"))
 
 
 def test_frame_positions_frozen():
-    f = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("1",))
+    f = make_dataset([[[0.0, 0.0]]], ("1",)).frames[0]
     assert not f.positions.flags.writeable
     assert f.agent_ids == ("1",)
+
+
+def one_frame(table, codes=(0, 1)):
+    """A Dataset of one frame (id 0) of two agents, made without a check."""
+    return Dataset(positions=[[[0.0, 0.0], [1.0, 1.0]]], agent_codes=codes,
+                   agent_table=table, frame_id=[0])
 
 
 @pytest.mark.parametrize("bad", [1, None, 2.5, b"a", ("a",)])
 def test_frame_rejects_non_string_agent_ids(bad):
     with pytest.raises(ValueError, match="frame 0: agent ids must be strings"):
-        Frame(frame_id=0, positions=[[0.0, 0.0], [1.0, 1.0]],
-              agent_ids=["a", bad])
+        one_frame(("a", bad))
 
 
 def test_frame_agent_ids_are_never_printed_into_strings():
     # the mixed ids that used to become the table ('1', 'None')
     with pytest.raises(ValueError, match="got 1"):
-        Dataset.from_frames([Frame(frame_id=0, positions=[[0, 0], [1, 1]],
-                                   agent_ids=[1, None])])
-    f = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=np.array(["a"]))
-    assert type(f.agent_ids[0]) is str
+        one_frame((1, None))
+    ds = one_frame(np.array(["a", "b"]))
+    assert type(ds.agent_table[0]) is str
+    assert type(ds.frames[0].agent_ids[0]) is str
+
+
+@pytest.mark.parametrize("codes,table,message", [
+    ([[0, 1], [1, 1]], ("a", "b"), "frame 8: duplicate agent ids"),
+    ([[0, 1], [2, 0]], ("a", "b"), "frame 8: agent code 2 is not in"),
+    ([[0, 1], [0, -1]], ("a", "b"), "frame 8: agent code -1 is not in"),
+    ([[0, 1], [0, 1]], ("b", "a"), "not strictly increasing"),
+    ([[0, 1], [0, 1]], ("a", "a"), "not strictly increasing"),
+    ([[0, 1], [0, 2]], ("a", "b", 7), "frame 8: agent ids must be strings"),
+    ([0, 0], ("a", "b"), "frame 3: duplicate agent ids"),   # one code row
+], ids=["repeat", "past-table", "negative", "unsorted-table",
+        "repeated-id", "non-str", "broadcast-repeat"])
+def test_dataset_rejects_agent_columns_that_break_the_table(codes, table,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(positions=np.zeros((2, 2, 2)), agent_codes=codes,
+                agent_table=table, frame_id=[3, 8])
 
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="at least one frame"):
-        Dataset.from_frames(())
-    a = Frame(frame_id=0, positions=[[0.0, 0.0]], agent_ids=("a",))
-    b = Frame(frame_id=1, positions=[[0.0, 0.0], [1.0, 1.0]],
-              agent_ids=("a", "b"))
+        make_dataset(np.zeros((0, 1, 2)), ("a",))
+    a = make_dataset([[[0.0, 0.0]]], ("a",))
+    b = make_dataset([[[0.0, 0.0], [1.0, 1.0]]], ("a", "b"), frame_id=[1])
     with pytest.raises(ValueError, match="frame 1 has 2 agents, expected 1"):
-        Dataset.from_frames((a, b))
+        concat_datasets((a, b))
 
 
 def test_concat_datasets():
@@ -621,11 +632,10 @@ def test_take_and_agent_tracks():
 
 def test_csv_chunks_join_seamlessly(monkeypatch):
     rng = np.random.default_rng(14)
-    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)),
-                    agent_ids=("c", "a", "b"), team=("x", "y")[i % 2])
-              for i in range(20)]
+    ds = make_dataset(rng.normal(size=(20, 3, 2)), ("c", "a", "b"),
+                      team=["x", "y"] * 10)
     buf = io.StringIO()
-    write_tracking_csv(Dataset.from_frames(frames), buf)
+    write_tracking_csv(ds, buf)
     lines = buf.getvalue().splitlines()
     text = "\n".join(lines[:10] + [""] + lines[10:]) + "\n"   # a blank line
     whole = parse_tracking(io.StringIO(text))
@@ -766,8 +776,8 @@ def test_tokenizers_agree_on_a_valid_file():
     buf = io.StringIO()
     write_tracking_csv(ds, buf)
     text = buf.getvalue().replace("\r\n", "\n")
-    assert_datasets_equal(parse_tracking(io.StringIO(text)), ds)
-    assert_datasets_equal(parse_tracking(io.StringIO(reader_path(text))), ds)
+    assert_columns_equal(parse_tracking(io.StringIO(text)), ds)
+    assert_columns_equal(parse_tracking(io.StringIO(reader_path(text))), ds)
 
 
 def test_quoted_fields_still_parse():
@@ -823,7 +833,7 @@ def test_crlf_and_cr_only_line_ends(monkeypatch):
         # a CRLF file without quotes, as write_tracking_csv writes one, is
         # split without csv.reader
         monkeypatch.setattr(ingest, "_reader_tokens", None)
-        assert_datasets_equal(parse_tracking(io.StringIO(buf.getvalue())),
+        assert_columns_equal(parse_tracking(io.StringIO(buf.getvalue())),
                               small_dataset())
 
 
@@ -906,11 +916,10 @@ def test_undecodable_byte_names_its_line(tmp_path, fmt, text):
 
 def test_jsonl_chunks_join_seamlessly(monkeypatch):
     rng = np.random.default_rng(16)
-    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)),
-                    agent_ids=("c", "a", "b"), period=1 + i % 2)
-              for i in range(20)]
+    ds = make_dataset(rng.normal(size=(20, 3, 2)), ("c", "a", "b"),
+                      period=[1, 2] * 10)
     buf = io.StringIO()
-    write_tracking_jsonl(Dataset.from_frames(frames), buf)
+    write_tracking_jsonl(ds, buf)
     lines = buf.getvalue().splitlines()
     text = "\n".join(lines[:5] + ["  "] + lines[5:]) + "\n"   # a blank line
     whole = parse_tracking(io.StringIO(text), format="jsonl")
@@ -1037,11 +1046,10 @@ def test_the_jsonl_byte_path_reads_what_json_loads_reads(text, chunk_lines,
 
 def test_the_jsonl_byte_path_reads_writer_output():
     rng = np.random.default_rng(19)
-    frames = [Frame(frame_id=i, positions=rng.normal(size=(3, 2)) * 50,
-                    agent_ids=("p2", "p0", "p1"), team="home, away",
-                    game="g]1", period=2) for i in range(5)]
+    ds = make_dataset(rng.normal(size=(5, 3, 2)) * 50, ("p2", "p0", "p1"),
+                      team="home, away", game="g]1", period=2)
     buf = io.StringIO()
-    write_tracking_jsonl(Dataset.from_frames(frames), buf)
+    write_tracking_jsonl(ds, buf)
     by_bytes, by_json, read = byte_and_json_paths(buf.getvalue())
     assert read and by_bytes == by_json
 
@@ -1142,32 +1150,26 @@ def test_jsonl_lines_the_byte_path_reads_or_leaves(edit, read, monkeypatch):
 # properties
 
 
-def assert_columns_equal(a, b):
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.agent_ids, b.agent_ids)
-    for name in ("frame_id", "is_event", "right_to_left", "team", "game",
-                 "period"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-
 @st.composite
 def datasets(draw, max_coord=1e6):
     s, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     coord = st.floats(-max_coord, max_coord, allow_nan=False)
-    frames = []
+    rows = []
     for fid in draw(st.lists(st.integers(-99, 99), min_size=s, max_size=s,
                              unique=True)):
         ids = draw(st.permutations([f"p{j}" for j in range(n + 1)]))[:n]
-        frames.append(Frame(
-            frame_id=fid, agent_ids=ids,
-            positions=draw(st.lists(st.tuples(coord, coord), min_size=n,
-                                    max_size=n)),
-            is_event=draw(st.booleans()),
-            attack_direction=draw(st.sampled_from(["LR", "RL"])),
-            team=draw(st.sampled_from(["", "home", "away"])),
-            game=draw(st.sampled_from(["g1", "g2"])),
-            period=draw(st.integers(1, 2))))
-    return Dataset.from_frames(frames)
+        rows.append((
+            fid, ids,
+            draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+            draw(st.booleans()),
+            draw(st.sampled_from(["LR", "RL"])) == "RL",
+            draw(st.sampled_from(["", "home", "away"])),
+            draw(st.sampled_from(["g1", "g2"])),
+            draw(st.integers(1, 2))))
+    fid, ids, pos, event, rtl, team, game, period = zip(*rows)
+    return make_dataset(pos, ids, frame_id=fid, is_event=event,
+                        right_to_left=rtl, team=team, game=game,
+                        period=period)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1295,10 +1297,11 @@ def test_normalization_is_idempotent_bit_for_bit(ds):
        st.sampled_from([None, "g1", "g2", "g3"]),
        st.sampled_from([None, 1, 2]))
 def test_filter_metadata_matches_per_frame_predicate(ds, team, game, period):
-    expect = [f.frame_id for f in ds.frames
-              if (team is None or f.team == team)
-              and (game is None or f.game == game)
-              and (period is None or f.period == period)]
+    expect = [fid for fid, t, g, p in zip(ds.frame_id.tolist(), ds.team,
+                                          ds.game, ds.period.tolist())
+              if (team is None or t == team)
+              and (game is None or g == game)
+              and (period is None or p == period)]
     if not expect:
         with pytest.raises(EmptySelectionError):
             filter_metadata(ds, team=team, game=game, period=period)
@@ -1309,5 +1312,10 @@ def test_filter_metadata_matches_per_frame_predicate(ds, team, game, period):
 
 @settings(max_examples=60, deadline=None)
 @given(datasets())
-def test_from_frames_round_trips_every_column(ds):
-    assert_columns_equal(ds, Dataset.from_frames(ds.frames))
+def test_frame_records_carry_every_column(ds):
+    rec = ds.frames
+    labels = {name: [getattr(f, name) for f in rec]
+              for name in ("frame_id", "is_event", "team", "game", "period")}
+    assert_columns_equal(ds, make_dataset(
+        [f.positions for f in rec], [f.agent_ids for f in rec],
+        right_to_left=[f.attack_direction == "RL" for f in rec], **labels))
