@@ -18,8 +18,9 @@ import numpy as np
 
 from .assignment import assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
-                       log_mixture_density, mahalanobis_between_means)
-from .ingest import Dataset, flatten, write_csv, write_json, write_jsonl
+                       log_mixture_density)
+from .ingest import (Dataset, filter_key_frames, flatten, write_csv,
+                     write_json, write_jsonl)
 from . import discovery as _disc
 
 
@@ -69,39 +70,29 @@ class Template:
             return cls.from_dict(json.load(fh))
 
 
-def _alignment_cost(f, g, metric):
+def _alignment_cost(f, g):
     k = f.k
     cost = np.empty((k, k))
     for i, comp in enumerate(f.components):
         for j, role in enumerate(g.roles):
-            if metric == "bhattacharyya":
-                cost[i, j] = bhattacharyya_distance(comp, role)
-            else:
-                cost[i, j] = mahalanobis_between_means(comp, role)
+            cost[i, j] = bhattacharyya_distance(comp, role)
     return cost
 
 
-def _align_with_mapping(f, g, metric="bhattacharyya"):
+def _align_with_mapping(f, g):
     if f.k != g.k:
         raise ValueError(f"formation has {f.k} components, template {g.k}")
-    if metric not in ("bhattacharyya", "mahalanobis"):
-        raise ValueError(f"unknown metric {metric!r}")
-    mapping = hungarian(_alignment_cost(f, g, metric)).mapping
+    mapping = hungarian(_alignment_cost(f, g)).mapping
     roles = [None] * f.k
     for i, j in enumerate(mapping):
         roles[j] = f.components[i]
     return Template(roles=tuple(roles)), mapping
 
 
-def align_template(f: "_disc.Formation", g: Template,
-                   metric: str = "bhattacharyya") -> Template:
+def align_template(f: "_disc.Formation", g: Template) -> Template:
     """Order f's components so role j is the component matched to g's
-    role j, minimizing the total pairwise distance.
-
-    metric "bhattacharyya" (default) uses the full distributional distance;
-    "mahalanobis" matches on means scaled by the parent's covariances.
-    """
-    aligned, _ = _align_with_mapping(f, g, metric)
+    role j, minimizing the total pairwise Bhattacharyya distance."""
+    aligned, _ = _align_with_mapping(f, g)
     return aligned
 
 
@@ -141,10 +132,6 @@ class AlignedDataset:
     @property
     def k(self):
         return self.matrix.shape[1] // 2
-
-    def role_positions(self, s: int) -> np.ndarray:
-        """Frame s as a (K, 2) array in role order."""
-        return self.matrix[s].reshape(-1, 2)
 
     def to_csv(self, path):
         header = ["frame_id"] + [f"role_{j}_{c}" for j in range(self.k)
@@ -200,34 +187,32 @@ class PipelineResult:
     trace: "_disc.EmTrace"
     aligned: AlignedDataset
     avg_loglik: float
-    dataset: Dataset       # normalized, centered, unfiltered
+    dataset: Dataset       # the dataset assigned: all of run_pipeline's input
     training: Dataset      # what discovery actually saw
 
 
 def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
                  parent: Template | None = None,
                  key_frames_only: bool = False) -> PipelineResult:
-    """Normalize, discover, align, assign: the full end-to-end chain.
+    """Discover, align, assign: the chain on one prepared dataset.
 
-    Order is fixed: attack-direction normalization, per-frame centering,
-    optional key-frame filtering for the discovery stage only.  Role
-    assignment always covers the full (unfiltered) dataset.  When discovery
-    ran on the full dataset, ``avg_loglik`` is the last EM pass's
-    log-likelihood; a filtered training set forces recomputation.
+    ``ds`` is used as it comes, so it should already be prepared: the
+    commands put raw input through ``normalize_attack_direction`` and then
+    ``center_normalize`` (``sample_dataset``'s output is already centered).
+    With ``key_frames_only`` discovery sees the event frames alone; role
+    assignment always covers all of ``ds``.  When discovery ran on all of
+    it, ``avg_loglik`` is the last EM pass's log-likelihood; a filtered
+    training set forces recomputation.
     """
-    from .ingest import center_normalize, filter_key_frames, \
-        normalize_attack_direction
-
     if cfg is None:
         cfg = _disc.DiscoveryConfig(k=ds.n_agents)
-    full = center_normalize(normalize_attack_direction(ds))
-    training = filter_key_frames(full) if key_frames_only else full
+    training = filter_key_frames(ds) if key_frames_only else ds
     formation, trace = _disc.discover_formation(training, cfg)
     template = Template.from_formation(formation) if parent is None \
         else align_template(formation, parent)
-    aligned = assign_roles(full, template)
-    avg_loglik = average_log_likelihood(full, formation) if key_frames_only \
+    aligned = assign_roles(ds, template)
+    avg_loglik = average_log_likelihood(ds, formation) if key_frames_only \
         else trace.logliks[-1]
     return PipelineResult(formation=formation, template=template, trace=trace,
                           aligned=aligned, avg_loglik=avg_loglik,
-                          dataset=full, training=training)
+                          dataset=ds, training=training)

@@ -24,8 +24,7 @@ import numpy as np
 from .alignment import (AlignedDataset, Template, assign_roles,
                         average_log_likelihood)
 from .discovery import Formation
-from .geometry import (Gaussian2D, differential_entropy, log_mixture_density,
-                       sample_covariance, split_by_label)
+from .geometry import Gaussian2D, sample_covariance, split_by_label
 from .ingest import Dataset, flatten, write_csv
 
 
@@ -138,43 +137,3 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         prev_maps = mappings
 
     return formation, aligned, trace
-
-
-@dataclass(frozen=True)
-class OverlapPenalty:
-    value: float
-    std_error: float
-    n_samples: int
-
-
-def overlap_penalty(f: Formation, n_samples: int = 100_000,
-                    seed: int = 0) -> OverlapPenalty:
-    """V = -H(x) + (1/K) sum_n H(x|n), the negative mutual information
-    between a point and the identity of the role that generated it.
-
-    Treats the formation as an equal-weight mixture (the diagnostic's
-    definition averages components uniformly).  The conditional entropies
-    are closed form; the mixture entropy H(x) is Monte-Carlo estimated from
-    at least 1e5 samples and the estimate's standard error is reported.
-    V is 0 when the mixture collapses to a single component and approaches
-    -ln K as the components pull apart.
-    """
-    if n_samples < 100_000:
-        raise ValueError("need at least 1e5 samples for a stable estimate")
-    k = f.k
-    if k == 1:
-        # conditional and mixture entropies coincide; no estimation needed
-        return OverlapPenalty(value=0.0, std_error=0.0, n_samples=n_samples)
-    rng = np.random.Generator(np.random.Philox(seed))
-    means = f.means
-    chols = np.stack([np.linalg.cholesky(c.cov) for c in f.components])
-    idx = rng.integers(0, k, size=n_samples)
-    z = rng.standard_normal((n_samples, 2))
-    x = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
-
-    log_mix = log_mixture_density(f.components, np.full(k, 1.0 / k), x)
-    h_mix = -float(log_mix.mean())
-    se = float(log_mix.std(ddof=1) / np.sqrt(n_samples))
-    h_cond = float(np.mean([differential_entropy(c) for c in f.components]))
-    return OverlapPenalty(value=h_cond - h_mix, std_error=se,
-                          n_samples=n_samples)

@@ -78,8 +78,10 @@ def _parse_filter(expr):
 
 
 def _load_and_prepare(args):
-    """Parse input, apply the metadata filter, and normalize; with the
-    SHA-256 of the bytes parsed, read once."""
+    """Parse input, apply the metadata filter, and prepare the frames once
+    (attack direction, then centering), the dataset every fit of the
+    command uses as it comes; with the SHA-256 of the bytes parsed, read
+    once."""
     data = Path(args.input).read_bytes()
     ds = parse_tracking(io.BytesIO(data), args.format)
     if getattr(args, "filter", None):
@@ -184,15 +186,14 @@ def _soft_branch(full, cfg, parent, key_frames_only):
 
 def _hard_branch(full, max_iters):
     """The hard baseline from the player-identity template, and the
-    identity matrix's WCE sweep and PCA, on ``run_pipeline``'s normalized
-    dataset, and their time; the baseline's ``AlignedDataset`` is dropped,
-    so a worker sends back only what ``cmd_compare`` reads."""
+    identity matrix's WCE sweep and PCA, on the prepared dataset the soft
+    branch fits, and their time; the baseline's ``AlignedDataset`` is
+    dropped, so a worker sends back only what ``cmd_compare`` reads."""
     t = time.perf_counter()
-    ds = center_normalize(normalize_attack_direction(full))
     formation, _, trace = hard_assignment_em(
-        ds, player_identity_template(ds), max_iters=max_iters)
-    identity = ds.positions.reshape(ds.n_frames, -1)
-    sweep = wce_sweep(identity, _sweep_ks(ds.n_frames))
+        full, player_identity_template(full), max_iters=max_iters)
+    identity = full.positions.reshape(full.n_frames, -1)
+    sweep = wce_sweep(identity, _sweep_ks(full.n_frames))
     pca = pca_variance_explained(identity)
     return formation, trace, sweep, pca, time.perf_counter() - t
 
@@ -206,6 +207,11 @@ def cmd_compare(args) -> int:
     timings["parse"] = time.perf_counter() - t0
 
     cfg = _make_config(args, full.n_agents)
+    if cfg.k > full.n_agents:
+        # an aligned row with an unfilled slot holds NaN, which the WCE
+        # sweep and the PCA cannot take
+        raise ValueError(f"compare needs --k at most the agent count: --k "
+                         f"{cfg.k} but {full.n_agents} agents per frame")
     parent = Template.load(args.parent_template) if args.parent_template \
         else None
     # the two branches share only the parsed input: the soft one runs here

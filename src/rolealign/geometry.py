@@ -312,34 +312,20 @@ def split_by_label(rows: np.ndarray, labels, k: int) -> list:
     return np.split(rows[order], ends[:-1])
 
 
-def _midpoint_mahalanobis(p: Gaussian2D, q: Gaussian2D) -> tuple[float, float]:
-    """(dmu' S^-1 dmu, det S) for the midpoint covariance S = (Sp + Sq) / 2."""
-    mid = 0.5 * (p.cov + q.cov)
-    det_mid = mid[0, 0] * mid[1, 1] - mid[0, 1] * mid[1, 0]
-    if det_mid <= 0.0:
-        raise ArithmeticError("midpoint covariance is numerically singular")
-    diff = p.mean - q.mean
-    inv = np.array([[mid[1, 1], -mid[0, 1]], [-mid[1, 0], mid[0, 0]]]) / det_mid
-    return float(diff @ inv @ diff), det_mid
-
-
 def bhattacharyya_distance(p: Gaussian2D, q: Gaussian2D) -> float:
     """Bhattacharyya distance between two Gaussians.
 
     D = 1/8 dmu' S^-1 dmu + 1/2 ln(det S / sqrt(det Sp det Sq)) where
     S = (Sp + Sq) / 2.  Symmetric, zero iff the distributions coincide.
     """
-    maha, det_mid = _midpoint_mahalanobis(p, q)
+    mid = 0.5 * (p.cov + q.cov)
+    det_mid = mid[0, 0] * mid[1, 1] - mid[0, 1] * mid[1, 0]
+    if det_mid <= 0.0:
+        raise ArithmeticError("midpoint covariance is numerically singular")
+    diff = p.mean - q.mean
+    inv = np.array([[mid[1, 1], -mid[0, 1]], [-mid[1, 0], mid[0, 0]]]) / det_mid
+    maha = float(diff @ inv @ diff)
     return 0.125 * maha + 0.5 * math.log(det_mid / math.sqrt(p.det * q.det))
-
-
-def mahalanobis_between_means(p: Gaussian2D, q: Gaussian2D) -> float:
-    """Mahalanobis distance between the means under the averaged covariance.
-
-    Alternative alignment cost to the Bhattacharyya distance; ignores the
-    shape mismatch term entirely.
-    """
-    return math.sqrt(max(0.0, _midpoint_mahalanobis(p, q)[0]))
 
 
 def kl_divergence(p: Gaussian2D, q: Gaussian2D) -> float:
@@ -358,19 +344,10 @@ def differential_entropy(g: Gaussian2D) -> float:
     return 1.0 + LOG_2PI + 0.5 * math.log(g.det)
 
 
-def role_area(g: Gaussian2D, convention: str = "inverse") -> float:
-    """Field area statistic for one role.
-
-    ``convention="inverse"`` returns pi / sqrt(lambda1 * lambda2), the
-    statistic used when comparing methods; ``convention="ellipse"`` returns
-    the one-sigma ellipse area pi * sqrt(lambda1 * lambda2).
-    """
-    root = math.sqrt(g.det)
-    if convention == "inverse":
-        return math.pi / root
-    if convention == "ellipse":
-        return math.pi * root
-    raise ValueError(f"unknown area convention: {convention!r}")
+def role_area(g: Gaussian2D) -> float:
+    """Field area statistic for one role: pi / sqrt(lambda1 * lambda2), the
+    statistic ``compare`` reports per role."""
+    return math.pi / math.sqrt(g.det)
 
 
 def sq_dist_to(x: np.ndarray, centers: np.ndarray, labels) -> np.ndarray:

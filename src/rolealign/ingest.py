@@ -1230,19 +1230,9 @@ def filter_metadata(ds: Dataset, team=None, game=None, period=None) -> Dataset:
 def flatten(ds: Dataset) -> np.ndarray:
     """All frames as an (S*N, 2) matrix, frame-major (a read-only view).
 
-    Row s*N + n is agent n of frame s; the frame structure is recoverable
-    through unflatten given a template Dataset.
+    Row s*N + n is agent n of frame s.
     """
     return ds.positions.reshape(-1, 2)
-
-
-def unflatten(points: np.ndarray, like: Dataset) -> Dataset:
-    """Inverse of flatten, borrowing ids and labels from ``like``."""
-    pts = np.array(points, dtype=float)
-    s, n = like.n_frames, like.n_agents
-    if pts.shape != (s * n, 2):
-        raise ValueError(f"expected shape ({s * n}, 2), got {pts.shape}")
-    return replace(like, positions=pts.reshape(s, n, 2))
 
 
 def concat_datasets(parts) -> Dataset:

@@ -11,7 +11,6 @@ explicit seed, so regeneration is byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .alignment import AlignedDataset, Template
 from .assignment import hungarian
 from .geometry import Gaussian2D
-from .ingest import Dataset, center_normalize, write_jsonl
+from .ingest import Dataset, center_normalize
 
 # Means are placed at 1.45x the promised separation floor so that the
 # closest pair sits comfortably beyond it, not exactly on it.
@@ -164,21 +163,6 @@ def sample_dataset(t: Template, s: int, swap_rate: float = 0.0,
     truth = GroundTruth(template=t, true_maps=true_maps,
                         swap_rate=swap_rate, event_rate=event_rate, seed=seed)
     return ds, truth
-
-
-def write_truth_jsonl(truth: GroundTruth, path) -> None:
-    """Sidecar file: one {"frame_id", "roles"} object per frame."""
-    write_jsonl(path, ({"frame_id": s, "roles": row} for s, row in
-                       enumerate(truth.true_maps.tolist())))
-
-
-def read_truth_maps(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line)["roles"])
-    return np.array(rows, dtype=int)
 
 
 def recovery_score(predicted: AlignedDataset, truth: GroundTruth) -> float:

@@ -1,4 +1,4 @@
-"""Hard-assignment EM baseline and the role-overlap diagnostic."""
+"""Hard-assignment EM baseline."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from rolealign.assignment import assign_batch
 from rolealign.baseline import (
     HardEmTrace,
     hard_assignment_em,
-    overlap_penalty,
     player_identity_template,
 )
 from rolealign.discovery import Formation
@@ -19,7 +18,6 @@ from rolealign.synth import generate_formation, recovery_score, sample_dataset
 
 from conftest import make_dataset
 
-LN2 = 0.6931471805599453
 
 
 def gauss(mx, my, weight=0.5, cov=None):
@@ -257,55 +255,3 @@ def test_hard_trace_csv_format(written):
     assert lines[1] == "1,250.5,-3.75,40"
     assert lines[2] == "2,240.25,-3.5,0"
 
-
-# overlap diagnostic
-
-
-def test_overlap_single_component_is_exactly_zero():
-    f = Formation(components=(gauss(0, 0, 1.0),))
-    v = overlap_penalty(f)
-    assert v.value == 0.0 and v.std_error == 0.0
-    assert v.n_samples == 100_000
-
-
-def test_overlap_sample_floor():
-    f = Formation(components=(gauss(0, 0, 1.0),))
-    with pytest.raises(ValueError, match="at least 1e5 samples"):
-        overlap_penalty(f, n_samples=50_000)
-
-
-def test_overlap_identical_components_near_zero():
-    f = Formation(components=(gauss(0, 0, 0.5), gauss(0, 0, 0.5)))
-    v = overlap_penalty(f, n_samples=200_000, seed=1)
-    assert abs(v.value) < 4 * v.std_error + 1e-6
-
-
-def test_overlap_separated_pair_approaches_neg_ln2():
-    f = Formation(components=(gauss(-20, 0, 0.5), gauss(20, 0, 0.5)))
-    v = overlap_penalty(f, n_samples=200_000, seed=2)
-    assert v.value == pytest.approx(-LN2, abs=4 * v.std_error + 1e-4)
-
-
-def test_overlap_monotone_in_separation():
-    # pulling roles apart can only reduce their confusability
-    vals = []
-    for d in (0.0, 1.0, 2.0, 4.0, 8.0):
-        f = Formation(components=(gauss(-d, 0, 0.5), gauss(d, 0, 0.5)))
-        vals.append(overlap_penalty(f, n_samples=150_000, seed=3).value)
-    assert all(b <= a + 0.01 for a, b in zip(vals, vals[1:]))
-
-
-def test_overlap_deterministic():
-    f = Formation(components=(gauss(-1, 0, 0.5), gauss(1, 0, 0.5)))
-    a = overlap_penalty(f, seed=9)
-    b = overlap_penalty(f, seed=9)
-    assert a.value == b.value and a.std_error == b.std_error
-
-
-def test_overlap_uses_uniform_mixture_not_weights():
-    # the diagnostic averages components equally whatever the weights say
-    fa = Formation(components=(gauss(-3, 0, 0.9), gauss(3, 0, 0.1)))
-    fb = Formation(components=(gauss(-3, 0, 0.5), gauss(3, 0, 0.5)))
-    va = overlap_penalty(fa, seed=4)
-    vb = overlap_penalty(fb, seed=4)
-    assert va.value == vb.value

@@ -284,14 +284,15 @@ def test_compare_whose_soft_branch_fails_writes_no_report(
         tmp_path, capsys, monkeypatch, cpus):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     tmpl = generate_formation(4, separation=3.0, seed=94)
-    ds, _ = sample_dataset(tmpl, 1, seed=94)
-    path = tmp_path / "one.csv"
+    # no event frames: the soft branch's key-frame filter selects none,
+    # while the hard branch, which fits every frame, succeeds
+    ds, _ = sample_dataset(tmpl, 40, seed=94)
+    path = tmp_path / "plain.csv"
     write_tracking_csv(ds, path)
     out = tmp_path / "cmp"
-    assert run(["compare", "--input", str(path), "--out", str(out), "--k",
-                "6", "--init", "random"]) == 2
-    assert capsys.readouterr().err == \
-        "error: k=6 exceeds total point count 4\n"
+    assert run(["compare", "--input", str(path), "--out", str(out),
+                "--key-frames-only"]) == 2
+    assert capsys.readouterr().err == "error: no event frames in dataset\n"
     assert list(out.iterdir()) == []
     assert no_child_process()
 
@@ -339,6 +340,59 @@ def test_compare_hard_loglik_is_the_last_hard_pass(plain_csv, tmp_path):
     assert report["hard_avg_loglik"] == trace.logliks[-1]
     last = (out / "hard_trace.csv").read_text().splitlines()[-1]
     assert float(last.split(",")[2]) == report["hard_avg_loglik"]
+
+
+def test_compare_and_discover_fit_the_same_prepared_data(tmp_path):
+    # pitch coordinates in centimetres, some frames right to left: one
+    # centering leaves residual means above center_normalize's 1e-12, so
+    # a second pass would move these frames and change the fit
+    tmpl = generate_formation(6, separation=3.0, seed=1)
+    ds, _ = sample_dataset(tmpl, 300, swap_rate=0.05, seed=1)
+    rl = np.arange(ds.n_frames) % 4 == 1
+    pitch = ds.positions * 100.0 + np.array([5250.0, 3400.0])
+    ds = replace(ds, positions=np.where(rl[:, None, None], -pitch, pitch),
+                 right_to_left=rl)
+    path = tmp_path / "pitch.csv"
+    write_tracking_csv(ds, path)
+    found, both = tmp_path / "discover", tmp_path / "compare"
+    assert run(["discover", "--input", str(path), "--out", str(found),
+                "--k", "6"]) == 0
+    assert run(["compare", "--input", str(path), "--out", str(both),
+                "--k", "6"]) == 0
+    last = (found / "emtrace.csv").read_text().splitlines()[-1]
+    assert (both / "emtrace.csv").read_text().splitlines()[-1] == last
+
+    prepared = center_normalize(normalize_attack_direction(
+        parse_tracking(path)))
+    with open(found / "formation.json") as fh:
+        formation = Formation.from_dict(json.load(fh))
+    with open(both / "report.json") as fh:
+        report = json.load(fh)
+    assert report["soft_avg_loglik"] == float(last.split(",")[1])
+    # the last EM pass sums the points in another order
+    assert report["soft_avg_loglik"] == pytest.approx(
+        average_log_likelihood(prepared, formation), rel=1e-13)
+
+    _, _, trace = hard_assignment_em(prepared,
+                                     player_identity_template(prepared))
+    trace.to_csv(tmp_path / "hard_trace.csv")
+    assert (both / "hard_trace.csv").read_bytes() == \
+        (tmp_path / "hard_trace.csv").read_bytes()
+
+
+def test_compare_refuses_fewer_agents_than_roles(tmp_path, capsys):
+    tmpl = generate_formation(10, separation=3.0, seed=95)
+    ds, _ = sample_dataset(tmpl, 40, seed=95)
+    path = tmp_path / "ten.csv"
+    write_tracking_csv(ds, path)
+    argv = ["--input", str(path), "--k", "12", "--init", "random"]
+    out = tmp_path / "cmp"
+    assert run(["compare", "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == \
+        "error: compare needs --k at most the agent count: --k 12 but 10 " \
+        "agents per frame\n"
+    assert not (out / "report.json").exists()
+    assert run(["discover", "--out", str(tmp_path / "found"), *argv]) == 0
 
 
 # context

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from rolealign import (Gaussian2D, bhattacharyya_distance,
                        component_log_pdfs, covariance_eigenvalues,
                        differential_entropy, gaussian_log_pdf, kl_divergence,
-                       log_mixture_density, mahalanobis_between_means,
-                       nearest_centers, role_area, split_by_label, sq_dist_to)
+                       log_mixture_density, nearest_centers, role_area,
+                       split_by_label, sq_dist_to)
 from rolealign import geometry
 from rolealign.geometry import (_gemm, _row_sums, density_coefficients,
                                 moment_features, posterior_moments)
@@ -374,23 +374,8 @@ def test_eigenvalues_trace_det_property():
 def test_role_area_conventions():
     g = Gaussian2D(mean=[0.0, 0.0], cov=[[4.0, 0.0], [0.0, 1.0]])
     assert role_area(g) == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert role_area(g, convention="ellipse") == pytest.approx(
-        2.0 * math.pi, abs=1e-12)
     h = Gaussian2D(mean=[0.0, 0.0], cov=4.0 * np.eye(2))
     assert role_area(h) == pytest.approx(math.pi / 4.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        role_area(g, convention="nope")
-
-
-def test_mahalanobis_between_means():
-    p = std_normal()
-    q = Gaussian2D(mean=[3.0, 0.0], cov=np.eye(2))
-    assert mahalanobis_between_means(p, q) == pytest.approx(3.0, abs=1e-12)
-    # averaged covariance (4I + 2I)/2 = 3I, diff (2, 0): sqrt(4/3)
-    a = Gaussian2D(mean=[0.0, 0.0], cov=4.0 * np.eye(2))
-    b = Gaussian2D(mean=[2.0, 0.0], cov=2.0 * np.eye(2))
-    assert mahalanobis_between_means(a, b) == pytest.approx(
-        2.0 / math.sqrt(3.0), abs=1e-12)
 
 
 # ------------------------------------------------------- type construction

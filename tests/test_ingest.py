@@ -1,4 +1,4 @@
-"""Parsing, canonicalization, normalization, and the flatten round trip."""
+"""Parsing, canonicalization, normalization, and flatten."""
 
 import csv
 import io
@@ -24,7 +24,6 @@ from rolealign.ingest import (
     flatten,
     normalize_attack_direction,
     parse_tracking,
-    unflatten,
     write_tracking_csv,
     write_tracking_jsonl,
 )
@@ -501,7 +500,7 @@ def test_filter_metadata():
         filter_metadata(ds, team="neutral")
 
 
-# flatten / unflatten
+# flatten
 
 
 def test_flatten_row_order():
@@ -512,27 +511,6 @@ def test_flatten_row_order():
     for i in range(ds.n_frames):
         for j in range(ds.n_agents):
             assert np.array_equal(flat[i * ds.n_agents + j], s[i, j])
-
-
-def test_unflatten_inverts_flatten():
-    ds = small_dataset()
-    back = unflatten(flatten(ds), like=ds)
-    assert_columns_equal(ds, back)
-
-
-def test_unflatten_borrows_labels():
-    ds = small_dataset()
-    pts = np.zeros((4, 2))
-    back = unflatten(pts, like=ds)
-    assert back.frames[0].team == "home"
-    assert back.frames[0].agent_ids == ds.frames[0].agent_ids
-    assert np.array_equal(back.frames[1].positions, np.zeros((2, 2)))
-
-
-def test_unflatten_shape_check():
-    ds = small_dataset()
-    with pytest.raises(ValueError, match=r"expected shape \(4, 2\)"):
-        unflatten(np.zeros((5, 2)), like=ds)
 
 
 # container validation

@@ -1,12 +1,15 @@
-"""Layering: no rolealign module touches another module's private names.
+"""Layering: no rolealign module touches another module's private names,
+and no public name is there for tests alone.
 
 Every ``src/rolealign/*.py`` file is parsed with ``ast``.  A module may not
 import a ``_``-prefixed name from another rolealign module, nor read one
 as an attribute of an imported rolealign module (``_disc._e_step``).
-Dunder names such as ``__version__`` are public.
+Dunder names such as ``__version__`` are public.  Every name the package
+exports must be read by the package itself, a demo or the README.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = "rolealign"
@@ -101,3 +104,79 @@ def test_the_checker_sees_each_kind_of_access(tmp_path):
         (7, "reads rolealign.discovery._component_log_pdfs"),
         (9, "reads rolealign.ingest._chunks"),
     ]
+
+
+# Public names that only tests read.  Acceptance check 9 measures role
+# overlap with differential_entropy, so it stays public with no caller.
+READ_BY_TESTS_ONLY = {"differential_entropy"}
+
+
+def unread_public_names(public, modules, others):
+    """The names of ``public`` that nothing reads but tests.
+
+    ``modules`` are package sources and ``others`` texts that read names
+    (demos, README).  A name counts as read when its word appears in an
+    ``others`` text, in a module line outside every top-level definition
+    of a public name, or in the definition of another public name that is
+    itself read; its own definition never reads it.
+    """
+    words = {name: re.compile(rf"\b{re.escape(name)}\b") for name in public}
+    live = list(others)       # text read whatever is public
+    owned = {}                # public name -> the text of its definition
+    for source in modules:
+        lines = source.splitlines()
+        kept = set(range(len(lines)))
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in words:
+                start = min(d.lineno for d in [node, *node.decorator_list])
+                span = range(start - 1, node.end_lineno)
+                owned[node.name] = "\n".join(lines[i] for i in span)
+                kept -= set(span)
+        live.append("\n".join(lines[i] for i in sorted(kept)))
+    read = {name for name in public
+            if any(words[name].search(text) for text in live)}
+    grown = True
+    while grown:
+        grown = False
+        for name in set(public) - read:
+            if any(words[name].search(owned[other])
+                   for other in read & owned.keys() if other != name):
+                read.add(name)
+                grown = True
+    return sorted(set(public) - read)
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    import rolealign
+    root = SOURCE.parents[1]
+    modules = [p.read_text() for p in sorted(SOURCE.glob("*.py"))
+               if p.name != "__init__.py"]
+    others = [p.read_text() for p in sorted((root / "demos").glob("*.py"))]
+    others.append((root / "README.md").read_text())
+    unread = unread_public_names(rolealign.__all__, modules, others)
+    assert set(unread) == READ_BY_TESTS_ONLY, \
+        "public names that no command, demo or README section reads: " \
+        f"{sorted(set(unread) - READ_BY_TESTS_ONLY)}"
+
+
+def test_unread_names_follow_definitions():
+    module = (
+        "def used():\n"
+        "    return Helper()\n"
+        "\n"
+        "class Helper:\n"
+        "    def again(self):\n"
+        "        return Helper()\n"
+        "\n"
+        "def dead():\n"
+        "    return Orphan(), used()\n"
+        "\n"
+        "class Orphan:\n"
+        "    pass\n"
+        "\n"
+        "def mentioned():\n"
+        "    pass\n")
+    assert unread_public_names(
+        ["used", "Helper", "dead", "Orphan", "mentioned"], [module],
+        ["call used() and see mentioned"]) == ["Orphan", "dead"]

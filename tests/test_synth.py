@@ -8,10 +8,8 @@ from rolealign.geometry import covariance_eigenvalues
 from rolealign.synth import (
     GroundTruth,
     generate_formation,
-    read_truth_maps,
     recovery_score,
     sample_dataset,
-    write_truth_jsonl,
 )
 
 
@@ -148,14 +146,6 @@ def test_sampler_needs_a_frame():
 
 
 # ground truth plumbing
-
-
-def test_truth_roundtrip(tmp_path):
-    t = generate_formation(5, seed=77)
-    _, truth = sample_dataset(t, 40, swap_rate=0.2, seed=77)
-    p = tmp_path / "truth.jsonl"
-    write_truth_jsonl(truth, p)
-    assert np.array_equal(read_truth_maps(p), truth.true_maps)
 
 
 def test_truth_validation():
