@@ -221,7 +221,8 @@ def wce_sweep(r, ks) -> list:
         wce, cent, lab = min(((_mean_distance(x, *cl), *cl)
                               for cl in candidates), key=lambda c: c[0])
         score, near_score = 0.0, None
-        if k >= 2 and len(np.unique(lab)) == k:
+        # every label in [0, k) used; np.unique would import numpy.ma
+        if k >= 2 and np.bincount(lab, minlength=k).all():
             helper = ClusterSet(k=k, centroids=cent, labels=lab)
             score, near_score = _score_E(x, helper)
         searches = [s for s in (near_init, near, near_score) if s is not None]

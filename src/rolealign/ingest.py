@@ -21,11 +21,11 @@ what csv.reader reads there.  One numpy scan per chunk finds the commas
 and LFs (``_byte_chunks``).  The frame_id, agent_id and frame-level
 (is_event to period) fields of printable ASCII are told apart by keys
 made of their bytes, and each distinct value is decoded and converted
-once (``_distinct``); ``float`` reads each coordinate's bytes.  A field
-holding any other byte is decoded first, so it converts as its text
-would.  Any other input goes through csv.reader, the one tokenizer for
-quoted fields, whose columns reach the same distinct-value conversion
-(``_csv_rows``), so values and messages do not depend on the tokenizer.
+once (``_distinct``).  A field holding any other byte is decoded first,
+so it converts as its text would.  Any other input goes through
+csv.reader, the one tokenizer for quoted fields, whose columns reach the
+same distinct-value conversion (``_csv_rows``), so values and messages do
+not depend on the tokenizer.
 Line numbers count physical lines (a record's first one).  A field
 longer than ``csv.field_size_limit()`` characters, a CR that does not end
 a line and any other csv.reader error (before Python 3.11, a NUL
@@ -34,10 +34,13 @@ UTF-8 and a leading byte-order mark.
 
 JSONL is read as bytes too.  A chunk of lines shaped as
 ``write_tracking_jsonl`` writes them is read by one numpy scan and
-``int``/``float`` on the bytes of each number (``_writer_rows``); any
-other chunk is decoded and read by json.loads.  JSONL lines end at LF
-alone: U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and
-the CR of a CRLF is JSON whitespace.
+``int`` on the bytes of each frame id (``_writer_rows``); any other chunk
+is decoded and read by json.loads.  JSONL lines end at LF alone: U+2028,
+U+2029 and U+0085 may stand raw inside a JSON string, and the CR of a
+CRLF is JSON whitespace.
+
+Both byte paths read coordinates with ``_decimals``, as float() reads
+their bytes, bit for bit, but plain decimals without float().
 
 Quote-free CSV input and JSONL input of more than one chunk are cut at
 LF into parts read on every usable CPU (``_lf_parts``,
@@ -252,7 +255,13 @@ class Dataset:
         first frame; frames are in frame_id order (stable).  Both choices
         make the result independent of how the caller ordered frames or
         rows.  Raises ValueError when a frame lacks one of the agents.
+        With frame ids and one row of codes increasing in every frame, as
+        parsed, they are ``positions`` (read-only, C-ordered as a gather).
         """
+        fid, codes = self.frame_id, self.agent_codes
+        if (fid[1:] > fid[:-1]).all() and (codes == codes[0]).all() and \
+                (codes[0, 1:] > codes[0, :-1]).all():
+            return np.ascontiguousarray(self.positions)
         by_id = np.argsort(self.frame_id, kind="stable")
         codes = self.agent_codes[by_id]
         ids = np.sort(codes[0])
@@ -350,17 +359,18 @@ def _check_csv_row(line, rec):
     _check_int(period_s, "period", line)
 
 
-def _csv_rows(lines, fid, agent, tail, coords):
+def _csv_rows(lines, fid, agent, tail, xy):
     """Row columns of one chunk of non-blank CSV records, or None when a
     value does not convert (the line-by-line check then names it).
 
     ``fid``, ``agent`` and ``tail`` are (distinct values, each row's index
     into them) pairs: of the frame_id fields, the agent_id fields (a
     sorted table) and the frame-level fields (is_event to period, a tuple
-    of five strings).  Each distinct value is converted once.  ``coords``
-    holds every row's x and y fields in turn, as str or bytes.  The frame
-    labels come back as one pair, ``labels``, whose table holds (is_event,
-    right_to_left, team, game, period) tuples."""
+    of five strings).  Each distinct value is converted once.  ``xy``
+    holds every row's x and y in turn, as float() reads them (NaN for a
+    field it does not read).  The frame labels come back as one pair,
+    ``labels``, whose table holds (is_event, right_to_left, team, game,
+    period) tuples."""
     flags = {"0": False, "1": True}
     directions = {LEFT_TO_RIGHT: False, RIGHT_TO_LEFT: True}
     try:
@@ -370,7 +380,6 @@ def _csv_rows(lines, fid, agent, tail, coords):
                           map(directions.__getitem__, direction), team, game,
                           np.fromiter(map(int, period), np.int64,
                                       len(period)).tolist()))
-        xy = np.fromiter(map(float, coords), float, 2 * len(lines))
     except (ValueError, OverflowError, KeyError):
         return None
     if not np.isfinite(xy).all():
@@ -380,6 +389,15 @@ def _csv_rows(lines, fid, agent, tail, coords):
             "agent": agent, "labels": (table, codes[tail[1]])}
 
 
+def _floats(fields):
+    """float() of each field (str or bytes) as float64; all NaN when one
+    does not convert."""
+    try:
+        return np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return np.full(len(fields), np.nan)
+
+
 def _reader_rows(recs, lines):
     """Row columns of one chunk of csv.reader records (see ``_csv_rows``);
     the first malformed record raises."""
@@ -387,7 +405,8 @@ def _reader_rows(recs, lines):
 
     fid, agent, x, y, *tail = zip(*recs)
     rows = _csv_rows(lines, _codes(fid), _codes(agent),
-                     _codes(list(zip(*tail))), chain.from_iterable(zip(x, y)))
+                     _codes(list(zip(*tail))),
+                     _floats([*chain.from_iterable(zip(x, y))]))
     if rows is None:
         _scan(_check_csv_row, recs, lines)
     return rows
@@ -446,6 +465,91 @@ def _distinct(block, words, starts, ends, odd):
         codes[rest] += len(table)
         table += more
     return table, codes
+
+
+def _words(data):
+    """``words[p]``: the 8 bytes from p on as one little-endian uint64."""
+    return np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+
+
+# uint64 words of 8 equal bytes: 0x01, 0x80, "0", and the byte that, added
+# to a digit value, sets the top bit when the value is over 9
+_ONES, _TOPS, _ZEROS, _OVER_9 = (np.uint64(b * 0x0101010101010101)
+                                 for b in (0x01, 0x80, 0x30, 0x76))
+# per count k = 0..8 of digits in a word's low bytes: the factor that moves
+# them to its high bytes, dropping the rest (a word of zeros for k = 0)
+_TO_TOP = np.array([0] + [1 << 8 * (8 - k) for k in range(1, 9)], np.uint64)
+_POW10 = np.array([10 ** k for k in range(9)], np.uint64)
+_POW10_F = 10.0 ** np.arange(19)
+# 10**q for q = 0..27, exact when long double is x87 extended precision
+# (5**27 < 2**64) and rounds to 64 bits; one rounded to 53 bits fails the
+# check in _EXTENDED from 10**23 on
+_POW10_L = np.multiply.accumulate(np.array([1] + [10] * 27, np.longdouble))
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and \
+    [int(p) for p in _POW10_L] == [10 ** q for q in range(28)]
+
+
+def _decimals(data, starts, ends, odd=None):
+    """float() of each field ``data[s:e]`` as float64, bit for bit, and the
+    indices of the fields read by float() itself (all NaN if one fails).
+
+    A field -D.D or D.D with at most 7 digits before the point and 19 in
+    all, or -D or D of at most 7 digits, is read from uint64 words 8 digits
+    at a time (Lemire, SPE 2021) as w with q decimals.  w / 10**q is one
+    correctly rounded division of exact numbers (Clinger, PLDI 1990): in
+    float64 for w <= 2**53, else in x87 extended precision, then rounded to
+    float64 unless within a unit in the last place of a halfway point.
+    Other fields (an exponent, "+", "_", spaces, nan, ".5", "5.", non-ASCII
+    bytes, more digits, an end in the last 7 bytes of ``data``, a large w
+    without x87) go to float(), decoded where ``odd`` is set."""
+    words = _words(data)
+    last = len(words) - 1
+    neg = np.frombuffer(data, np.uint8)[np.minimum(starts, len(data) - 1)] \
+        == 45
+    p = starts + neg   # the first digit
+    size = ends - p
+    # the position of the first "." in the word at p (8 for none): the
+    # count of the bytes below the lowest of the 1s that mark "."s
+    dots = (words[np.minimum(p, last)].view(np.uint8) == 46).view("<u8")
+    dot = (((dots - 1) & ~dots & _ONES) * _ONES >> 56).astype(np.intp)
+    i = np.minimum(dot, size)   # digits before the point
+    f = size - i - 1   # digits after it; -1 without one
+    # word 0 holds the integer part, words 1.. the decimals (as many as the
+    # longest field needs), k digits from their first byte: digit values,
+    # where any other byte sets its top bit
+    step = np.arange(0, min(f.max(initial=0), 18), 8)[:, None]
+    k = np.clip(np.concatenate([i[None], f - step]), 0, 8)
+    d = words[np.minimum(np.concatenate([p[None], p + i + 1 + step]), last)]
+    d -= _ZEROS
+    d *= _TO_TOP[k]
+    bad = ((d + _OVER_9) | d) & _TOPS
+    # 8 digits to their value, first byte first: pairs, fours, then all
+    for n, low in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF),
+                   (4, 0xFFFFFFFF)):
+        d *= np.uint64(10 ** n << 8 * n | 1)
+        d >>= np.uint64(8 * n)
+        d &= np.uint64(low)
+    w = d[0]
+    for r in range(1, len(d)):
+        w = w * _POW10[k[r]] + d[r]
+    ok = ~bad.any(axis=0) & (i >= 1) & (i <= 7) & (size <= 20) & \
+        ((dot >= size) | (f >= 1)) & (ends <= len(words))
+    q = np.clip(f, 0, 18)
+    out = w.astype(float) / _POW10_F[q]
+    big = np.flatnonzero(ok & (w > 2 ** 53))
+    if _EXTENDED:
+        quotient = w[big].astype(np.longdouble) / _POW10_L[q[big]]
+        out[big] = quotient
+        # the 11 bits of the 64-bit quotient below a float64's 53
+        low = np.ldexp(np.frexp(quotient)[0], 64).astype(np.uint64) % 2048
+        ok[big] = abs(low.astype(np.intp) - 1024) > 1
+    else:
+        ok[big] = False
+    np.negative(out, out=out, where=neg)   # after dividing: -0.0 stays
+    slow = np.flatnonzero(~ok)
+    out[slow] = _floats(_fields(data, starts[slow], ends[slow],
+                                None if odd is None else odd[slow]))
+    return out, slow
 
 
 def _count_lf(data, start, end):
@@ -542,19 +646,18 @@ def _field_rows(block, ends, begin, end, lines, plain, limit):
         seen = np.concatenate(([0], np.cumsum(np.subtract(np.frombuffer(
             block, np.uint8), 32, dtype=np.uint8) > 94, dtype=np.int32)))
         odd = seen[stops] > seen[starts]
-    words = np.ndarray((len(block) - 7,), "<u8", block, 0, (1,))
+    words = _words(block)
 
     def column(a, b=None):
         return _distinct(block, words, *fields(a, b), None if odd is None
                          else odd[:, a:(b or a) + 1].any(axis=1))
     tail, codes = column(4, 8)
-    x_start, y_stop = fields(2, 3)
+    (x_start, x_stop), (y_start, y_stop) = fields(2), fields(3)
+    xy, _ = _decimals(block, np.stack((x_start, y_start), 1).ravel(),
+                      np.stack((x_stop, y_stop), 1).ravel(),
+                      None if odd is None else odd[:, 2:4].ravel())
     return _csv_rows(lines, column(0), _merge_codes([column(1)]),
-                     ([tuple(t.split(",")) for t in tail], codes),
-                     _fields(block, np.stack((x_start, ends[:, 2] + 1),
-                                             axis=1).ravel(),
-                             np.stack((ends[:, 2], y_stop), axis=1).ravel(),
-                             None if odd is None else odd[:, 2:4].ravel()))
+                     ([tuple(t.split(",")) for t in tail], codes), xy)
 
 
 def _split_header(data):
@@ -994,24 +1097,20 @@ def _writer_rows(block, lf, line):
     if distinct is None:
         return None
     fids = _fields(head, first[:, 0], last[:, 0])
-    # each line's "x, y], [x, y" with the brackets deleted
-    coords = b", ".join(_fields(head, first[:, 1], last[:, -1])).translate(
-        None, b"[]")
-    # float() and int() read "1_0"; float() reads "1.e5" (a search for
-    # ".e" takes 0.7 ms a block, one for "e" next to nothing)
-    if b"_" in coords or b"_" in b"".join(fids) or (
-            b"e" in coords or b"E" in coords) and (
-            b".e" in coords or b".E" in coords):
+    a, b = first[:, 1:].ravel(), last[:, 1:].ravel()   # the coordinates
+    xy, slow = _decimals(head, a, b)
+    # float() and int() read "1_0" and float() reads "1.e5", which JSON
+    # does not; _decimals reads both with float()
+    rest = b" ".join(fids + _fields(head, a[slow], b[slow]))
+    if b"_" in rest or b".e" in rest or b".E" in rest:
         return None
-    coords = coords.split(b", ")
     try:
         fid = np.fromiter(map(int, fids), np.int64, len(kept))
-        xy = np.fromiter(map(float, coords), float, len(coords))
     except (ValueError, OverflowError):
         return None
     if not np.isfinite(xy).all():
         return None
-    xy[(xy == 0) & (last[:, 1:] - first[:, 1:] == 2).ravel()] = 0.0  # "-0"
+    xy[(xy == 0) & (b - a == 2)] = 0.0  # "-0"
     (table, label), (ids, agent) = distinct["labels"], distinct["agent"]
     return {"line": line + kept, "frame_id": fid,
             "labels": (table, label[which]),

@@ -1,6 +1,10 @@
 """Flat clustering of aligned rows, compression metrics, and the tree."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +31,8 @@ from rolealign.ingest import center_normalize, concat_datasets, flatten
 from rolealign.synth import generate_formation, sample_dataset
 
 from oracles import reference_kmeans
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cluster_set(rows, labels):
@@ -236,6 +242,22 @@ def test_wce_sweep_nonincreasing():
     assert out[0]["score"] == 0.0
     for o in out:
         assert o["per_player"] == pytest.approx(o["wce"] / 2)
+
+
+def test_wce_sweep_does_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma (about 10 ms) in numpy 2.4
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rolealign.clustering import wce_sweep\n"
+        "rows = np.random.default_rng(5).normal(size=(60, 4))\n"
+        "out = wce_sweep(rows, range(1, 6))\n"
+        "print(sum(o['score'] > 0 for o in out), 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == ["4", "False"]
 
 
 def test_wce_sweep_skips_impossible_k():

@@ -605,6 +605,32 @@ def test_take_and_agent_tracks():
     assert np.array_equal(tracks, small_dataset().positions[:1])
 
 
+def test_agent_tracks_of_canonical_frames_are_the_positions():
+    rng = np.random.default_rng(23)
+    ids = ("p0", "p1", "p2", "p3")
+    ds = make_dataset(rng.normal(size=(7, 4, 2)) * 30, ids,
+                      frame_id=[2, 3, 5, 8, 13, 21, 34])
+    tracks = ds.agent_tracks()
+    assert tracks is ds.positions and not tracks.flags.writeable
+    # the same frames with rows shuffled, frames and agents within each:
+    # the tracks come from the sorts and gathers
+    order = rng.permutation(7)
+    within = np.argsort(rng.random((7, 4)), axis=1)
+    shuffled = make_dataset(
+        np.take_along_axis(ds.positions[order], within[:, :, None], axis=1),
+        np.array(ids, dtype=object)[within], frame_id=ds.frame_id[order])
+    gathered = shuffled.agent_tracks()
+    assert gathered is not shuffled.positions
+    assert gathered.tobytes() == tracks.tobytes()
+
+
+def test_agent_tracks_name_a_missing_agent_with_frames_in_order():
+    ids = [("p0", "p1", "p2")] * 3 + [("p0", "p1", "p3")]
+    ds = make_dataset(np.zeros((4, 3, 2)), ids, frame_id=[1, 2, 3, 4])
+    with pytest.raises(ValueError, match="agent 'p2' missing from frame 4"):
+        ds.agent_tracks()
+
+
 # column conversion in chunks
 
 
@@ -685,6 +711,19 @@ ODD_FIELDS = [
 ]
 
 
+def coordinate(rnd):
+    """A coordinate: a multiple of 1/4, a repr of up to 17 significant
+    digits (up to 18 decimals in (-1, 1)), or a spelling with an
+    exponent."""
+    kind = rnd.randrange(4)
+    if kind == 0:
+        return repr(rnd.randint(-400, 400) / 4)
+    if kind < 3:
+        return repr(rnd.uniform(-1, 1) * (120 if kind == 1 else 1))
+    return rnd.choice(["1e-05", "-2.5e-07", "1E3", "1e+16", "6.02e+23",
+                       "-1.5e-300"])
+
+
 @st.composite
 def quote_free_csv(draw):
     """CSV text without a quote, its lines ending in LF or all in CRLF:
@@ -695,7 +734,7 @@ def quote_free_csv(draw):
         labels = [rnd.choice("01"), rnd.choice(["LR", "RL"]),
                   rnd.choice(["", "home"]), "g1", rnd.choice("12")]
         for a in range(draw(st.integers(1, 3))):
-            x, y = (repr(rnd.randint(-400, 400) / 4) for _ in range(2))
+            x, y = (coordinate(rnd) for _ in range(2))
             rows.append([str(fid), f"p{a}", x, y] + labels)
     rnd.shuffle(rows)
     lines = [",".join(r) for r in rows]
@@ -756,6 +795,117 @@ def test_tokenizers_agree_on_a_valid_file():
     text = buf.getvalue().replace("\r\n", "\n")
     assert_columns_equal(parse_tracking(io.StringIO(text)), ds)
     assert_columns_equal(parse_tracking(io.StringIO(reader_path(text))), ds)
+
+
+# the coordinate reader: float()'s bits from uint64 words
+
+
+def read_decimals(fields, extended, odd=None, pad=8):
+    """``ingest._decimals`` of str fields joined by commas, then ``pad``
+    zero bytes, with x87 extended precision on or off."""
+    from unittest import mock
+
+    raw = [f.encode() for f in fields]
+    size = np.array([len(r) for r in raw], dtype=np.intp)
+    starts = np.cumsum(size + 1) - size - 1
+    data = b",".join(raw) + b"," + bytes(pad)
+    with mock.patch.object(ingest, "_EXTENDED", extended):
+        return ingest._decimals(data, starts, starts + size, odd)
+
+
+def taken(field):
+    """Whether the word reader reads a field itself (or, near a halfway
+    point, hands it to float()): -D.D or D.D with at most 7 digits before
+    the point and 19 in all, or -D or D of at most 7 digits."""
+    import re
+
+    return bool(re.fullmatch(r"-?[0-9]{1,7}(\.[0-9]+)?", field)) and \
+        sum(map(str.isdigit, field)) <= 19
+
+
+def floats(fields):
+    return np.array(list(map(float, fields)))
+
+
+EXTENDED = pytest.mark.parametrize("extended", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        not ingest._EXTENDED, reason="long double is not x87 extended")),
+    False])
+
+
+@st.composite
+def near_halfway(draw):
+    """A decimal of 16 to 19 digits at, or one unit in its last digit
+    from, the point halfway between two adjacent doubles."""
+    from decimal import Decimal, localcontext
+
+    x = draw(st.floats(0, 9999999))
+    q = draw(st.integers(16, 19)) - len(str(int(x)))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        half = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        w = int((half * 10 ** q).to_integral_value())
+    w = abs(w + draw(st.integers(-1, 1)))
+    return f"{draw(st.sampled_from(['', '-']))}{w // 10 ** q}." \
+        f"{w % 10 ** q:0{q}d}"
+
+
+@EXTENDED
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    near_halfway(),
+    st.from_regex(r"-?[0-9]{1,9}(\.[0-9]{0,20})?", fullmatch=True),
+    st.sampled_from(["-0.0", "0.0", "-0", "0", "0000000.5", "-00.25",
+                     "1234567.123456789012", "-9999999.999999999999",
+                     "12345678.5", "0.000000000000000001"])),
+    min_size=1, max_size=40))
+def test_the_word_reader_reads_what_float_reads(extended, fields):
+    values, slow = read_decimals(fields, extended)
+    assert values.tobytes() == floats(fields).tobytes()
+    assert set(slow.tolist()) >= {j for j, f in enumerate(fields)
+                                  if not taken(f)}
+
+
+@EXTENDED
+def test_long_mantissas_need_x87_extended_precision(extended):
+    # 17 digits each: more than 2**53 as integers
+    fields = ["-29.334339827745822", "0.12345678901234567", "52.5",
+              "60.11452053377046"]
+    values, slow = read_decimals(fields, extended)
+    assert values.tobytes() == floats(fields).tobytes()
+    assert slow.tolist() == ([] if extended else [0, 1])
+
+
+@EXTENDED
+def test_odd_coordinate_spellings_go_to_float(extended):
+    for field in sorted(set(ODD_FIELDS[2] + ODD_FIELDS[3])):
+        # decoded first where the CSV byte path decodes it
+        odd = np.array([not all(32 <= ord(c) < 127 for c in field)])
+        values, slow = read_decimals([field], extended, odd)
+        try:
+            expected = float(field)
+        except ValueError:
+            expected = np.nan
+        assert values.tobytes() == np.float64(expected).tobytes(), field
+        if not taken(field):
+            assert slow.tolist() == [0], field
+        elif extended:   # none of them lies near a halfway point
+            assert slow.tolist() == [], field
+
+
+def test_a_field_near_the_end_of_the_bytes_goes_to_float():
+    # words start at bytes 0..10 of these 18; the last two fields end later
+    values, slow = read_decimals(["1.25", "2.5", "3.75", "4.5"], False,
+                                 pad=0)
+    assert values.tolist() == [1.25, 2.5, 3.75, 4.5]
+    assert slow.tolist() == [2, 3]
+
+
+def test_a_field_float_does_not_read_makes_the_float_fields_nan():
+    values, slow = read_decimals(["1.5", "x", "1e5"], False)
+    assert values[0] == 1.5 and np.isnan(values[1:]).all()
+    assert slow.tolist() == [1, 2]
 
 
 def test_quoted_fields_still_parse():
