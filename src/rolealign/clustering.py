@@ -247,12 +247,14 @@ class TreeStop:
     k_candidates: tuple = (2, 3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
     template: Template
-    row_indices: tuple
+    row_indices: np.ndarray         # read-only intp
     depth: int
     wce: float                      # distortion of this node's rows alone
+    # why a leaf stopped: "depth", "size", "no split", "score" or "gain"
+    stop_reason: str | None = None
     children: tuple = ()
     cluster: ClusterSet | None = None
     pairwise_loss: float | None = None
@@ -264,8 +266,9 @@ class TreeNode:
     def to_dict(self):
         return {"depth": self.depth,
                 "template": self.template.to_dict(),
-                "rows": [int(i) for i in self.row_indices],
+                "rows": self.row_indices.tolist(),
                 "wce": self.wce,
+                "stop_reason": self.stop_reason,
                 "cluster_k": None if self.cluster is None else self.cluster.k,
                 "score": None if self.cluster is None else self.cluster.score,
                 "pairwise_loss": self.pairwise_loss,
@@ -313,13 +316,15 @@ def learn_tree(ds: Dataset, g: Template | None = None,
     given), splits its aligned rows with flat_cluster, and recurses per
     cluster.  A node stays a leaf when it is too deep, too small, when no
     candidate split scores at least min_score, or when the split's
-    distortion gain is below min_rel_improvement.
+    distortion gain is below min_rel_improvement; its ``stop_reason`` says
+    which.
     """
     if cfg is None:
         cfg = DiscoveryConfig(k=ds.n_agents)
 
-    def build(indices, parent, depth):
-        sub = ds.take(indices)
+    def build(rows, parent, depth):
+        rows.flags.writeable = False
+        sub = ds.take(rows)
         formation, _ = discover_formation(sub, cfg)
         template = align_template(formation, parent) if parent is not None \
             else Template.from_formation(formation)
@@ -327,30 +332,33 @@ def learn_tree(ds: Dataset, g: Template | None = None,
         x = aligned.matrix
         node_wce = _mean_distance(x, x.mean(axis=0, keepdims=True),
                                   np.zeros(len(x), dtype=np.intp))
-
-        if depth >= stop.max_depth or len(indices) < stop.min_node:
-            return TreeNode(template=template, row_indices=tuple(indices),
-                            depth=depth, wce=node_wce)
-        try:
-            cs = flat_cluster(aligned, stop.k_candidates, template,
-                              seed=cfg.seed)
-        except ValueError:
-            return TreeNode(template=template, row_indices=tuple(indices),
-                            depth=depth, wce=node_wce)
-        if cs.k < 2 or cs.score < stop.min_score:
-            return TreeNode(template=template, row_indices=tuple(indices),
-                            depth=depth, wce=node_wce)
-        split_wce = within_cluster_error(x, cs).value
-        if (node_wce - split_wce) / max(node_wce, 1e-12) \
-                < stop.min_rel_improvement:
-            return TreeNode(template=template, row_indices=tuple(indices),
-                            depth=depth, wce=node_wce)
-        children = tuple(build(rows, template, depth + 1) for rows in
-                         split_by_label(np.asarray(indices), cs.labels, cs.k))
-        return TreeNode(template=template, row_indices=tuple(indices),
-                        depth=depth, wce=node_wce, children=children,
-                        cluster=cs,
-                        pairwise_loss=pairwise_within_cluster(x, cs.labels))
+        split = {}
+        if depth >= stop.max_depth:
+            reason = "depth"
+        elif len(rows) < stop.min_node:
+            reason = "size"
+        else:
+            try:
+                cs = flat_cluster(aligned, stop.k_candidates, template,
+                                  seed=cfg.seed)
+            except ValueError:
+                cs = None
+            if cs is None or cs.k < 2:
+                reason = "no split"
+            elif cs.score < stop.min_score:
+                reason = "score"
+            elif (node_wce - within_cluster_error(x, cs).value) \
+                    / max(node_wce, 1e-12) < stop.min_rel_improvement:
+                reason = "gain"
+            else:
+                reason = None
+                split = dict(children=tuple(
+                    build(part, template, depth + 1)
+                    for part in split_by_label(rows, cs.labels, cs.k)),
+                    cluster=cs,
+                    pairwise_loss=pairwise_within_cluster(x, cs.labels))
+        return TreeNode(template=template, row_indices=rows, depth=depth,
+                        wce=node_wce, stop_reason=reason, **split)
 
     root = build(np.arange(ds.n_frames), g, 1)
     return TemplateTree(root=root)

@@ -325,7 +325,9 @@ def bhattacharyya_distance(p: Gaussian2D, q: Gaussian2D) -> float:
     diff = p.mean - q.mean
     inv = np.array([[mid[1, 1], -mid[0, 1]], [-mid[1, 0], mid[0, 0]]]) / det_mid
     maha = float(diff @ inv @ diff)
-    return 0.125 * maha + 0.5 * math.log(det_mid / math.sqrt(p.det * q.det))
+    # two roots, not the root of a product that overflows from |x| ~ 1e39
+    return 0.125 * maha + 0.5 * math.log(
+        det_mid / (math.sqrt(p.det) * math.sqrt(q.det)))
 
 
 def kl_divergence(p: Gaussian2D, q: Gaussian2D) -> float:

@@ -13,43 +13,40 @@ column check fails does a line-by-line scan run, to name the first bad line.
 Parsing is canonical: agents within a frame are ordered by agent_id, frames
 by frame_id, so any row order on disk yields the same Dataset.
 
-CSV input is tokenized one of two ways, chosen from its bytes alone.
-Input without a double quote whose lines end in LF or CRLF is read as
-bytes (a str source is encoded once): every line is one record, and its
-fields are the line, its end dropped, split at commas, which is exactly
-what csv.reader reads there.  One numpy scan per chunk finds the commas
-and LFs (``_byte_chunks``).  The frame_id, agent_id and frame-level
-(is_event to period) fields of printable ASCII are told apart by keys
-made of their bytes, and each distinct value is decoded and converted
-once (``_distinct``).  A field holding any other byte is decoded first,
-so it converts as its text would.  Any other input goes through
-csv.reader, the one tokenizer for quoted fields, whose columns reach the
-same distinct-value conversion (``_csv_rows``), so values and messages do
-not depend on the tokenizer.
-Line numbers count physical lines (a record's first one).  A field
-longer than ``csv.field_size_limit()`` characters, a CR that does not end
-a line and any other csv.reader error (before Python 3.11, a NUL
-character) raise a ParseError naming the line, as do a byte that is not
-UTF-8 and a leading byte-order mark.
+The byte paths of both formats share one core.  ``_lf_chunks`` cuts the
+lines into chunks, each copied once with an LF at its end and 8 zero
+bytes after it; ``_distinct`` keys fields by their bytes, packed into
+uint64 words, so each distinct value is decoded and converted once;
+``_decimals`` reads coordinates as float() reads their bytes, bit for
+bit, but plain decimals without float().  ``_read_parts`` cuts the input
+at LF into parts read on every usable CPU (``_lf_parts``,
+``parallel.run_tasks``); when one of several parts fails, or for JSONL
+when a frame id of one part repeats in another, the whole is read again
+as one part, so the Dataset and every error are those of a serial read.
+Parts send back numeric arrays: each row's line, frame id and
+coordinates, and codes into tables of distinct agent ids and frame
+labels (``_group_rows``).
 
-JSONL is read as bytes too.  A chunk of lines shaped as
-``write_tracking_jsonl`` writes them is read by one numpy scan and
-``int`` on the bytes of each frame id (``_writer_rows``); any other chunk
-is decoded and read by json.loads.  JSONL lines end at LF alone: U+2028,
-U+2029 and U+0085 may stand raw inside a JSON string, and the CR of a
-CRLF is JSON whitespace.
+CSV input without a double quote whose lines end in LF or CRLF is read
+as bytes (a str source is encoded once): every line is one record, and
+its fields are the line, its end dropped, split at commas, which is
+exactly what csv.reader reads there (``_byte_rows``).  A field holding a
+byte outside printable ASCII is decoded first, so it converts as its
+text would.  Any other input goes through csv.reader in one process, the
+one tokenizer for quoted fields, since a quoted field may hold a
+newline; its columns reach the same conversion (``_csv_rows``), so
+values and messages do not depend on the tokenizer.  Line numbers count
+physical lines (a record's first one).  A field longer than
+``csv.field_size_limit()`` characters, a CR that does not end a line and
+any other csv.reader error (before Python 3.11, a NUL character) raise a
+ParseError naming the line, as do a byte that is not UTF-8 and a leading
+byte-order mark.
 
-Both byte paths read coordinates with ``_decimals``, as float() reads
-their bytes, bit for bit, but plain decimals without float().
-
-Quote-free CSV input and JSONL input of more than one chunk are cut at
-LF into parts read on every usable CPU (``_lf_parts``,
-``parallel.run_tasks``); the Dataset and every error are those of a
-serial read (see ``_parse_csv`` and ``_parse_jsonl``).  Parts send back
-numeric arrays: each row's line, frame id and coordinates, and codes into
-tables of distinct agent ids and frame labels (``_group_rows``).  CSV
-read by csv.reader is read in one process, since a quoted field may hold
-a newline.
+A JSONL chunk of lines shaped as ``write_tracking_jsonl`` writes them is
+read by one numpy scan and ``int`` on the bytes of each frame id
+(``_writer_rows``); any other chunk is decoded and read by json.loads.
+JSONL lines end at LF alone: U+2028, U+2029 and U+0085 may stand raw
+inside a JSON string, and the CR of a CRLF is JSON whitespace.
 
 Every file the package writes goes through the writers here:
 ``write_json`` (indent 1), ``write_csv`` (unquoted cells, numbers as
@@ -419,6 +416,7 @@ def _long_field(line):
 
 # the low k bytes of a little-endian uint64, for k = 0, ..., 8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)   # 2**64 over the golden ratio, odd
 
 
 def _fields(block, starts, ends, odd=None):
@@ -433,35 +431,36 @@ def _fields(block, starts, ends, odd=None):
     return fields
 
 
-def _distinct(block, words, starts, ends, odd):
-    """(distinct strings, each field's index into them) of the fields
-    ``block[s:e]``.
+def _distinct(block, starts, ends, odd=None):
+    """(distinct byte strings, each field's index into them) of the fields
+    ``block[s:e]``, in no particular order; ``block`` ends in 8 zero bytes.
 
-    A field of printable ASCII is keyed by its bytes packed into uint64
-    words, zeros after them: no such field holds a zero byte, so the keys
-    of two fields are equal only when their bytes are.  Each distinct key
-    is decoded once.  Fields marked ``odd`` (see ``_fields``) are decoded
-    one by one.  ``words[p]`` is the 8 bytes of ``block`` from p on."""
+    A field is keyed by its bytes packed into uint64 words, zeros after
+    them, so the keys of two fields without a zero byte are equal only
+    when their bytes are.  A key of several words is summed into one for
+    np.unique, each word times an odd factor.  Fields marked ``odd``,
+    which may hold a zero byte, and fields whose sum is that of another
+    key are keyed by their bytes one by one."""
+    words = _words(block)
     codes = np.empty(len(starts), dtype=np.intp)
-    keyed = np.flatnonzero(~odd) if odd is not None else \
-        np.arange(len(starts))
+    slow = np.zeros(len(starts), bool) if odd is None else odd.copy()
+    keyed = np.flatnonzero(~slow)
     table = []
     if len(keyed):
         at, size = starts[keyed], ends[keyed] - starts[keyed]
-        width = max(1, -(-int(size.max()) // 8))
-        key = np.stack([words[np.minimum(at + 8 * j, len(words) - 1)]
-                        & _LOW_BYTES[np.clip(size - 8 * j, 0, 8)]
-                        for j in range(width)], axis=1)
-        key = key[:, 0] if width == 1 else \
-            key.view(f"S{8 * width}").ravel()
-        _, first, codes[keyed] = np.unique(key, return_index=True,
-                                           return_inverse=True)
-        table = [f.decode() for f in _fields(block, at[first],
-                                              at[first] + size[first])]
-    if odd is not None and odd.any():
-        rest = np.flatnonzero(odd)
-        more, codes[rest] = _codes([f.decode() for f in _fields(
-            block, starts[rest], ends[rest])])
+        j = np.arange(0, max(8, int(size.max())), 8)   # each word's offset
+        key = words[np.minimum(at[:, None] + j, len(words) - 1)] & \
+            _LOW_BYTES[np.clip(size[:, None] - j, 0, 8)]
+        _, first, codes[keyed] = np.unique(
+            key[:, 0] if len(j) == 1 else
+            key @ ((2 * j + 1).astype(np.uint64) * _MIX),
+            return_index=True, return_inverse=True)
+        if len(j) > 1:
+            slow[keyed] = (key != key[first][codes[keyed]]).any(axis=1)
+        table = _fields(block, at[first], at[first] + size[first])
+    if slow.any():
+        rest = np.flatnonzero(slow)
+        more, codes[rest] = _codes(_fields(block, starts[rest], ends[rest]))
         codes[rest] += len(table)
         table += more
     return table, codes
@@ -560,59 +559,55 @@ def _count_lf(data, start, end):
                for i in range(start, end, 1 << 20))
 
 
-def _byte_chunks(data, start, end, size):
-    """The chunks of up to ``size`` lines of ``data[start:end]``, which
-    starts at a line's start, as (block, offset, delimiters, lf, line): the
-    chunk is ``block[offset:delimiters[-1] + 1]``, its commas and LFs are
-    at ``delimiters``, its LFs at ``delimiters[lf]``, and its first line
-    has number ``line`` in ``data``.
-
-    ``data`` is copied one block of whole lines, about 64 * size bytes, at
-    a time, with an LF after a last line that lacks one and 8 zero bytes
-    (for ``_distinct``'s words); one numpy scan finds its delimiters.  The
-    lines after a block's last whole chunk start the next block, unless
-    the block holds no whole chunk or ends the part."""
+def _lf_chunks(data, start, end, size):
+    """(block, lf, line) for each ``size`` lines of ``data[start:end]``,
+    which starts at a line's start: the lines' bytes, with an LF after a
+    last line that lacks one and 8 zero bytes (for ``_words``); the
+    offsets of the block's LFs; and the number of its first line in
+    ``data``.  LFs are found 1 MiB at a time."""
+    if start >= end:
+        return
+    buf = np.frombuffer(data, np.uint8)
+    lf = np.concatenate([np.flatnonzero(buf[i:min(i + (1 << 20), end)] == 10)
+                         + i for i in range(start, end, 1 << 20)])
+    if data[end - 1] != 10:
+        lf = np.append(lf, end)
     line = _count_lf(data, 0, start) + 1
-    while start < end:
-        stop = data.find(b"\n", start + 64 * size, end) + 1 or end
-        block = b"".join((memoryview(data)[start:stop],
-                          b"" if data[stop - 1] == 10 else b"\n", bytes(8)))
-        buf = np.frombuffer(block, np.uint8, len(block) - 8)
-        delims = np.flatnonzero((buf == 44) | (buf == 10))
-        lf = np.flatnonzero(buf[delims] == 10)
-        take = len(lf) if stop == end or len(lf) < size else \
-            len(lf) - len(lf) % size
-        for j in range(0, take, size):
-            lo = lf[j - 1] + 1 if j else 0
-            yield (block, delims[lo - 1] + 1 if j else 0,
-                   delims[lo:lf[min(j + size, take) - 1] + 1],
-                   lf[j:min(j + size, take)] - lo, line + j)
-        line += take
-        start += int(delims[lf[take - 1]]) + 1   # past end after an added LF
+    for j in range(0, len(lf), size):
+        at = lf[j:j + size]
+        stop = int(at[-1])
+        yield b"".join((memoryview(data)[start:stop], b"\n", bytes(8))), \
+            at - start, line + j
+        start = stop + 1
 
 
-def _byte_rows(block, offset, delims, lf, line):
+def _spans(buf, lf):
+    """The begin and end of each line of a block whose LFs are at ``lf``,
+    the CR of a CRLF dropped."""
+    begin = np.concatenate(([0], lf[:-1] + 1))
+    return begin, lf - ((lf > begin) & (buf[lf - 1] == 13))
+
+
+def _byte_rows(block, lf, line):
     """Row columns of one chunk of quote-free CSV lines (see
-    ``_byte_chunks``); the first malformed line raises."""
+    ``_lf_chunks``); the first malformed line raises."""
     buf = np.frombuffer(block, np.uint8)
-    end = delims[lf]
-    begin = np.concatenate(([offset], end[:-1] + 1))
-    cr = (end > begin) & (buf[end - 1] == 13)
-    end = end - cr   # the CR of a CRLF dropped
+    begin, end = _spans(buf, lf)
     kept = end > begin   # a blank line counts but holds no record
     if not kept.any():
         return None
     lines = line + np.flatnonzero(kept)
     limit = csv.field_size_limit()
     rows = None
-    if (np.diff(lf, prepend=-1)[kept] == len(CSV_COLUMNS)).all():
+    commas = np.flatnonzero(buf == 44)
+    # 8 commas on each line that holds a record (none on a blank one)
+    if (np.diff(np.searchsorted(commas, lf), prepend=0)
+            == (len(CSV_COLUMNS) - 1) * kept).all():
         # the bytes outside printable ASCII are the line ends alone
-        plain = np.count_nonzero(np.subtract(
-            buf[offset:delims[-1] + 1], 32, dtype=np.uint8) > 94) == \
-            len(lf) + np.count_nonzero(cr)
-        rows = _field_rows(block, (delims if kept.all() else np.delete(
-            delims, lf[~kept])).reshape(-1, len(CSV_COLUMNS)), begin[kept],
-            end[kept], lines, plain, limit)
+        plain = np.count_nonzero(np.subtract(buf[:-8], 32, dtype=np.uint8)
+                                 > 94) == len(lf) + int((lf - end).sum())
+        rows = _field_rows(block, commas.reshape(-1, len(CSV_COLUMNS) - 1),
+                           begin[kept], end[kept], lines, plain, limit)
     if rows is None:
         def check(line, rec):
             if max(map(len, rec)) > limit:
@@ -623,21 +618,21 @@ def _byte_rows(block, offset, delims, lf, line):
     return rows
 
 
-def _field_rows(block, ends, begin, end, lines, plain, limit):
+def _field_rows(block, commas, begin, end, lines, plain, limit):
     """``_csv_rows`` of the lines ``block[begin:end]``, field j of each
-    ending at ``ends[:, j]`` (the last at ``end``), or None when a field
+    ending at ``commas[:, j]`` (the last at ``end``), or None when a field
     holds more than ``limit`` characters or a value does not convert.
     Unless ``plain``, the fields holding a byte outside printable ASCII
     are decoded one by one."""
     def fields(a, b=None):
         """The starts and ends of the spans of fields a to b."""
         b = a if b is None else b
-        return (begin if a == 0 else ends[:, a - 1] + 1,
-                end if b == len(CSV_COLUMNS) - 1 else ends[:, b])
+        return (begin if a == 0 else commas[:, a - 1] + 1,
+                end if b == len(CSV_COLUMNS) - 1 else commas[:, b])
 
     odd = None
     if not plain or (end - begin).max() > limit:
-        starts, stops = np.stack([fields(j) for j in range(ends.shape[1])],
+        starts, stops = np.stack([fields(j) for j in range(len(CSV_COLUMNS))],
                                  axis=2)
         over = stops - starts > limit   # in bytes; the limit is characters
         if any(len(f.decode()) > limit
@@ -646,11 +641,11 @@ def _field_rows(block, ends, begin, end, lines, plain, limit):
         seen = np.concatenate(([0], np.cumsum(np.subtract(np.frombuffer(
             block, np.uint8), 32, dtype=np.uint8) > 94, dtype=np.int32)))
         odd = seen[stops] > seen[starts]
-    words = _words(block)
 
     def column(a, b=None):
-        return _distinct(block, words, *fields(a, b), None if odd is None
-                         else odd[:, a:(b or a) + 1].any(axis=1))
+        table, codes = _distinct(block, *fields(a, b), None if odd is None
+                                 else odd[:, a:(b or a) + 1].any(axis=1))
+        return [t.decode() for t in table], codes
     tail, codes = column(4, 8)
     (x_start, x_stop), (y_start, y_stop) = fields(2), fields(3)
     xy, _ = _decimals(block, np.stack((x_start, y_start), 1).ravel(),
@@ -724,8 +719,7 @@ def _reader_tokens(text, size):
 def _lf_parts(data, start, chunk_lines):
     """(start, end) offsets that cut ``data[start:]`` after an LF into one
     part per usable CPU, but no more parts than it has chunks of
-    ``chunk_lines`` lines; a parser reads them with
-    ``parallel.run_tasks``."""
+    ``chunk_lines`` lines (see ``_read_parts``)."""
     lines = _count_lf(data, start, len(data)) + 1
     parts = min(parallel.usable_cpus(), -(-lines // chunk_lines))
     ends = sorted({data.find(b"\n", start + (len(data) - start) * j // parts)
@@ -733,23 +727,39 @@ def _lf_parts(data, start, chunk_lines):
     return list(zip([start, *ends[:-1]], ends))
 
 
+def _read_parts(data, start, size, part, agree=None):
+    """The merged row columns (None for no row) of ``part(data, a, b)``
+    over the parts ``_lf_parts`` cuts ``data[start:]`` into, read with
+    ``parallel.run_tasks``.  When one of several parts raises a
+    ParseError, or ``agree(rows)`` is false, the whole is read again as
+    one part, so the rows, every error and its line are a serial read's."""
+    from functools import partial
+
+    parts = _lf_parts(data, start, size)
+    try:
+        rows = _merge_chunks(parallel.run_tasks([partial(part, data, a, b)
+                                                 for a, b in parts]))
+        if agree is None or rows is None or agree(rows):
+            return rows
+    except ParseError:
+        if len(parts) == 1:   # that part was the whole input
+            raise
+    return part(data, start, len(data))
+
+
 def _csv_part(data, start, end):
     """The row columns (None for no record) of the quote-free CSV lines in
     ``data[start:end]``, with their line numbers in ``data``."""
-    return _merge_chunks([_byte_rows(*chunk) for chunk in _byte_chunks(
+    return _merge_chunks([_byte_rows(*chunk) for chunk in _lf_chunks(
         data, start, end, CSV_CHUNK_ROWS)])
 
 
 def _parse_csv(data):
     """CSV bytes (or str, read encoded) without a quote whose every CR ends
-    a line are read by the byte tokenizer, cut at LF into parts read on
-    every usable CPU, each part's errors being those of a serial read of
-    it, so the first failing part's error is a serial read's.  Duplicate
-    and label checks run once, on the merged rows.  Other text goes
-    through csv.reader in this process, since a quoted field may hold a
-    newline."""
-    from functools import partial
-
+    a line are read by the byte tokenizer in parts (``_read_parts``).
+    Duplicate and label checks run once, on the merged rows.  Other text
+    goes through csv.reader in this process, since a quoted field may hold
+    a newline."""
     text = None   # for csv.reader
     if isinstance(data, str):
         text = data
@@ -778,14 +788,9 @@ def _parse_csv(data):
             f"got {header!r}"
         raise ParseError(f"header must be exactly "
                          f"{','.join(CSV_COLUMNS)}; {detail}", 1)
-    if split:
-        parts = parallel.run_tasks([
-            partial(_csv_part, data, a, b)
-            for a, b in _lf_parts(data, start, CSV_CHUNK_ROWS)])
-    else:
-        parts = [_merge_chunks([_reader_rows(recs, lines)
-                                for recs, lines in tokens])]
-    rows = _merge_chunks(parts)
+    rows = _read_parts(data, start, CSV_CHUNK_ROWS, _csv_part) if split \
+        else _merge_chunks([_reader_rows(recs, lines)
+                            for recs, lines in tokens])
     if rows is None:
         raise ParseError("no data rows")
     return _group_rows(rows)
@@ -974,28 +979,6 @@ def _per_agent(rows):
     return rows
 
 
-def _jsonl_blocks(data, start, end):
-    """(block, lf, line) for each JSONL_CHUNK_LINES lines of
-    ``data[start:end]``, which starts at a line's start: the lines' bytes
-    with an LF after a last line that lacks one; the offsets of the
-    block's LFs; and the number of its first line in ``data``.  LFs are
-    found 1 MiB at a time."""
-    if start >= end:
-        return
-    buf = np.frombuffer(data, np.uint8)
-    lf = np.concatenate([np.flatnonzero(buf[i:min(i + (1 << 20), end)] == 10)
-                         + i for i in range(start, end, 1 << 20)])
-    if data[end - 1] != 10:
-        lf = np.append(lf, end)
-    line = _count_lf(data, 0, start) + 1
-    for j in range(0, len(lf), JSONL_CHUNK_LINES):
-        at = lf[j:j + JSONL_CHUNK_LINES]
-        stop = int(at[-1])
-        yield b"".join((memoryview(data)[start:stop], b"\n")), \
-            at - start, line + j
-        start = stop + 1
-
-
 # the structural JSON characters, 1 in a translate table
 _STRUCTURAL = bytes(b in b"{}[],:" for b in range(256))
 
@@ -1034,8 +1017,8 @@ def _json_numbers(buf, at, end):
 
 
 def _writer_rows(block, lf, line):
-    """``_jsonl_rows`` of the lines of a block (see ``_jsonl_blocks``)
-    read from its bytes, or None unless every non-blank line starts as
+    """``_jsonl_rows`` of the lines of a block (see ``_lf_chunks``) read
+    from its bytes, or None unless every non-blank line starts as
     ``write_tracking_jsonl`` writes it: up to the first "]]", which ends
     its positions, exactly '{"frame_id": ' and an integer, then
     ', "positions": [' and [x, y] numbers with json.dumps' separators.
@@ -1043,10 +1026,12 @@ def _writer_rows(block, lf, line):
     per distinct value and must hold the other six keys of
     ``JSONL_KEYS``, in order.  A coordinate is float() of its bytes, but
     an integer zero ("-0") is +0.0, as json.loads reads it; a frame id is
-    int() of them."""
+    int() of them.  A block holding a NUL byte, which JSON rejects raw and
+    ``_distinct`` cannot key, is left to json.loads."""
+    if block.find(b"\0", 0, len(block) - 8) >= 0:
+        return None
     buf = np.frombuffer(block, np.uint8)
-    begin = np.concatenate(([0], lf[:-1] + 1))
-    end = lf - (buf[lf - 1] == 13)
+    begin, end = _spans(buf, lf)
     kept = np.flatnonzero(end > begin)   # a blank line holds no frame
     begin, end = begin[kept], end[kept]
     pairs = np.flatnonzero((buf[:-1] == 93) & (buf[1:] == 93))
@@ -1083,7 +1068,7 @@ def _writer_rows(block, lf, line):
         return None
     # the rest of each line, keyed by its bytes: its values are checked
     # as json.loads and _jsonl_rows read them, once per distinct value
-    rest, which = _codes(_fields(block, stop + 2, end))
+    rest, which = _distinct(block, stop + 2, end)
     try:
         objs = [json.loads("{" + r[1:].decode("utf-8", "surrogatepass"))
                 for r in rest if r[:1] == b","]
@@ -1119,11 +1104,11 @@ def _writer_rows(block, lf, line):
 
 
 def _jsonl_part(data, start, end):
-    """The ``_jsonl_rows`` columns (None for no frame) and sorted frame ids
-    of the JSONL lines in ``data[start:end]``, with their line numbers in
-    ``data``.  A chunk is read from its bytes (``_writer_rows``) or else
-    decoded and read by json.loads.  Raises the ParseError of the first
-    bad line, a frame id counting as repeated only within these lines."""
+    """The ``_jsonl_rows`` columns (None for no frame) of the JSONL lines
+    in ``data[start:end]``, with their line numbers in ``data``.  A chunk
+    is read from its bytes (``_writer_rows``) or else decoded and read by
+    json.loads.  Raises the ParseError of the first bad line, a frame id
+    counting as repeated only within these lines."""
     chunks, seen = [], np.empty(0, dtype=np.int64)   # sorted, so far
 
     def more(rows):
@@ -1134,7 +1119,7 @@ def _jsonl_part(data, start, end):
         ids = np.sort(np.concatenate([seen, rows["frame_id"]]), kind="stable")
         return None if (ids[1:] == ids[:-1]).any() else ids
 
-    for block, lf, line in _jsonl_blocks(data, start, end):
+    for block, lf, line in _lf_chunks(data, start, end, JSONL_CHUNK_LINES):
         rows = _writer_rows(block, lf, line)
         ids = more(rows)
         if ids is None:
@@ -1154,33 +1139,15 @@ def _jsonl_part(data, start, end):
                       raw, lines)
         seen = ids
         chunks.append(rows)
-    return _merge_chunks(chunks), seen
+    return _merge_chunks(chunks)
 
 
 def _parse_jsonl(data):
-    """JSONL bytes of two or more chunks of lines are cut at LF into parts
-    (``_lf_parts``), each read like the whole.  When a part fails, or
-    repeats a frame id of another, the whole is read in one part, so
-    errors and their lines are those of a serial read.  Parts send their
+    """JSONL bytes read in parts (``_read_parts``), read again as a whole
+    when a frame id of one part repeats in another.  Parts send their
     frame labels once per frame; they are repeated per agent here."""
-    from functools import partial
-
-    parts = _lf_parts(data, 0, JSONL_CHUNK_LINES)
-    try:
-        read = parallel.run_tasks([partial(_jsonl_part, data, a, b)
-                                   for a, b in parts])
-    except ParseError:
-        if len(parts) == 1:   # that part was the whole input
-            raise
-        read = None
-    if read is not None:
-        ids = np.sort(np.concatenate([seen for _, seen in read]),
-                      kind="stable")
-        if (ids[1:] == ids[:-1]).any():
-            read = None
-    if read is None:
-        read = [_jsonl_part(data, 0, len(data))]
-    rows = _merge_chunks([r for r, _ in read])
+    rows = _read_parts(data, 0, JSONL_CHUNK_LINES, _jsonl_part,
+                       lambda rows: np.diff(np.sort(rows["frame_id"])).all())
     if rows is None:
         raise ParseError("no frames")
     return _group_rows(_per_agent(rows))

@@ -380,6 +380,17 @@ def test_compare_and_discover_fit_the_same_prepared_data(tmp_path):
         (tmp_path / "hard_trace.csv").read_bytes()
 
 
+def test_compare_reads_coordinates_near_1e40(tmp_path):
+    # template alignment takes Bhattacharyya distances, whose covariance
+    # determinants near 1e160 overflowed when multiplied together
+    tmpl = generate_formation(6, separation=3.0, seed=96)
+    ds, _ = sample_dataset(tmpl, 60, seed=96)
+    path = tmp_path / "huge.csv"
+    write_tracking_csv(replace(ds, positions=ds.positions * 1e40), path)
+    assert run(["compare", "--input", str(path), "--out",
+                str(tmp_path / "cmp"), "--k", "6"]) == 0
+
+
 def test_compare_refuses_fewer_agents_than_roles(tmp_path, capsys):
     tmpl = generate_formation(10, separation=3.0, seed=95)
     ds, _ = sample_dataset(tmpl, 40, seed=95)

@@ -290,6 +290,7 @@ def test_tree_single_formation_stays_flat():
     assert tree.root.is_leaf
     assert tree.root.cluster is None
     assert len(tree.root.row_indices) == 300
+    assert tree.root.stop_reason in ("no split", "score", "gain")
 
 
 def test_tree_splits_a_two_formation_mix(mixed_formations):
@@ -304,8 +305,12 @@ def test_tree_splits_a_two_formation_mix(mixed_formations):
                    for l in leaves)
     assert fracs == [0.0, 1.0]
     assert tree.root.pairwise_loss is not None
+    assert tree.root.stop_reason is None
     for leaf in leaves:
         assert leaf.wce < tree.root.wce
+        assert leaf.stop_reason is not None
+        assert leaf.row_indices.dtype == np.intp
+        assert not leaf.row_indices.flags.writeable
 
 
 def test_tree_to_dict_and_save(tmp_path, mixed_formations):
@@ -317,6 +322,10 @@ def test_tree_to_dict_and_save(tmp_path, mixed_formations):
     assert d["root"]["cluster_k"] == 2
     assert len(d["root"]["children"]) == 2
     assert d["root"]["children"][0]["children"] == []
+    assert d["root"]["stop_reason"] is None
+    rows = [r for child in d["root"]["children"] for r in child["rows"]]
+    assert sorted(rows) == d["root"]["rows"] == list(range(300))
+    assert all(type(r) is int for r in rows)
     p = tmp_path / "tree.json"
     tree.save(p)
     with open(p) as fh:
@@ -329,6 +338,7 @@ def test_tree_respects_max_depth(mixed_formations):
                                          k_candidates=(2, 3)),
                       cfg=DiscoveryConfig(k=4))
     assert tree.depth == 1 and tree.root.is_leaf
+    assert tree.root.stop_reason == "depth"
 
 
 def test_tree_min_node_blocks_splits(mixed_formations):
@@ -337,6 +347,31 @@ def test_tree_min_node_blocks_splits(mixed_formations):
                                          k_candidates=(2, 3)),
                       cfg=DiscoveryConfig(k=4))
     assert tree.depth == 1
+    assert tree.root.stop_reason == "size"
+    assert tree.to_dict()["root"]["stop_reason"] == "size"
+
+
+@pytest.mark.parametrize("rule,reason", [
+    (dict(min_score=1.5), "score"),   # the E score is at most 1
+    (dict(min_score=0.0, min_rel_improvement=1.5), "gain"),
+])
+def test_tree_records_why_the_root_did_not_split(mixed_formations, rule,
+                                                 reason):
+    ta, tb, mix = mixed_formations
+    tree = learn_tree(mix, stop=TreeStop(min_node=50, k_candidates=(2, 3),
+                                         **rule),
+                      cfg=DiscoveryConfig(k=4))
+    assert tree.root.is_leaf and tree.root.cluster is None
+    assert tree.root.stop_reason == reason
+
+
+def test_tree_with_no_viable_candidate_records_no_split(mixed_formations):
+    ta, tb, mix = mixed_formations
+    with pytest.warns(UserWarning, match="out of range"):
+        tree = learn_tree(mix, stop=TreeStop(min_node=50,
+                                             k_candidates=(0,)),
+                          cfg=DiscoveryConfig(k=4))
+    assert tree.root.stop_reason == "no split"
 
 
 def test_tree_nodes_assign_as_a_fresh_assign_roles(mixed_formations,

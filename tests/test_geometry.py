@@ -280,6 +280,21 @@ def test_bhattacharyya_symmetric_nonnegative():
         assert d_pq >= 0.0
 
 
+def test_bhattacharyya_is_scale_invariant():
+    # D(p, q) of Gaussians scaled by one factor s is D(p, q): each det
+    # grows as s**4, so their product overflowed from s ~ 1e40
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        p, q = random_gaussian(rng), random_gaussian(rng)
+        d = bhattacharyya_distance(p, q)
+        for k in range(0, 71, 10):
+            s = 10.0 ** k
+            scaled = [Gaussian2D(mean=g.mean * s, cov=g.cov * s * s)
+                      for g in (p, q)]
+            assert bhattacharyya_distance(*scaled) == pytest.approx(
+                d, rel=1e-9), k
+
+
 # ---------------------------------------------------------------------- kl
 
 def test_kl_mean_shift():

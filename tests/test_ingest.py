@@ -908,6 +908,62 @@ def test_a_field_float_does_not_read_makes_the_float_fields_nan():
     assert slow.tolist() == [1, 2]
 
 
+# the byte core both parsers share: one LF chunker, one keyer
+
+LINE_BYTES = st.binary(max_size=6).map(
+    lambda b: b.replace(b"\n", b",").replace(b"\r", b"\t"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LINE_BYTES, st.sampled_from([b"\n", b"\r\n"])),
+                min_size=1, max_size=30),
+       st.booleans(), st.sampled_from([1, 2, 3, 16384]), st.data())
+def test_lf_chunks_cut_whole_lines_and_count_them(lines, open_end, size,
+                                                  data):
+    text = b"".join(body + eol for body, eol in lines)
+    if open_end:   # the last line without its LF (or CRLF)
+        text = text[:-len(lines[-1][1])]
+    starts = [0] + [i + 1 for i in range(len(text)) if text[i] == 10]
+    start = data.draw(st.sampled_from(starts))
+    end = data.draw(st.sampled_from([len(text)] + [
+        s for s in starts if s > start]))
+    chunks = list(ingest._lf_chunks(text, start, end, size))
+    rebuilt, at = b"", start
+    for j, (block, lf, line) in enumerate(chunks):
+        assert block.endswith(b"\n" + bytes(8))
+        body = block[:-8]
+        assert lf.tolist() == [i for i in range(len(body))
+                               if body[i] == 10]
+        assert len(lf) == size or (j == len(chunks) - 1 and len(lf) < size)
+        assert line == text.count(b"\n", 0, at) + 1
+        rebuilt += body
+        at += len(body)
+    whole = text[start:end]
+    assert rebuilt == (whole if whole.endswith(b"\n") or not whole
+                       else whole + b"\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=20), min_size=1, max_size=40),
+       st.booleans())
+def test_distinct_keys_fields_by_their_bytes(fields, collide):
+    """Each field's code names its bytes, one code per distinct value.
+    Fields holding a zero byte are marked, as the keys cannot tell them
+    apart; with every factor 0 all keys of two words or more share one
+    sum, so those fields are keyed one by one."""
+    from unittest import mock
+
+    block = b"".join(fields) + bytes(8)
+    ends = np.cumsum([len(f) for f in fields])
+    starts = ends - [len(f) for f in fields]
+    odd = np.array([b"\0" in f for f in fields])
+    with mock.patch.object(ingest, "_MIX",
+                           np.uint64(0) if collide else ingest._MIX):
+        table, codes = ingest._distinct(block, starts, ends, odd)
+    assert [table[c] for c in codes] == fields
+    assert sorted(table) == sorted(set(fields))
+
+
 def test_quoted_fields_still_parse():
     ds = parse_tracking(header('1,a,1.0,2.0,0,LR,"a,b","say ""hi""",1',
                                '1,b,3.0,4.0,0,LR,"a,b","say ""hi""",1'))
@@ -1090,7 +1146,8 @@ def byte_and_json_paths(text):
 
     data = text.encode("utf-8", "surrogatepass")
     read = all(ingest._writer_rows(*block) is not None
-               for block in ingest._jsonl_blocks(data, 0, len(data)))
+               for block in ingest._lf_chunks(data, 0, len(data),
+                                              ingest.JSONL_CHUNK_LINES))
     by_bytes = outcome(text)
     with mock.patch.object(ingest, "_writer_rows", lambda *a: None):
         by_json = outcome(text)
