@@ -33,7 +33,7 @@ res = run_pipeline(ds)
 base = np.arange(ds.n_agents)
 swapped = int((gt.true_maps != base).any(axis=1).sum())
 print(f"\n{swapped}/{ds.n_frames} frames have at least one swapped pair")
-print(f"recovery score: {recovery_score(res.aligned, gt):.4f}")
+print(f"recovery score: {recovery_score(res.aligned.mappings, gt):.4f}")
 
 # one concrete frame with a swap in progress: agent order vs role order
 s = int(np.argmax((gt.true_maps != base).any(axis=1)))

@@ -23,7 +23,7 @@ from .alignment import (AlignedDataset, PipelineResult, Template,
 from .baseline import (HardEmTrace, hard_assignment_em,
                        player_identity_template)
 from .clustering import (ClusterSet, TemplateTree, TreeNode, TreeStop,
-                         WceResult, discriminative_score_E, flat_cluster,
+                         discriminative_score_E, flat_cluster,
                          learn_tree, pairwise_within_cluster,
                          pca_variance_explained, wce_sweep,
                          within_cluster_error)
@@ -48,7 +48,7 @@ __all__ = [
     "AlignedDataset", "PipelineResult", "Template", "align_template",
     "assign_roles", "average_log_likelihood", "run_pipeline",
     "HardEmTrace", "hard_assignment_em", "player_identity_template",
-    "ClusterSet", "TemplateTree", "TreeNode", "TreeStop", "WceResult",
+    "ClusterSet", "TemplateTree", "TreeNode", "TreeStop",
     "discriminative_score_E", "flat_cluster", "learn_tree",
     "pairwise_within_cluster", "pca_variance_explained", "wce_sweep",
     "within_cluster_error",

@@ -19,8 +19,7 @@ import numpy as np
 from .assignment import assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
                        log_mixture_density)
-from .ingest import (Dataset, filter_key_frames, flatten, write_csv,
-                     write_json, write_jsonl)
+from .ingest import Dataset, filter_key_frames, flatten, write_json
 from . import discovery as _disc
 
 
@@ -79,21 +78,16 @@ def _alignment_cost(f, g):
     return cost
 
 
-def _align_with_mapping(f, g):
+def align_template(f: "_disc.Formation", g: Template) -> Template:
+    """Order f's components so role j is the component matched to g's
+    role j, minimizing the total pairwise Bhattacharyya distance."""
     if f.k != g.k:
         raise ValueError(f"formation has {f.k} components, template {g.k}")
     mapping = hungarian(_alignment_cost(f, g)).mapping
     roles = [None] * f.k
     for i, j in enumerate(mapping):
         roles[j] = f.components[i]
-    return Template(roles=tuple(roles)), mapping
-
-
-def align_template(f: "_disc.Formation", g: Template) -> Template:
-    """Order f's components so role j is the component matched to g's
-    role j, minimizing the total pairwise Bhattacharyya distance."""
-    aligned, _ = _align_with_mapping(f, g)
-    return aligned
+    return Template(roles=tuple(roles))
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,8 @@ class AlignedDataset:
     roles the unfilled slots are NaN.  ``n_certified`` counts the frames
     whose mapping the row-argmin certificate settled without a solve, and
     ``n_tied`` the solved frames with more than one optimum, whose mapping
-    was refined lexicographically from the lockstep duals.  ``totals[s]``
-    is the total cost of frame s's mapping.  Arrays are stored read-only,
-    uncopied, as in a Dataset.
+    was refined lexicographically from the lockstep duals.  Arrays are
+    stored read-only, uncopied, as in a Dataset.
     """
 
     matrix: np.ndarray
@@ -116,11 +109,10 @@ class AlignedDataset:
     frame_id: np.ndarray
     n_certified: int = 0
     n_tied: int = 0
-    totals: np.ndarray = ()
 
     def __post_init__(self):
         for name, dtype in (("matrix", float), ("mappings", int),
-                            ("frame_id", np.int64), ("totals", float)):
+                            ("frame_id", np.int64)):
             value = np.asarray(getattr(self, name), dtype=dtype).view()
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -133,37 +125,19 @@ class AlignedDataset:
     def k(self):
         return self.matrix.shape[1] // 2
 
-    def to_csv(self, path):
-        header = ["frame_id"] + [f"role_{j}_{c}" for j in range(self.k)
-                                 for c in "xy"]
-        write_csv(path, header, ([fid, *row] for fid, row in
-                                 zip(self.frame_id.tolist(),
-                                     self.matrix.tolist())))
 
-    def to_jsonl(self, path):
-        positions = self.matrix.reshape(-1, self.k, 2).tolist()
-        write_jsonl(path, ({"frame_id": fid, "permutation": mapping,
-                            "positions": pos} for fid, mapping, pos in
-                           zip(self.frame_id.tolist(), self.mappings.tolist(),
-                               positions)))
-
-
-def assign_roles(ds: Dataset, t: Template,
-                 include_weights: bool = True) -> AlignedDataset:
+def assign_roles(ds: Dataset, t: Template) -> AlignedDataset:
     """Assign each frame's agents to role slots by minimum total negative
     log-likelihood.
 
     The per-frame cost of putting agent i in role j is -(log pdf of the
-    agent's position under role j + log role weight); with
-    include_weights=False the weight term is dropped.
+    agent's position under role j + log role weight).
     """
     n = ds.n_agents
     k = t.k
     if n > k:
         raise ValueError(f"{n} agents cannot fill {k} roles injectively")
-    cost_all = -component_log_pdfs(t.roles, flatten(ds))
-    if include_weights:
-        cost_all = cost_all - np.log(t.weights)
+    cost_all = -component_log_pdfs(t.roles, flatten(ds)) - np.log(t.weights)
     s = ds.n_frames
     batch = assign_batch(cost_all.reshape(s, n, k))
     slots = np.full((s, k, 2), np.nan)
@@ -171,7 +145,7 @@ def assign_roles(ds: Dataset, t: Template,
     return AlignedDataset(matrix=slots.reshape(s, 2 * k),
                           mappings=batch.mappings, frame_id=ds.frame_id,
                           n_certified=batch.n_certified,
-                          n_tied=batch.n_tied, totals=batch.totals)
+                          n_tied=batch.n_tied)
 
 
 def average_log_likelihood(ds: Dataset, f: "_disc.Formation") -> float:
@@ -188,7 +162,6 @@ class PipelineResult:
     aligned: AlignedDataset
     avg_loglik: float
     dataset: Dataset       # the dataset assigned: all of run_pipeline's input
-    training: Dataset      # what discovery actually saw
 
 
 def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
@@ -215,4 +188,4 @@ def run_pipeline(ds: Dataset, cfg: "_disc.DiscoveryConfig" = None,
         else trace.logliks[-1]
     return PipelineResult(formation=formation, template=template, trace=trace,
                           aligned=aligned, avg_loglik=avg_loglik,
-                          dataset=ds, training=training)
+                          dataset=ds)

@@ -2,12 +2,12 @@
 
 Where the soft pipeline lets every point contribute fractionally to every
 role, this baseline commits each agent to exactly one role per frame (an
-exact assignment per frame, by the soft pipeline's own ``assign_roles``
-without its weight term) and refits each role's Gaussian from its
-assigned points only.  The exclusive commitment is what makes it slow (one
-exact assignment per frame per iteration) and what breaks the usual EM
-guarantee: its likelihood sequence may oscillate, which the trace records
-rather than hides.
+exact assignment per frame, by the soft pipeline's own ``assign_batch``
+over negative log densities, with no weight term) and refits each role's
+Gaussian from its assigned points only.  The exclusive commitment is what
+makes it slow (one exact assignment per frame per iteration) and what
+breaks the usual EM guarantee: its likelihood sequence may oscillate,
+which the trace records rather than hides.
 
 The original method used nonparametric role heat maps; roles here are
 Gaussians so the two pipelines differ only in the assignment rule, which is
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import (AlignedDataset, Template, assign_roles,
-                        average_log_likelihood)
+from .alignment import Template, average_log_likelihood
+from .assignment import assign_batch
 from .discovery import Formation
-from .geometry import Gaussian2D, sample_covariance, split_by_label
+from .geometry import (Gaussian2D, component_log_pdfs, sample_covariance,
+                       split_by_label)
 from .ingest import Dataset, flatten, write_csv
 
 
@@ -74,19 +75,21 @@ def player_identity_template(ds: Dataset) -> Template:
 
 
 def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
-                       ) -> tuple[Formation, AlignedDataset, HardEmTrace]:
+                       ) -> tuple[Formation, np.ndarray, HardEmTrace]:
     """Alternate exclusive per-frame assignment and per-role refits.
 
-    Each pass is ``assign_roles`` without the weight term (costs are plain
-    negative log densities; the baseline has no mixture weight term), a
-    refit of every role from the points assigned to it, and
-    ``average_log_likelihood`` of the refit formation.  Stops when no
-    frame's assignment changes, when an assignment state repeats
-    (oscillation, flagged on the trace), or after max_iters passes.
-    max_iters=0 still performs the one mandatory assign-and-refit pass.  A
-    role assigned zero points keeps its previous Gaussian.
+    Each pass is ``assign_batch`` of the plain negative log densities (the
+    baseline has no mixture weight term), a refit of every role from the
+    points assigned to it, and ``average_log_likelihood`` of the refit
+    formation.  Stops when no frame's assignment changes, when an
+    assignment state repeats (oscillation, flagged on the trace), or after
+    max_iters passes.  max_iters=0 still performs the one mandatory
+    assign-and-refit pass.  A role assigned zero points keeps its previous
+    Gaussian.  Returns the last formation, the last pass's read-only (S, N)
+    mappings (``mappings[s, i]`` is the role of agent i in frame s) and the
+    trace.
     """
-    s, k = ds.n_frames, init.k
+    s, n, k = ds.n_frames, ds.n_agents, init.k
     pts = flatten(ds)
     roles = init.roles
 
@@ -94,15 +97,14 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     prev_maps = None
     seen_states = set()
     for it in range(1, max(1, max_iters) + 1):
-        aligned = assign_roles(ds, Template(roles=roles),
-                               include_weights=False)
-        trace.certified.append(aligned.n_certified)
-        trace.tied.append(aligned.n_tied)
-        mappings = aligned.mappings
+        batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
+        trace.certified.append(batch.n_certified)
+        trace.tied.append(batch.n_tied)
+        mappings = batch.mappings
         # a sequential sum in frame order, not numpy's pairwise one:
         # hard_trace.csv records its exact bits
         total_cost = 0.0
-        for frame_total in aligned.totals.tolist():
+        for frame_total in batch.totals.tolist():
             total_cost += frame_total
         changed = s if prev_maps is None else int(
             (mappings != prev_maps).any(axis=1).sum())
@@ -136,4 +138,5 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
         seen_states.add(key)
         prev_maps = mappings
 
-    return formation, aligned, trace
+    mappings.flags.writeable = False
+    return formation, mappings, trace

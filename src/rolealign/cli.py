@@ -187,8 +187,8 @@ def _soft_branch(full, cfg, parent, key_frames_only):
 def _hard_branch(full, max_iters):
     """The hard baseline from the player-identity template, and the
     identity matrix's WCE sweep and PCA, on the prepared dataset the soft
-    branch fits, and their time; the baseline's ``AlignedDataset`` is
-    dropped, so a worker sends back only what ``cmd_compare`` reads."""
+    branch fits, and their time; the baseline's mappings are dropped, so a
+    worker sends back only what ``cmd_compare`` reads."""
     t = time.perf_counter()
     formation, _, trace = hard_assignment_em(
         full, player_identity_template(full), max_iters=max_iters)
@@ -207,11 +207,15 @@ def cmd_compare(args) -> int:
     timings["parse"] = time.perf_counter() - t0
 
     cfg = _make_config(args, full.n_agents)
-    if cfg.k > full.n_agents:
-        # an aligned row with an unfilled slot holds NaN, which the WCE
-        # sweep and the PCA cannot take
-        raise ValueError(f"compare needs --k at most the agent count: --k "
+    if cfg.k != full.n_agents:
+        # fewer roles than agents cannot be assigned one agent each, and
+        # more leave NaN slots, which the WCE sweep and the PCA cannot take
+        raise ValueError(f"compare needs --k equal to the agent count: --k "
                          f"{cfg.k} but {full.n_agents} agents per frame")
+    if full.n_frames < 2:
+        # the PCA of one row is undefined
+        raise ValueError(f"compare needs at least two frames, the input "
+                         f"has {full.n_frames}")
     parent = Template.load(args.parent_template) if args.parent_template \
         else None
     # the two branches share only the parsed input: the soft one runs here
@@ -280,11 +284,21 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ns = [int(x) for x in args.n_range.split(",") if x.strip()]
     if not ns:
         raise ValueError(f"empty n range {args.n_range!r}")
+    # the summary fits log-log slopes, which need two distinct N
+    if len(set(ns)) < 2:
+        raise ValueError(f"--n-range needs at least two distinct agent "
+                         f"counts, got {args.n_range!r}")
+    if min(ns) < 2:
+        raise ValueError(f"--n-range needs agent counts of at least 2, "
+                         f"got {min(ns)}")
+    for flag, value in (("--s", args.s), ("--reps", args.reps)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for n in ns:

@@ -23,10 +23,6 @@ from .geometry import (NearestCenters, nearest_centers, split_by_label,
 from .ingest import Dataset, write_json
 
 
-def _matrix(r):
-    return r.matrix if hasattr(r, "matrix") else np.asarray(r, dtype=float)
-
-
 @dataclass(frozen=True)
 class ClusterSet:
     """A hard partition of aligned rows with its discriminative score."""
@@ -59,7 +55,7 @@ def discriminative_score_E(r, c: ClusterSet) -> float:
     to the nearest other centroid (computed per row).  Rows equidistant from
     both contribute 0; a row sitting exactly on its centroid contributes 1.
     """
-    return _score_E(_matrix(r), c)[0]
+    return _score_E(np.asarray(r, dtype=float), c)[0]
 
 
 def _score_E(x, c: ClusterSet) -> tuple[float, NearestCenters]:
@@ -75,21 +71,14 @@ def _score_E(x, c: ClusterSet) -> tuple[float, NearestCenters]:
     return float(terms.mean()), near
 
 
-@dataclass(frozen=True)
-class WceResult:
-    value: float        # mean L2 distance of rows to their centroid
-    per_player: float   # value / number of roles, for per-player comparisons
-
-
 def _mean_distance(x, centers, labels) -> float:
     """Mean L2 distance of the rows of ``x`` to ``centers[labels]``."""
     return float(np.sqrt(sq_dist_to(x, centers, labels)).mean())
 
 
-def within_cluster_error(r, c: ClusterSet) -> WceResult:
-    x = _matrix(r)
-    value = _mean_distance(x, c.centroids, c.labels)
-    return WceResult(value=value, per_player=value / (x.shape[1] // 2))
+def within_cluster_error(r, c: ClusterSet) -> float:
+    """Mean L2 distance of the rows to their cluster centroid."""
+    return _mean_distance(np.asarray(r, dtype=float), c.centroids, c.labels)
 
 
 def pairwise_within_cluster(r, labels) -> float:
@@ -98,7 +87,7 @@ def pairwise_within_cluster(r, labels) -> float:
     The quantity the split actually minimizes is centroid distortion; this
     pairwise form is reported alongside it as a metric.
     """
-    x = _matrix(r)
+    x = np.asarray(r, dtype=float)
     groups, codes = np.unique(np.asarray(labels), return_inverse=True)
     total = 0.0
     pairs = 0
@@ -119,7 +108,7 @@ def pairwise_within_cluster(r, labels) -> float:
 def pca_variance_explained(r) -> np.ndarray:
     """Fractions of row-covariance variance per principal component,
     descending, summing to 1."""
-    x = _matrix(r)
+    x = np.asarray(r, dtype=float)
     if x.shape[0] < 2:
         raise ValueError("need at least two rows")
     xc = x - x.mean(axis=0)
@@ -131,16 +120,16 @@ def pca_variance_explained(r) -> np.ndarray:
 
 
 def flat_cluster(r, k_candidates, template: Template | None,
-                 noise: float = 0.01, seed: int = 0) -> ClusterSet:
+                 seed: int = 0) -> ClusterSet:
     """Fit K-Means per candidate k and keep the most discriminative result.
 
     Each run is seeded with k copies of the template-mean vector plus
-    Gaussian noise of ``noise`` times the per-dimension data standard
+    Gaussian noise of 0.01 times the per-dimension data standard
     deviation.  k=1 is allowed as a candidate and scores 0 by convention;
     ties go to the smaller k.  Candidates that collapse (an empty cluster
     that re-seeding cannot fix) are skipped with a warning.
     """
-    x = _matrix(r)
+    x = np.asarray(r, dtype=float)
     m, dim = x.shape
     t_vec = template.means.ravel() if template is not None else x.mean(axis=0)
     if t_vec.shape[0] != dim:
@@ -157,9 +146,9 @@ def flat_cluster(r, k_candidates, template: Template | None,
             cand = ClusterSet(k=1, centroids=x.mean(axis=0, keepdims=True),
                               labels=np.zeros(m, dtype=int), score=0.0)
         else:
-            init = t_vec[None, :] + noise * sigma[None, :] * \
+            init = t_vec[None, :] + 0.01 * sigma[None, :] * \
                 rng.standard_normal((k, dim))
-            km = kmeans(x, init, tol=1e-6)
+            km = kmeans(x, init)
             if np.bincount(km.labels, minlength=k).min() == 0:
                 warnings.warn(f"candidate k={k} degenerate, skipped")
                 continue
@@ -197,13 +186,13 @@ def wce_sweep(r, ks) -> list:
     additions as its init.  If a Lloyd run lands above the plain
     init-assignment solution in (unsquared) WCE, the latter is kept, which
     guarantees the reported sequence is non-increasing in k.  Returns a list
-    of dicts with k, wce, per_player and score (E, 0.0 for k=1), and the
+    of dicts with k, wce and score (E, 0.0 for k=1), and the
     ``searched`` rows of every nearest-center search made for that k
     (``nearest_centers`` and K-means) with the ``fallback`` rows among them
     that its certificate left to the exact search, and the rows K-means
     ``settled`` by its bounds without a search.
     """
-    x = _matrix(r)
+    x = np.asarray(r, dtype=float)
     out = []
     centers = None
     for k in sorted(set(int(k) for k in ks)):
@@ -213,7 +202,7 @@ def wce_sweep(r, ks) -> list:
             centers = x.mean(axis=0, keepdims=True)
         init, near_init = _extend_centers(x, centers, k - len(centers))
         near = nearest_centers(x, init)
-        km = kmeans(x, init, tol=1e-6)
+        km = kmeans(x, init)
         # the argmin of the squared distances can differ from that of the
         # distances only where two of them share a square root, which
         # leaves the row's distance, and so the WCE, unchanged
@@ -226,8 +215,7 @@ def wce_sweep(r, ks) -> list:
             helper = ClusterSet(k=k, centroids=cent, labels=lab)
             score, near_score = _score_E(x, helper)
         searches = [s for s in (near_init, near, near_score) if s is not None]
-        out.append({"k": k, "wce": wce, "per_player": wce / (x.shape[1] // 2),
-                    "score": score,
+        out.append({"k": k, "wce": wce, "score": score,
                     "searched": km.searched + len(x) * len(searches),
                     "settled": km.settled,
                     "fallback": km.fallback + sum(s.fallback
@@ -328,8 +316,7 @@ def learn_tree(ds: Dataset, g: Template | None = None,
         formation, _ = discover_formation(sub, cfg)
         template = align_template(formation, parent) if parent is not None \
             else Template.from_formation(formation)
-        aligned = assign_roles(sub, template)
-        x = aligned.matrix
+        x = assign_roles(sub, template).matrix
         node_wce = _mean_distance(x, x.mean(axis=0, keepdims=True),
                                   np.zeros(len(x), dtype=np.intp))
         split = {}
@@ -339,7 +326,7 @@ def learn_tree(ds: Dataset, g: Template | None = None,
             reason = "size"
         else:
             try:
-                cs = flat_cluster(aligned, stop.k_candidates, template,
+                cs = flat_cluster(x, stop.k_candidates, template,
                                   seed=cfg.seed)
             except ValueError:
                 cs = None
@@ -347,7 +334,7 @@ def learn_tree(ds: Dataset, g: Template | None = None,
                 reason = "no split"
             elif cs.score < stop.min_score:
                 reason = "score"
-            elif (node_wce - within_cluster_error(x, cs).value) \
+            elif (node_wce - within_cluster_error(x, cs)) \
                     / max(node_wce, 1e-12) < stop.min_rel_improvement:
                 reason = "gain"
             else:

@@ -199,9 +199,9 @@ class KMeansResult:
         return len(self.inertia)
 
 
-def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
-           max_iters: int = 1000) -> KMeansResult:
-    """Lloyd's algorithm run to convergence (max center movement < tol).
+def kmeans(points: np.ndarray, init: np.ndarray) -> KMeansResult:
+    """Lloyd's algorithm run to convergence (max center movement below
+    1e-6), for at most 1000 iterations.
 
     An empty cluster is re-seeded at the point currently farthest from its
     assigned center, which keeps the recorded inertia sequence
@@ -259,7 +259,7 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
     inertia = []
     searched = settled = fallback = 0
     full = True
-    for _ in range(max_iters):
+    for _ in range(1000):
         if full:
             chunks = [slice(start, start + BLOCK)
                       for start in range(0, len(pts), BLOCK)]
@@ -303,11 +303,11 @@ def kmeans(points: np.ndarray, init: np.ndarray, tol: float = 1e-6,
         new_centers = sums / counts[:, None]
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if movement < tol:
+        if movement < 1e-6:
             break
         lower *= shrink
         lower -= movement * widen + slack
-    return KMeansResult(centers=centers, labels=labels if inertia else None,
+    return KMeansResult(centers=centers, labels=labels,
                         inertia=tuple(inertia), searched=searched,
                         settled=settled, fallback=fallback)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignedDataset, Template
+from .alignment import Template
 from .assignment import hungarian
 from .geometry import Gaussian2D
 from .ingest import Dataset, center_normalize
@@ -165,21 +165,24 @@ def sample_dataset(t: Template, s: int, swap_rate: float = 0.0,
     return ds, truth
 
 
-def recovery_score(predicted: AlignedDataset, truth: GroundTruth) -> float:
+def recovery_score(mappings, truth: GroundTruth) -> float:
     """Fraction of frames whose permutation matches the truth, allowing one
     global relabeling of roles.
 
-    The relabel absorbs the arbitrary role numbering of a freshly discovered
-    formation: predicted and true role indices are matched once, over all
-    frames, by maximizing agreement counts.
+    ``mappings[s, i]`` is the predicted role of agent i in frame s, as in
+    ``AlignedDataset.mappings``.  The relabel absorbs the arbitrary role
+    numbering of a freshly discovered formation: predicted and true role
+    indices are matched once, over all frames, by maximizing agreement
+    counts.
     """
-    s = truth.true_maps.shape[0]
-    if predicted.n_frames != s:
-        raise ValueError(f"predicted has {predicted.n_frames} frames, "
+    mappings = np.asarray(mappings)
+    s, n = truth.true_maps.shape
+    if len(mappings) != s:
+        raise ValueError(f"predicted has {len(mappings)} frames, "
                          f"truth has {s}")
-    k = predicted.k
+    k = max(n, int(mappings.max()) + 1)   # predicted roles may outnumber n
     counts = np.zeros((k, k))
-    np.add.at(counts, (predicted.mappings, truth.true_maps), 1)
+    np.add.at(counts, (mappings, truth.true_maps), 1)
     relabel = hungarian(counts.max() - counts).mapping
-    exact = (relabel[predicted.mappings] == truth.true_maps).all(axis=1)
+    exact = (relabel[mappings] == truth.true_maps).all(axis=1)
     return int(exact.sum()) / s

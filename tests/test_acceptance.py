@@ -116,7 +116,7 @@ def test_criterion_03_role_recovery(capsys):
         t0 = time.perf_counter()
         res = run_pipeline(ds)
         times.append(time.perf_counter() - t0)
-        recs.append(recovery_score(res.aligned, truth))
+        recs.append(recovery_score(res.aligned.mappings, truth))
         to_truth = align_template(res.formation, tmpl)
         gaps.append(float(np.linalg.norm(
             to_truth.means - tmpl.means, axis=1).max()))

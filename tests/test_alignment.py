@@ -1,20 +1,18 @@
 """Template alignment, per-frame role assignment, and the full pipeline."""
 
-import json
-
 import numpy as np
 import pytest
 
 from rolealign.alignment import (
-    AlignedDataset,
     Template,
-    _align_with_mapping,
     align_template,
     assign_roles,
     average_log_likelihood,
     run_pipeline,
 )
-from rolealign.discovery import DiscoveryConfig, Formation
+from rolealign.baseline import hard_assignment_em
+from rolealign.discovery import DiscoveryConfig, Formation, discover_formation
+from rolealign.ingest import filter_key_frames
 from rolealign.geometry import LOG_2PI, Gaussian2D
 from rolealign.synth import recovery_score, sample_dataset, generate_formation
 
@@ -73,8 +71,9 @@ def test_align_with_mapping_indexing():
     parent = square_template()
     perm = [1, 3, 0, 2]
     shuffled = Formation(components=tuple(parent.roles[i] for i in perm))
-    aligned, mapping = _align_with_mapping(shuffled, parent)
-    for i, j in enumerate(mapping):
+    aligned = align_template(shuffled, parent)
+    # component i of the shuffle is parent role perm[i], so it lands there
+    for i, j in enumerate(perm):
         assert aligned.roles[j] is shuffled.components[i]
     assert np.array_equal(aligned.means, parent.means)
 
@@ -128,10 +127,9 @@ def test_assign_roles_weight_term_flips_a_tie():
     # the point is nearer role 0, but role 0's prior is tiny
     t = Template(roles=(gauss(-1, 0, 0.001), gauss(1, 0, 0.999)))
     ds = make_dataset([[[-0.2, 0.0]]], ("a",))
-    with_w = assign_roles(ds, t, include_weights=True)
-    without = assign_roles(ds, t, include_weights=False)
-    assert with_w.mappings[0, 0] == 1
-    assert without.mappings[0, 0] == 0
+    assert assign_roles(ds, t).mappings[0, 0] == 1
+    # the hard baseline's assignment has no weight term
+    assert hard_assignment_em(ds, t, max_iters=0)[1][0, 0] == 0
 
 
 def test_assign_roles_nan_for_unfilled_slots():
@@ -148,27 +146,6 @@ def test_assign_roles_too_many_agents():
     ds = make_dataset([[[0.0, 0.0], [1.0, 1.0]]], ("a", "b"))
     with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
         assign_roles(ds, t)
-
-
-# aligned output formats
-
-
-def test_aligned_csv_format(written):
-    t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = make_dataset([[[2.0, 0.5], [-2.0, -0.5]]], ("a", "b"), frame_id=[3])
-    out = assign_roles(ds, t)
-    lines = written(out.to_csv).splitlines()
-    assert lines[0] == "frame_id,role_0_x,role_0_y,role_1_x,role_1_y"
-    assert lines[1] == "3,-2.0,-0.5,2.0,0.5"
-
-
-def test_aligned_jsonl_format(written):
-    t = Template(roles=(gauss(-2, 0, 0.5), gauss(2, 0, 0.5)))
-    ds = make_dataset([[[2.0, 0.5], [-2.0, -0.5]]], ("a", "b"), frame_id=[3])
-    obj = json.loads(written(assign_roles(ds, t).to_jsonl).splitlines()[0])
-    assert obj["frame_id"] == 3
-    assert obj["permutation"] == [1, 0]
-    assert obj["positions"] == [[-2.0, -0.5], [2.0, 0.5]]
 
 
 def test_aligned_matrix_frozen():
@@ -204,7 +181,7 @@ def test_average_log_likelihood_mixture_logsumexp():
 def test_pipeline_recovers_ground_truth(easy_tgp):
     tmpl, ds, truth = easy_tgp
     res = run_pipeline(ds)
-    assert recovery_score(res.aligned, truth) > 0.95
+    assert recovery_score(res.aligned.mappings, truth) > 0.95
     assert res.aligned.n_frames == ds.n_frames
     assert res.trace.converged
     assert res.avg_loglik > -10.0
@@ -225,10 +202,13 @@ def test_pipeline_key_frames_only():
     tmpl = generate_formation(4, separation=3.0, seed=31)
     ds, truth = sample_dataset(tmpl, 200, event_rate=0.3, seed=31)
     res = run_pipeline(ds, key_frames_only=True)
-    assert res.training.n_frames < ds.n_frames
-    assert all(f.is_event for f in res.training.frames)
+    # discovery saw the event frames alone
+    formation, _ = discover_formation(filter_key_frames(ds),
+                                      DiscoveryConfig(k=4))
+    assert res.formation.to_dict() == formation.to_dict()
+    assert filter_key_frames(ds).n_frames < ds.n_frames
     assert res.aligned.n_frames == ds.n_frames  # assignment covers everything
-    assert recovery_score(res.aligned, truth) > 0.9
+    assert recovery_score(res.aligned.mappings, truth) > 0.9
 
 
 def test_pipeline_parent_cache_consistency(tiny_tgp):

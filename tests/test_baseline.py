@@ -74,11 +74,11 @@ def test_player_identity_template_missing_agent():
 def test_hard_em_converges_on_separated_data(tiny_tgp):
     tmpl, ds, truth = tiny_tgp
     init = player_identity_template(ds)
-    formation, aligned, trace = hard_assignment_em(ds, init)
+    formation, mappings, trace = hard_assignment_em(ds, init)
     assert trace.converged
     assert trace.rows[-1][3] == 0          # changed_frames hits zero
     assert trace.rows[0][3] == ds.n_frames  # first pass counts everything
-    assert recovery_score(aligned, truth) > 0.9
+    assert recovery_score(mappings, truth) > 0.9
 
 
 def test_hard_em_ignores_init_weights(tiny_tgp):
@@ -88,20 +88,21 @@ def test_hard_em_ignores_init_weights(tiny_tgp):
     skewed = Template(roles=tuple(
         Gaussian2D(mean=r.mean, cov=r.cov, weight=w)
         for r, w in zip(base.roles, (0.7, 0.1, 0.1, 0.1))))
-    fa, aa, ta = hard_assignment_em(ds, base)
-    fb, ab, tb = hard_assignment_em(ds, skewed)
+    fa, ma, ta = hard_assignment_em(ds, base)
+    fb, mb, tb = hard_assignment_em(ds, skewed)
     assert fa.to_dict() == fb.to_dict()
-    assert np.array_equal(aa.matrix, ab.matrix)
+    assert np.array_equal(ma, mb)
     assert ta.rows == tb.rows
 
 
 def test_hard_em_max_iters_zero_still_runs_one_pass(tiny_tgp):
     tmpl, ds, truth = tiny_tgp
     init = player_identity_template(ds)
-    formation, aligned, trace = hard_assignment_em(ds, init, max_iters=0)
+    formation, mappings, trace = hard_assignment_em(ds, init, max_iters=0)
     assert len(trace.rows) == 1
     assert not trace.converged
-    assert aligned.n_frames == ds.n_frames
+    assert mappings.shape == (ds.n_frames, ds.n_agents)
+    assert not mappings.flags.writeable
 
 
 def test_hard_em_empty_role_keeps_its_gaussian():
@@ -109,25 +110,25 @@ def test_hard_em_empty_role_keeps_its_gaussian():
     ds = make_dataset(rng.normal(0, 0.5, (30, 2, 2)), ("a", "b"))
     init = Template(roles=(gauss(-0.5, 0.0, 1 / 3), gauss(0.5, 0.0, 1 / 3),
                            gauss(100.0, 100.0, 1 / 3)))
-    formation, aligned, trace = hard_assignment_em(ds, init)
+    formation, mappings, trace = hard_assignment_em(ds, init)
     far = formation.components[2]
     assert np.array_equal(far.mean, [100.0, 100.0])  # never assigned, never refit
-    assert np.isnan(aligned.matrix[:, 4:]).all()
+    assert not (mappings == 2).any()
 
 
 def test_hard_em_too_many_agents():
     ds = make_dataset([[[0.0, 0.0], [1.0, 0.0]]], ("a", "b"))
-    with pytest.raises(ValueError, match="2 agents cannot fill 1 roles"):
+    with pytest.raises(ValueError, match="must have n <= m, got 2x1"):
         hard_assignment_em(ds, Template(roles=(gauss(0, 0, 1.0),)))
 
 
 def test_hard_em_deterministic(tiny_tgp):
     tmpl, ds, truth = tiny_tgp
     init = player_identity_template(ds)
-    fa, aa, ta = hard_assignment_em(ds, init)
-    fb, ab, tb = hard_assignment_em(ds, init)
+    fa, ma, ta = hard_assignment_em(ds, init)
+    fb, mb, tb = hard_assignment_em(ds, init)
     assert fa.to_dict() == fb.to_dict()
-    assert np.array_equal(aa.matrix, ab.matrix)
+    assert np.array_equal(ma, mb)
     assert ta.rows == tb.rows
 
 
@@ -136,7 +137,8 @@ def reference_hard_em(ds, init, max_iters=500):
     solved by ``assign_batch``, a refit per role from a boolean mask
     gather, each refit role built with weight 1/k and rebuilt with its
     share, and the mean log mixture density of the refit formation.
-    Returns the formation, the aligned matrix and the trace's fields."""
+    Returns the formation, the last pass's mappings and the trace's
+    fields."""
     s, n, k = ds.n_frames, ds.n_agents, init.k
     pts = flatten(ds)
     roles = init.roles
@@ -174,17 +176,15 @@ def reference_hard_em(ds, init, max_iters=500):
             break
         seen.add(maps.tobytes())
         prev = maps
-    slots = np.full((s, k, 2), np.nan)
-    slots[np.arange(s)[:, None], maps] = ds.positions
-    return (Formation(components=roles), slots.reshape(s, 2 * k), rows,
-            certified, tied, converged, oscillated)
+    return (Formation(components=roles), maps, rows, certified, tied,
+            converged, oscillated)
 
 
 def assert_same_as_reference(ds, init, max_iters=500):
-    formation, aligned, trace = hard_assignment_em(ds, init, max_iters)
+    formation, mappings, trace = hard_assignment_em(ds, init, max_iters)
     ref = reference_hard_em(ds, init, max_iters)
     assert formation.to_dict() == ref[0].to_dict()
-    assert np.array_equal(aligned.matrix, ref[1], equal_nan=True)
+    assert np.array_equal(mappings, ref[1])
     assert trace.rows == ref[2]
     assert (trace.certified, trace.tied) == (ref[3], ref[4])
     assert (trace.converged, trace.oscillated) == (ref[5], ref[6])
@@ -236,8 +236,8 @@ def test_hard_em_is_the_reference_loop_with_a_two_member_role():
     ds, init = two_member_role_case()
     formation, trace = assert_same_as_reference(ds, init)
     assert trace.converged
-    aligned = hard_assignment_em(ds, init)[1]
-    two = flatten(ds)[aligned.mappings.reshape(-1) == 2]
+    mappings = hard_assignment_em(ds, init)[1]
+    two = flatten(ds)[mappings.reshape(-1) == 2]
     assert len(two) == 2
     # the case only pins the double construction if building the role
     # once, with its final weight, gives other bits

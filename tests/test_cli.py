@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -326,6 +328,24 @@ def test_bench_empty_range(tmp_path, capsys):
     assert "empty n range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n-range", "10"], "--n-range needs at least two distinct agent "
+                          "counts, got '10'"),
+    (["--n-range", "4,4"], "--n-range needs at least two distinct agent "
+                           "counts, got '4,4'"),
+    (["--n-range", "1,2"], "--n-range needs agent counts of at least 2, "
+                           "got 1"),
+    (["--reps", "0"], "--reps must be at least 1, got 0"),
+    (["--s", "0"], "--s must be at least 1, got 0"),
+])
+def test_bench_refuses_bad_flags_before_any_work(tmp_path, capsys, flags,
+                                                 message):
+    out = tmp_path / "bench"
+    assert run(["bench", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_compare_hard_loglik_is_the_last_hard_pass(plain_csv, tmp_path):
     # compare reads the hard log-likelihood off the trace; it is the
     # log-likelihood of the returned hard formation, bit for bit
@@ -400,10 +420,62 @@ def test_compare_refuses_fewer_agents_than_roles(tmp_path, capsys):
     out = tmp_path / "cmp"
     assert run(["compare", "--out", str(out), *argv]) == 2
     assert capsys.readouterr().err == \
-        "error: compare needs --k at most the agent count: --k 12 but 10 " \
+        "error: compare needs --k equal to the agent count: --k 12 but 10 " \
         "agents per frame\n"
     assert not (out / "report.json").exists()
     assert run(["discover", "--out", str(tmp_path / "found"), *argv]) == 0
+
+
+@pytest.mark.parametrize("init", [[], ["--init", "random"]])
+def test_compare_refuses_more_agents_than_roles(tmp_path, capsys, init):
+    tmpl = generate_formation(10, separation=3.0, seed=95)
+    ds, _ = sample_dataset(tmpl, 40, seed=95)
+    path = tmp_path / "ten.csv"
+    write_tracking_csv(ds, path)
+    out = tmp_path / "cmp"
+    assert run(["compare", "--input", str(path), "--out", str(out), "--k",
+                "8", *init]) == 2
+    assert capsys.readouterr().err == \
+        "error: compare needs --k equal to the agent count: --k 8 but 10 " \
+        "agents per frame\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_frame_compare_refuses_and_discover_and_context_fit(
+        tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    tmpl = generate_formation(4, separation=3.0, seed=97)
+    ds, _ = sample_dataset(tmpl, 1, seed=97)
+    path = tmp_path / "one.csv"
+    write_tracking_csv(ds, path)
+    out = tmp_path / "cmp"
+    assert run(["compare", "--input", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: compare needs at least two frames, the input has 1\n"
+    assert not (out / "report.json").exists()
+    for command in ("discover", "context"):
+        assert run([command, "--input", str(path), "--out",
+                    str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_coincident_points_compare_refuses_and_discover_fits(
+        tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    # every agent of every frame at one point: the PCA has no variance
+    tmpl = generate_formation(4, separation=3.0, seed=98)
+    ds, _ = sample_dataset(tmpl, 20, seed=98)
+    path = tmp_path / "still.csv"
+    write_tracking_csv(replace(ds, positions=np.zeros_like(ds.positions)),
+                       path)
+    out = tmp_path / "cmp"
+    assert run(["compare", "--input", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: zero-variance data\n"
+    assert not (out / "report.json").exists()
+    assert run(["discover", "--input", str(path), "--out",
+                str(tmp_path / "found")]) == 0
+    assert no_child_process()
 
 
 # context
@@ -492,7 +564,10 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_console_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "rolealign.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "rolealign" in proc.stdout

@@ -84,15 +84,13 @@ def test_score_bounds():
 def test_wce_hand_value():
     rows = [[0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]]
     c = cluster_set(rows, [0, 0])
-    out = within_cluster_error(rows, c)
-    assert out.value == 2.0
-    assert out.per_player == 1.0   # two role slots
+    assert within_cluster_error(rows, c) == 2.0
 
 
 def test_wce_zero_on_centroids():
     rows = [[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]
     c = cluster_set(rows, [0, 0, 1])
-    assert within_cluster_error(rows, c).value == 0.0
+    assert within_cluster_error(rows, c) == 0.0
 
 
 def test_pairwise_matches_direct_loop():
@@ -240,8 +238,6 @@ def test_wce_sweep_nonincreasing():
     wces = [o["wce"] for o in out]
     assert all(b <= a + 1e-9 for a, b in zip(wces, wces[1:]))
     assert out[0]["score"] == 0.0
-    for o in out:
-        assert o["per_player"] == pytest.approx(o["wce"] / 2)
 
 
 def test_wce_sweep_does_not_import_numpy_ma():
@@ -451,8 +447,7 @@ def reference_wce_sweep(x, ks):
         if k >= 2 and len(np.unique(lab)) == k:
             score = reference_score_E(
                 x, ClusterSet(k=k, centroids=cent, labels=lab))
-        out.append({"k": k, "wce": wce, "per_player": wce / (x.shape[1] // 2),
-                    "score": score})
+        out.append({"k": k, "wce": wce, "score": score})
         centers = cent
     return out
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from rolealign.alignment import AlignedDataset
 from rolealign.geometry import covariance_eigenvalues
 from rolealign.synth import (
     GroundTruth,
@@ -157,18 +156,11 @@ def test_truth_validation():
     assert not truth.true_maps.flags.writeable
 
 
-def predicted_from_maps(maps, k):
-    """Wrap explicit per-frame role maps as an aligned result."""
-    s = len(maps)
-    return AlignedDataset(matrix=np.zeros((s, 2 * k)), mappings=maps,
-                          frame_id=np.arange(s))
-
-
 def test_recovery_score_absorbs_global_relabel():
     t = generate_formation(4, seed=79)
     _, truth = sample_dataset(t, 30, swap_rate=0.3, seed=79)
     sigma = np.array([2, 0, 3, 1])
-    pred = predicted_from_maps([sigma[row] for row in truth.true_maps], 4)
+    pred = [sigma[row] for row in truth.true_maps]
     assert recovery_score(pred, truth) == 1.0
 
 
@@ -177,13 +169,12 @@ def test_recovery_score_counts_corrupt_frames():
     _, truth = sample_dataset(t, 20, seed=80)
     maps = [row.copy() for row in truth.true_maps]
     maps[7] = np.array([1, 0, 2, 3])   # one frame wrong
-    pred = predicted_from_maps(maps, 4)
-    assert recovery_score(pred, truth) == pytest.approx(19 / 20)
+    assert recovery_score(maps, truth) == pytest.approx(19 / 20)
 
 
 def test_recovery_score_frame_count_check():
     t = generate_formation(3, seed=81)
     _, truth = sample_dataset(t, 10, seed=81)
-    pred = predicted_from_maps([np.arange(3)] * 9, 3)
+    pred = [np.arange(3)] * 9
     with pytest.raises(ValueError, match="9 frames, truth has 10"):
         recovery_score(pred, truth)
