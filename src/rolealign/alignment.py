@@ -4,9 +4,9 @@ A Formation is an unordered bag of Gaussian roles.  Alignment gives it a
 fixed order by matching its components one-to-one against a parent template
 (minimum total Bhattacharyya distance), after which every frame's agents can
 be assigned to role slots by solving a small linear assignment problem per
-frame (all frames at once, through ``assign_batch``).  The aligned output is
-an S x (2K) matrix whose column blocks are role slots, the representation
-all downstream clustering works on.
+frame (by ``assign_positions``, a bounded block of frames at a time).  The
+aligned output is an S x (2K) matrix whose column blocks are role slots, the
+representation all downstream clustering works on.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import assign_batch, hungarian
+from .assignment import BatchAssignment, assign_batch, hungarian
 from .geometry import (Gaussian2D, bhattacharyya_distance, component_log_pdfs,
                        log_mixture_density)
 from .ingest import Dataset, filter_key_frames, flatten, write_json
 from . import discovery as _disc
+
+# ``assign_positions`` builds at most this many cost entries (8 MiB) at once.
+_BLOCK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,24 @@ class AlignedDataset:
         return self.matrix.shape[1] // 2
 
 
+def assign_positions(roles, positions, log_weights=0.0) -> BatchAssignment:
+    """``assign_batch`` of the costs -(log pdf of agent i under role j) -
+    log_weights[j] of an (S, N, 2) positions array, built for whole frames at
+    most ``_BLOCK_ENTRIES`` at a time; a frame's costs and assignment depend
+    on that frame alone, so the blocks change no bit."""
+    s, n, _ = positions.shape
+    step = max(1, _BLOCK_ENTRIES // (n * len(roles)))
+    out = BatchAssignment(np.empty((s, n), dtype=np.intp), np.empty(s),
+                          np.empty(s, dtype=bool), np.empty(s, dtype=bool))
+    for lo in range(0, s, step):
+        block = positions[lo:lo + step]
+        cost = -component_log_pdfs(roles, block.reshape(-1, 2)) - log_weights
+        part = assign_batch(cost.reshape(len(block), n, len(roles)))
+        for name in ("mappings", "totals", "certified", "tied"):
+            getattr(out, name)[lo:lo + step] = getattr(part, name)
+    return out
+
+
 def assign_roles(ds: Dataset, t: Template) -> AlignedDataset:
     """Assign each frame's agents to role slots by minimum total negative
     log-likelihood.
@@ -137,9 +158,8 @@ def assign_roles(ds: Dataset, t: Template) -> AlignedDataset:
     k = t.k
     if n > k:
         raise ValueError(f"{n} agents cannot fill {k} roles injectively")
-    cost_all = -component_log_pdfs(t.roles, flatten(ds)) - np.log(t.weights)
+    batch = assign_positions(t.roles, ds.positions, np.log(t.weights))
     s = ds.n_frames
-    batch = assign_batch(cost_all.reshape(s, n, k))
     slots = np.full((s, k, 2), np.nan)
     slots[np.arange(s)[:, None], batch.mappings] = ds.positions
     return AlignedDataset(matrix=slots.reshape(s, 2 * k),

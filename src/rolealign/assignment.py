@@ -1,11 +1,11 @@
 """Exact bipartite assignment and doubly-stochastic matrix normalization.
 
 Role assignment solves one minimum-cost assignment per frame, and
-``assign_batch`` takes all frames at once.  Ties between equal-cost optima
-are broken deterministically in favour of the lexicographically smallest
-row->column mapping.  A frame whose row minima are unique and fall in
-distinct columns is certified: its row argmins are the unique optimum.  The
-remaining frames are solved together by ``_jv_lockstep``, the
+``assign_batch`` solves a block of frames at once.  Ties between equal-cost
+optima are broken deterministically in favour of the lexicographically
+smallest row->column mapping.  A frame whose row minima are unique and fall
+in distinct columns is certified: its row argmins are the unique optimum.
+The remaining frames are solved together by ``_jv_lockstep``, the
 shortest-augmenting-path method of Jonker and Volgenant (1987), O(n^3) for an
 n x n matrix, vectorized over frames.  Only the solved frames whose tight
 edges admit another optimal mapping are tied; ``_lex_refine`` refines their
@@ -26,10 +26,6 @@ _LEX_SLACK = 1e-6
 # more than this (relative to 1 + the frame's largest magnitude), ten times
 # the slack above, so the refinement can never prefer another mapping.
 _CERT_MARGIN = 10 * _LEX_SLACK
-# ``assign_batch`` solves the frames the certificate leaves in chunks of this
-# many, so its working set stays a few MB when a full match leaves tens of
-# thousands of frames uncertified.
-_LOCKSTEP_FRAMES = 1024
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -330,9 +326,8 @@ def assign_batch(cost) -> BatchAssignment:
         cols = np.sort(mappings, axis=1)
         certified &= (cols[:, 1:] != cols[:, :-1]).all(axis=1)
     tied = np.zeros(s, dtype=bool)
-    solve = np.flatnonzero(~certified)
-    for start in range(0, len(solve), _LOCKSTEP_FRAMES):
-        frames = solve[start:start + _LOCKSTEP_FRAMES]
+    frames = np.flatnonzero(~certified)
+    if len(frames):
         square = c[frames]
         if n < k:
             sentinel = square.max(axis=(1, 2)) + 1.0

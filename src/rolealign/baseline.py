@@ -2,12 +2,11 @@
 
 Where the soft pipeline lets every point contribute fractionally to every
 role, this baseline commits each agent to exactly one role per frame (an
-exact assignment per frame, by the soft pipeline's own ``assign_batch``
-over negative log densities, with no weight term) and refits each role's
-Gaussian from its assigned points only.  The exclusive commitment is what
-makes it slow (one exact assignment per frame per iteration) and what
-breaks the usual EM guarantee: its likelihood sequence may oscillate,
-which the trace records rather than hides.
+exact assignment per frame, by the soft pipeline's ``assign_positions`` with
+no weight term) and refits each role's Gaussian from its assigned points
+only.  The exclusive commitment is what makes it slow (one exact assignment
+per frame per iteration) and what breaks the usual EM guarantee: its
+likelihood sequence may oscillate, which the trace records rather than hides.
 
 The original method used nonparametric role heat maps; roles here are
 Gaussians so the two pipelines differ only in the assignment rule, which is
@@ -21,11 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import Template, average_log_likelihood
-from .assignment import assign_batch
+from .alignment import Template, assign_positions, average_log_likelihood
 from .discovery import Formation
-from .geometry import (Gaussian2D, component_log_pdfs, sample_covariance,
-                       split_by_label)
+from .geometry import Gaussian2D, sample_covariance, split_by_label
 from .ingest import Dataset, flatten, write_csv
 
 
@@ -78,9 +75,9 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
                        ) -> tuple[Formation, np.ndarray, HardEmTrace]:
     """Alternate exclusive per-frame assignment and per-role refits.
 
-    Each pass is ``assign_batch`` of the plain negative log densities (the
-    baseline has no mixture weight term), a refit of every role from the
-    points assigned to it, and ``average_log_likelihood`` of the refit
+    Each pass is ``assign_positions`` of the current roles with no weight
+    term (the baseline has no mixture weight), a refit of every role from
+    the points assigned to it, and ``average_log_likelihood`` of the refit
     formation.  Stops when no frame's assignment changes, when an
     assignment state repeats (oscillation, flagged on the trace), or after
     max_iters passes.  max_iters=0 still performs the one mandatory
@@ -89,7 +86,7 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     mappings (``mappings[s, i]`` is the role of agent i in frame s) and the
     trace.
     """
-    s, n, k = ds.n_frames, ds.n_agents, init.k
+    s, k = ds.n_frames, init.k
     pts = flatten(ds)
     roles = init.roles
 
@@ -97,7 +94,7 @@ def hard_assignment_em(ds: Dataset, init: Template, max_iters: int = 500
     prev_maps = None
     seen_states = set()
     for it in range(1, max(1, max_iters) + 1):
-        batch = assign_batch(-component_log_pdfs(roles, pts).reshape(s, n, k))
+        batch = assign_positions(roles, ds.positions)
         trace.certified.append(batch.n_certified)
         trace.tied.append(batch.n_tied)
         mappings = batch.mappings

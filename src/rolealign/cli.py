@@ -284,9 +284,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = [int(x) for x in args.n_range.split(",") if x.strip()]
-    if not ns:
-        raise ValueError(f"empty n range {args.n_range!r}")
+    ns = []
+    for entry in filter(str.strip, args.n_range.split(",")):
+        try:
+            ns.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--n-range entries must be integers, got "
+                             f"{entry!r} in {args.n_range!r}") from None
     # the summary fits log-log slopes, which need two distinct N
     if len(set(ns)) < 2:
         raise ValueError(f"--n-range needs at least two distinct agent "

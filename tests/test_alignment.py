@@ -1,8 +1,11 @@
 """Template alignment, per-frame role assignment, and the full pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rolealign import alignment
 from rolealign.alignment import (
     Template,
     align_template,
@@ -10,7 +13,7 @@ from rolealign.alignment import (
     average_log_likelihood,
     run_pipeline,
 )
-from rolealign.baseline import hard_assignment_em
+from rolealign.baseline import hard_assignment_em, player_identity_template
 from rolealign.discovery import DiscoveryConfig, Formation, discover_formation
 from rolealign.ingest import filter_key_frames
 from rolealign.geometry import LOG_2PI, Gaussian2D
@@ -155,6 +158,74 @@ def test_aligned_matrix_frozen():
     assert not out.matrix.flags.writeable
     assert not out.mappings.flags.writeable
     assert not out.frame_id.flags.writeable
+
+
+def twin_role_case(n, k):
+    """60 frames of n agents scattered over k overlapping roles, the first
+    two identical: most frames are uncertified, and a frame that puts an
+    agent in either twin has another optimum, so it is tied."""
+    rng = np.random.default_rng(40 + 10 * n + k)
+    means = rng.normal(0.0, 1.5, (k, 2))
+    means[1] = means[0]
+    weights = rng.dirichlet(np.ones(k))
+    weights[1] = weights[0]
+    t = Template(roles=tuple(gauss(x, y, w)
+                             for (x, y), w in zip(means, weights)))
+    ds = make_dataset(rng.normal(0.0, 2.0, (60, n, 2)),
+                      [f"a{i}" for i in range(n)])
+    return ds, t
+
+
+def block_budgets(n, k):
+    """Less than one frame's costs, one frame's, and 7 frames'."""
+    return [1, n * k, 7 * n * k]
+
+
+@pytest.mark.parametrize("n,k", [(6, 6), (3, 5)])
+def test_assign_roles_blocks_change_no_bit(monkeypatch, n, k):
+    ds, t = twin_role_case(n, k)
+    want = assign_roles(ds, t)   # one block
+    assert want.n_tied > 0 and want.n_certified < ds.n_frames
+    for budget in block_budgets(n, k):
+        monkeypatch.setattr(alignment, "_BLOCK_ENTRIES", budget)
+        got = assign_roles(ds, t)
+        assert got.matrix.tobytes() == want.matrix.tobytes()   # NaNs too
+        assert np.array_equal(got.mappings, want.mappings)
+        assert (got.n_certified, got.n_tied) == \
+            (want.n_certified, want.n_tied)
+
+
+@pytest.mark.parametrize("n,k", [(6, 6), (3, 5)])
+def test_hard_em_blocks_change_no_bit(monkeypatch, n, k):
+    ds, t = twin_role_case(n, k)
+    formation, mappings, trace = hard_assignment_em(ds, t, max_iters=10)
+    assert trace.tied[0] > 0 and trace.certified[0] < ds.n_frames
+    for budget in block_budgets(n, k):
+        monkeypatch.setattr(alignment, "_BLOCK_ENTRIES", budget)
+        f, m, tr = hard_assignment_em(ds, t, max_iters=10)
+        assert f.to_dict() == formation.to_dict()
+        assert np.array_equal(m, mappings)
+        assert tr.rows == trace.rows
+        assert (tr.certified, tr.tied) == (trace.certified, trace.tied)
+
+
+@pytest.mark.parametrize("case", ["assign_roles", "hard pass"])
+def test_assignment_memory_is_bounded(case):
+    # the costs of all 20k x 22 x 22 entries at once took 166 MiB; built
+    # a bounded block at a time, the traced peak is about 28 MiB
+    tmpl = generate_formation(22, 3.0, seed=3)
+    ds, _ = sample_dataset(tmpl, 20000, swap_rate=0.05, seed=3)
+    init = player_identity_template(ds)
+    tracemalloc.start()
+    try:
+        if case == "assign_roles":
+            assign_roles(ds, tmpl)
+        else:
+            hard_assignment_em(ds, init, max_iters=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 # likelihood helper

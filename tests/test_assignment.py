@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from rolealign import (SinkhornConvergenceError, assign_batch, hungarian,
                        sinkhorn_normalize)
-from rolealign import assignment
+from rolealign import alignment, assignment
 from rolealign.assignment import (_alternating_cycles, _jv_lockstep,
                                   _lex_refine, _tight)
+from rolealign.geometry import Gaussian2D, component_log_pdfs
 
 
 def brute_force(cost):
@@ -432,28 +433,49 @@ def test_batch_matches_hungarian_on_uncertified_22():
     assert not (b.tied & b.certified).any()
 
 
-def test_batch_matches_hungarian_across_chunks(monkeypatch):
-    monkeypatch.setattr(assignment, "_LOCKSTEP_FRAMES", 16)
-    cost = tied_22(np.random.default_rng(34), 100)
-    b = assert_same_as_hungarian(cost)
+def test_assign_positions_matches_hungarian_across_blocks(monkeypatch):
+    # 22 agents over 22 overlapping roles, the first two identical, in
+    # blocks of 16 frames: each block's costs are the whole tensor's
+    rng = np.random.default_rng(34)
+    means = rng.normal(0.0, 2.0, (22, 2))
+    means[1] = means[0]
+    roles = tuple(Gaussian2D(mean=m, cov=np.eye(2), weight=1 / 22)
+                  for m in means)
+    log_w = np.log([r.weight for r in roles])
+    pos = rng.normal(0.0, 3.0, (100, 22, 2))
+    cost = (-component_log_pdfs(roles, pos.reshape(-1, 2)) - log_w) \
+        .reshape(100, 22, 22)
+    monkeypatch.setattr(alignment, "_BLOCK_ENTRIES", 16 * 22 * 22)
+    blocks = []
+
+    def counted(block):
+        blocks.append(len(block))
+        return assign_batch(block)
+
+    monkeypatch.setattr(alignment, "assign_batch", counted)
+    b = alignment.assign_positions(roles, pos, log_w)
+    assert blocks == [16] * 6 + [4]
+    mappings, totals = per_frame(cost)
+    assert np.array_equal(b.mappings, mappings)
+    assert np.array_equal(b.totals, totals)   # bit for bit, not approx
     assert len(cost) - b.n_certified > 3 * 16 and b.n_tied >= 1
 
 
 def test_each_uncertified_frame_reaches_the_lockstep_once(monkeypatch):
-    # tied frames are refined from their own chunk's solve, not solved again
-    monkeypatch.setattr(assignment, "_LOCKSTEP_FRAMES", 16)
-    chunks = []
+    # one lockstep call takes exactly the uncertified frames; tied frames
+    # are refined from that solve, not solved again
+    stacks = []
 
     def counted(square):
-        chunks.append(len(square))
+        stacks.append(square.copy())
         return _jv_lockstep(square)
 
     monkeypatch.setattr(assignment, "_jv_lockstep", counted)
     cost = np.random.default_rng(35).integers(0, 3, (120, 6, 6)).astype(float)
     b = assign_batch(cost)
-    solved = len(cost) - b.n_certified
     assert b.n_tied > 3 * 16
-    assert len(chunks) == math.ceil(solved / 16) and sum(chunks) == solved
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], cost[~b.certified])
 
 
 def test_hungarian_on_a_certifiable_matrix_skips_the_lockstep(monkeypatch):

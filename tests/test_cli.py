@@ -323,9 +323,11 @@ def test_bench_small_run(tmp_path):
 
 
 def test_bench_empty_range(tmp_path, capsys):
-    assert run(["bench", "--n-range", ",", "--out",
-                str(tmp_path / "o")]) == 2
-    assert "empty n range" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert run(["bench", "--n-range", ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --n-range needs at least two " \
+        "distinct agent counts, got ','\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -337,6 +339,8 @@ def test_bench_empty_range(tmp_path, capsys):
                            "got 1"),
     (["--reps", "0"], "--reps must be at least 1, got 0"),
     (["--s", "0"], "--s must be at least 1, got 0"),
+    (["--n-range", "4,x"], "--n-range entries must be integers, got 'x' in "
+                           "'4,x'"),
 ])
 def test_bench_refuses_bad_flags_before_any_work(tmp_path, capsys, flags,
                                                  message):

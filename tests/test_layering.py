@@ -5,7 +5,9 @@ Every ``src/rolealign/*.py`` file is parsed with ``ast``.  A module may not
 import a ``_``-prefixed name from another rolealign module, nor read one
 as an attribute of an imported rolealign module (``_disc._e_step``).
 Dunder names such as ``__version__`` are public.  Every name the package
-exports must be read by the package itself, a demo or the README.
+exports must be read by the package itself, a demo or the README.  Only
+``alignment.assign_positions`` and ``assignment.hungarian`` call
+``assign_batch``, so assignment costs are built in one place.
 """
 
 import ast
@@ -104,6 +106,60 @@ def test_the_checker_sees_each_kind_of_access(tmp_path):
         (7, "reads rolealign.discovery._component_log_pdfs"),
         (9, "reads rolealign.ingest._chunks"),
     ]
+
+
+def callers(source, name):
+    """The top-level definitions of module text ``source`` that call
+    ``name``, as a plain name or as an attribute."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.add(top.name)
+    return found
+
+
+def names_used(source):
+    """Every name a module text imports, reads or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_assignment_costs_are_built_in_one_place():
+    # the cost expression lives in alignment.assign_positions alone, so
+    # the soft pipeline and the hard baseline cannot quietly fork it
+    calls = {(path.stem, f) for path in sorted(SOURCE.glob("*.py"))
+             for f in callers(path.read_text(), "assign_batch")}
+    assert calls == {("alignment", "assign_positions"),
+                     ("assignment", "hungarian")}
+    baseline = names_used((SOURCE / "baseline.py").read_text())
+    assert not baseline & {"assign_batch", "component_log_pdfs"}
+
+
+def test_the_call_checker_sees_each_kind_of_call():
+    source = (
+        "from .assignment import assign_batch\n"
+        "from . import assignment as a\n"
+        "def direct(c):\n"
+        "    return assign_batch(c)\n"
+        "def nested(c):\n"
+        "    return [a.assign_batch(x) for x in c]\n"
+        "class Holder:\n"
+        "    def method(self, c):\n"
+        "        return assign_batch(c)\n"
+        "def unrelated(c):\n"
+        "    return assign_batch\n")
+    assert callers(source, "assign_batch") == {"direct", "nested", "Holder"}
+    assert {"assign_batch", "a", "c"} <= names_used(source)
 
 
 # Public names that only tests read.  Acceptance check 9 measures role
