@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import io
 import sys
@@ -168,34 +169,36 @@ def _search_totals(sweep):
             "settled": sum(r["settled"] for r in sweep)}
 
 
-def _sweep_ks(frames):
-    """The cluster counts of compare's WCE sweeps over ``frames`` rows."""
-    return list(range(2, min(21, frames)))
+def _compression(matrix, fit_start):
+    """The WCE sweep over k = 2..20 and the PCA of one of compare's
+    matrices, and the branch's times: ``fit_s`` from ``fit_start`` to now
+    and ``sweep_s`` of the sweep and PCA."""
+    t = time.perf_counter()
+    sweep = wce_sweep(matrix, range(2, min(21, len(matrix))))
+    pca = pca_variance_explained(matrix)
+    return sweep, pca, {"fit_s": t - fit_start,
+                        "sweep_s": time.perf_counter() - t}
 
 
 def _soft_branch(full, cfg, parent, key_frames_only):
     """The soft pipeline and the aligned matrix's WCE sweep and PCA, and
-    their time."""
+    their times."""
     t = time.perf_counter()
     res = run_pipeline(full, cfg, parent=parent,
                        key_frames_only=key_frames_only)
-    sweep = wce_sweep(res.aligned.matrix, _sweep_ks(full.n_frames))
-    pca = pca_variance_explained(res.aligned.matrix)
-    return res, sweep, pca, time.perf_counter() - t
+    return (res, *_compression(res.aligned.matrix, t))
 
 
 def _hard_branch(full, max_iters):
     """The hard baseline from the player-identity template, and the
     identity matrix's WCE sweep and PCA, on the prepared dataset the soft
-    branch fits, and their time; the baseline's mappings are dropped, so a
-    worker sends back only what ``cmd_compare`` reads."""
+    branch fits, and their times; the baseline's mappings are dropped, so
+    a worker sends back only what ``cmd_compare`` reads."""
     t = time.perf_counter()
     formation, _, trace = hard_assignment_em(
         full, player_identity_template(full), max_iters=max_iters)
-    identity = full.positions.reshape(full.n_frames, -1)
-    sweep = wce_sweep(identity, _sweep_ks(full.n_frames))
-    pca = pca_variance_explained(identity)
-    return formation, trace, sweep, pca, time.perf_counter() - t
+    return (formation, trace, *_compression(
+        full.positions.reshape(full.n_frames, -1), t))
 
 
 def cmd_compare(args) -> int:
@@ -226,8 +229,8 @@ def cmd_compare(args) -> int:
                           args.key_frames_only),
         functools.partial(_hard_branch, full, args.max_iters)])
     timings["fits"] = time.perf_counter() - t1
-    res, sweep_aligned, pca_aligned, soft_s = soft
-    hard_formation, hard_trace, sweep_identity, pca_identity, hard_s = hard
+    res, sweep_aligned, pca_aligned, soft_times = soft
+    hard_formation, hard_trace, sweep_identity, pca_identity, hard_times = hard
 
     t2 = time.perf_counter()
     hard_ll = hard_trace.logliks[-1]
@@ -278,7 +281,7 @@ def cmd_compare(args) -> int:
                "nearest_centers": {"aligned": _search_totals(sweep_aligned),
                                    "identity": _search_totals(
                                        sweep_identity)},
-               "soft": {"fit_s": soft_s}, "hard": {"fit_s": hard_s}})
+               "soft": soft_times, "hard": hard_times})
     manifest.save(out / "manifest.json")
     return 0
 
@@ -513,5 +516,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """``main`` as the process entry of ``python -m rolealign.cli`` and the
+    ``rolealign`` console script, after freezing the imports' heap (as
+    CPython's gc docs advise before a fork): forked workers copy fewer
+    pages, and no collection, the one at exit included, walks it again.
+    In-process callers of ``main`` keep their heap as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -18,8 +18,7 @@ import numpy as np
 
 from .alignment import Template, align_template, assign_roles
 from .discovery import DiscoveryConfig, discover_formation, kmeans
-from .geometry import (NearestCenters, nearest_centers, split_by_label,
-                       sq_dist_to)
+from .geometry import nearest_centers, split_by_label, sq_dist_to
 from .ingest import Dataset, write_json
 
 
@@ -55,20 +54,16 @@ def discriminative_score_E(r, c: ClusterSet) -> float:
     to the nearest other centroid (computed per row).  Rows equidistant from
     both contribute 0; a row sitting exactly on its centroid contributes 1.
     """
-    return _score_E(np.asarray(r, dtype=float), c)[0]
-
-
-def _score_E(x, c: ClusterSet) -> tuple[float, NearestCenters]:
-    """The E score and the neighbor search it made."""
     if c.k < 2:
         raise ValueError("score undefined for a single cluster")
+    x = np.asarray(r, dtype=float)
     own = np.sqrt(sq_dist_to(x, c.centroids, c.labels))
-    near = nearest_centers(x, c.centroids, exclude=c.labels)
     # sqrt is monotone, so this is the least distance to another centroid
-    neighbor = np.sqrt(near.sq_dist)
+    neighbor = np.sqrt(nearest_centers(x, c.centroids,
+                                       exclude=c.labels).sq_dist)
     safe = np.where(neighbor > 0, neighbor, 1.0)
     terms = np.where(neighbor > 0, (neighbor - own) / safe, 0.0)
-    return float(terms.mean()), near
+    return float(terms.mean())
 
 
 def _mean_distance(x, centers, labels) -> float:
@@ -164,10 +159,10 @@ def flat_cluster(r, k_candidates, template: Template | None,
 
 def _extend_centers(x, centers, extra):
     """Add ``extra`` centers at the points farthest from any current one,
-    with the nearest-center search that found the first of them (None when
-    ``extra`` is 0)."""
+    with the rows of the nearest-center search that found the first of them
+    and the fallback rows among them (none when ``extra`` is 0)."""
     if not extra:
-        return centers, None
+        return centers, 0, 0
     centers = list(centers)
     near = nearest_centers(x, np.stack(centers))
     nearest = np.sqrt(near.sq_dist)
@@ -176,7 +171,7 @@ def _extend_centers(x, centers, extra):
         centers.append(x[far])
         newd = np.sqrt(((x - x[far]) ** 2).sum(axis=1))
         nearest = np.minimum(nearest, newd)
-    return np.stack(centers), near
+    return np.stack(centers), len(x), near.fallback
 
 
 def wce_sweep(r, ks) -> list:
@@ -185,12 +180,12 @@ def wce_sweep(r, ks) -> list:
     Each k reuses the previous solution's centroids plus farthest-point
     additions as its init.  If a Lloyd run lands above the plain
     init-assignment solution in (unsquared) WCE, the latter is kept, which
-    guarantees the reported sequence is non-increasing in k.  Returns a list
-    of dicts with k, wce and score (E, 0.0 for k=1), and the
+    guarantees the reported sequence is non-increasing in k; K-means' first
+    search gives its labels.  Returns a list of dicts with k, wce, the
     ``searched`` rows of every nearest-center search made for that k
-    (``nearest_centers`` and K-means) with the ``fallback`` rows among them
-    that its certificate left to the exact search, and the rows K-means
-    ``settled`` by its bounds without a search.
+    (farthest-point seeding and K-means) with the ``fallback`` rows among
+    them that its certificate left to the exact search, and the rows
+    K-means ``settled`` by its bounds without a search.
     """
     x = np.asarray(r, dtype=float)
     out = []
@@ -200,27 +195,17 @@ def wce_sweep(r, ks) -> list:
             continue
         if centers is None:
             centers = x.mean(axis=0, keepdims=True)
-        init, near_init = _extend_centers(x, centers, k - len(centers))
-        near = nearest_centers(x, init)
+        init, searched, fallback = _extend_centers(x, centers,
+                                                   k - len(centers))
         km = kmeans(x, init)
         # the argmin of the squared distances can differ from that of the
         # distances only where two of them share a square root, which
         # leaves the row's distance, and so the WCE, unchanged
-        candidates = [(init, near.labels), (km.centers, km.labels)]
-        wce, cent, lab = min(((_mean_distance(x, *cl), *cl)
-                              for cl in candidates), key=lambda c: c[0])
-        score, near_score = 0.0, None
-        # every label in [0, k) used; np.unique would import numpy.ma
-        if k >= 2 and np.bincount(lab, minlength=k).all():
-            helper = ClusterSet(k=k, centroids=cent, labels=lab)
-            score, near_score = _score_E(x, helper)
-        searches = [s for s in (near_init, near, near_score) if s is not None]
-        out.append({"k": k, "wce": wce, "score": score,
-                    "searched": km.searched + len(x) * len(searches),
-                    "settled": km.settled,
-                    "fallback": km.fallback + sum(s.fallback
-                                                  for s in searches)})
-        centers = cent
+        candidates = [(init, km.first_labels), (km.centers, km.labels)]
+        wce, centers = min(((_mean_distance(x, *cl), cl[0])
+                            for cl in candidates), key=lambda c: c[0])
+        out.append({"k": k, "wce": wce, "searched": searched + km.searched,
+                    "settled": km.settled, "fallback": fallback + km.fallback})
     return out
 
 

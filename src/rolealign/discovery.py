@@ -186,9 +186,13 @@ def player_mean_init(ds: Dataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KMeansResult:
+    """A K-means run.  ``first_labels`` are the labels of its first search,
+    each row's nearest center of ``init``, before any reseed moved one."""
+
     centers: np.ndarray
     labels: np.ndarray
     inertia: tuple   # per-iteration sum of squared distances
+    first_labels: np.ndarray
     searched: int = 0   # rows given to ``nearest_centers``
     settled: int = 0    # rows whose bound kept their label without a search
     fallback: int = 0   # of those searched, rows its certificate left to
@@ -282,6 +286,8 @@ def kmeans(points: np.ndarray, init: np.ndarray) -> KMeansResult:
             lower[rows] = near.lo
             searched += len(near.labels)
             fallback += near.fallback
+        if not inertia:
+            first_labels = labels.copy()
         counts = np.bincount(labels, minlength=k)
         # a reseed moves a center and a label outside the drift bound, so
         # the next iteration searches every row
@@ -308,8 +314,8 @@ def kmeans(points: np.ndarray, init: np.ndarray) -> KMeansResult:
         lower *= shrink
         lower -= movement * widen + slack
     return KMeansResult(centers=centers, labels=labels,
-                        inertia=tuple(inertia), searched=searched,
-                        settled=settled, fallback=fallback)
+                        inertia=tuple(inertia), first_labels=first_labels,
+                        searched=searched, settled=settled, fallback=fallback)
 
 
 def _formation_from_clusters(pts, centers, labels):

@@ -1,8 +1,10 @@
 """The batch interface: exit codes, output files, and the run manifest."""
 
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -275,9 +277,10 @@ def test_compare_report_and_files(plain_csv, tmp_path):
     assert "fallback" not in json.dumps(report)
     assert list(manifest["timings"]) == ["parse", "fits", "write"]
     for branch in ("soft", "hard"):   # timed where the branch ran
-        assert list(manifest["stats"][branch]) == ["fit_s"]
-        assert 0 < manifest["stats"][branch]["fit_s"] <= \
-            manifest["timings"]["fits"]
+        times = manifest["stats"][branch]
+        assert list(times) == ["fit_s", "sweep_s"]
+        assert times["fit_s"] > 0 and times["sweep_s"] > 0
+        assert times["fit_s"] + times["sweep_s"] <= manifest["timings"]["fits"]
     assert no_child_process()
 
 
@@ -575,3 +578,36 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "rolealign" in proc.stdout
+
+
+@pytest.mark.parametrize("entry", ["module", "console script"])
+def test_process_entries_freeze_the_heap(entry):
+    # python -m rolealign.cli, and the target the console script calls
+    root = Path(__file__).resolve().parents[1]
+    module, func = re.search(r'^rolealign = "(.+):(.+)"$',
+                             (root / "pyproject.toml").read_text(),
+                             re.MULTILINE).groups()
+    call = {"module": "runpy.run_module('rolealign.cli', run_name='__main__')",
+            "console script": f"sys.exit(__import__('{module}', "
+                              f"fromlist=['{func}']).{func}())"}[entry]
+    script = ("import gc, runpy, sys\n"
+              "sys.argv = ['rolealign', '--version']\n"
+              "before = gc.get_freeze_count()\n"
+              "try:\n"
+              f"    {call}\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print(before, gc.get_freeze_count() > 0)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split()[-2:] == ["0", "True"]
+
+
+def test_main_leaves_the_heap_unfrozen(plain_csv, tmp_path):
+    # tests and library callers run main in-process
+    before = gc.get_freeze_count()
+    assert run(["discover", "--input", plain_csv[0],
+                "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before

@@ -24,7 +24,7 @@ from rolealign.clustering import (
     within_cluster_error,
 )
 from rolealign.alignment import Template, assign_roles
-from rolealign import discovery
+from rolealign import clustering, discovery
 from rolealign.discovery import DiscoveryConfig, kmeans, player_mean_init
 from rolealign.geometry import Gaussian2D, nearest_centers
 from rolealign.ingest import center_normalize, concat_datasets, flatten
@@ -237,7 +237,8 @@ def test_wce_sweep_nonincreasing():
     assert ks == list(range(1, 9))
     wces = [o["wce"] for o in out]
     assert all(b <= a + 1e-9 for a, b in zip(wces, wces[1:]))
-    assert out[0]["score"] == 0.0
+    assert all(list(o) == ["k", "wce", "searched", "settled", "fallback"]
+               for o in out)
 
 
 def test_wce_sweep_does_not_import_numpy_ma():
@@ -248,12 +249,12 @@ def test_wce_sweep_does_not_import_numpy_ma():
         "from rolealign.clustering import wce_sweep\n"
         "rows = np.random.default_rng(5).normal(size=(60, 4))\n"
         "out = wce_sweep(rows, range(1, 6))\n"
-        "print(sum(o['score'] > 0 for o in out), 'numpy.ma' in sys.modules)\n")
+        "print(len(out), 'numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.split() == ["4", "False"]
+    assert proc.stdout.split() == ["5", "False"]
 
 
 def test_wce_sweep_skips_impossible_k():
@@ -442,12 +443,7 @@ def reference_wce_sweep(x, ks):
         cent, lab, _ = reference_kmeans(x, init)
         cands.append((cent, lab))
         cent, lab = min(cands, key=lambda cl: unsquared(*cl))
-        wce = unsquared(cent, lab)
-        score = 0.0
-        if k >= 2 and len(np.unique(lab)) == k:
-            score = reference_score_E(
-                x, ClusterSet(k=k, centroids=cent, labels=lab))
-        out.append({"k": k, "wce": wce, "score": score})
+        out.append({"k": k, "wce": unsquared(cent, lab)})
         centers = cent
     return out
 
@@ -642,3 +638,66 @@ def test_wce_sweep_bit_identical_to_broadcast(case):
         assert fallback > 0.9 * searched
     elif case == "random":
         assert fallback == 0
+
+
+def test_wce_sweep_searches_each_center_set_once(monkeypatch):
+    # the init candidate's labels come from K-means' first search, and the
+    # sweep scores no split: no search excludes a center, and within one k
+    # no center set is searched against every row twice
+    x = _rows("random")
+    calls = []
+
+    def spy_search(rows, centers, exclude=None):
+        calls.append((len(rows), np.asarray(centers).tobytes(), exclude))
+        return nearest_centers(rows, centers, exclude)
+
+    def spy_extend(*args):
+        calls.append(None)   # each k seeds its init first
+        return extend(*args)
+
+    extend = clustering._extend_centers
+    monkeypatch.setattr(clustering, "nearest_centers", spy_search)
+    monkeypatch.setattr(discovery, "nearest_centers", spy_search)
+    monkeypatch.setattr(clustering, "_extend_centers", spy_extend)
+    out = wce_sweep(x, range(1, 13))
+    starts = [i for i, c in enumerate(calls) if c is None]
+    per_k = [calls[lo + 1:hi] for lo, hi in zip(starts, starts[1:] + [None])]
+    assert len(per_k) == len(out) == 12
+    for searches in per_k:
+        assert searches and all(exclude is None for _, _, exclude in searches)
+        full = [centers for rows, centers, _ in searches if rows == len(x)]
+        assert len(full) == len(set(full))
+    assert sum(o["searched"] for o in out) == \
+        sum(c[0] for c in calls if c is not None)
+
+
+def test_wce_sweep_init_labels_precede_a_first_iteration_reseed(
+        monkeypatch):
+    # two tight blobs far apart: k=3 seeds the mean and one extreme row of
+    # each blob, so no row is nearest the mean and K-means reseeds that
+    # center in its first iteration, moving one row's label there
+    rng = np.random.default_rng(77)
+    x = np.concatenate([rng.normal(c, 0.1, (40, 3)) for c in (-10.0, 10.0)])
+    inits, scored = [], []
+    mean_distance = clustering._mean_distance
+
+    def spy_kmeans(points, init):
+        inits.append(init)
+        return kmeans(points, init)
+
+    def spy_mean_distance(rows, centers, labels):
+        scored.append((centers, np.array(labels)))
+        return mean_distance(rows, centers, labels)
+
+    monkeypatch.setattr(clustering, "kmeans", spy_kmeans)
+    monkeypatch.setattr(clustering, "_mean_distance", spy_mean_distance)
+    out = wce_sweep(x, [3])
+    (init,) = inits
+    reseeds = []
+    reference_kmeans(x, init, reseeds=reseeds)
+    assert 0 in reseeds
+    used = [labels for centers, labels in scored if centers is init]
+    assert len(used) == 1
+    assert np.array_equal(used[0], nearest_centers(x, init).labels)
+    assert [o["wce"] for o in out] == \
+        [r["wce"] for r in reference_wce_sweep(x, [3])]

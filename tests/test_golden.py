@@ -165,6 +165,7 @@ def runs_on_one_and_three_cpus(monkeypatch, root, name, argv):
                     ("global", "soft", "hard")] + \
                 list(manifest["stats"].get("contexts", {}).values()):
             fit.pop("fit_s", None)
+            fit.pop("sweep_s", None)
         manifests.append(manifest)
     return calls, manifests
 
